@@ -15,9 +15,13 @@ from .core import WalkerState
 from .linalg import pure_fidelity
 
 
-def occupation(state: WalkerState) -> dict:
-    """Node -> occupation probability (trace of the node's block)."""
-    return {node: float(np.trace(b).real) for node, b in state.blocks.items()}
+def occupation(state: WalkerState, nodes: tuple | None = None) -> dict:
+    """Node -> occupation probability (trace of the node's block).
+
+    With ``nodes`` (a spec's node tuple) only those nodes are listed,
+    in that order.
+    """
+    return state.traces(nodes)
 
 
 def position_moments(dist: dict) -> tuple[float, float]:

@@ -47,6 +47,7 @@ from .linalg import (
     BELL_PSI_MINUS,
     BELL_PSI_PLUS,
     CNOT,
+    DEFAULT_TOL,
     HADAMARD,
     IDENTITY_2,
     KET_MINUS,
@@ -71,7 +72,6 @@ from .scenarios import (
     state_prep_targets,
 )
 
-DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
 
 EXIT_OK = 0
@@ -136,6 +136,22 @@ RESERVED_KEYS = {"scenario", "steps", "record_every", "mode", "output",
                  "format", "tol", "max_iter"}
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; JSON true/false are bools, not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _env_tol() -> float:
+    """The OQW_TOL tolerance, or DEFAULT_TOL when it is unset."""
+    raw = os.environ.get("OQW_TOL")
+    if raw is None:
+        return DEFAULT_TOL
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"OQW_TOL must be a number, got {raw!r}") from None
+
+
 def parse_config(doc) -> RunConfig:
     """Validate a JSON document (text or parsed dict) into a RunConfig."""
     if isinstance(doc, (str, bytes)):
@@ -152,9 +168,9 @@ def parse_config(doc) -> RunConfig:
             + ", ".join(SCENARIO_NAMES))
     steps = doc.get("steps", 0)
     record_every = doc.get("record_every", 1)
-    if not isinstance(steps, int) or steps < 0:
+    if not _is_int(steps) or steps < 0:
         raise ConfigError("steps must be a non-negative integer")
-    if not isinstance(record_every, int) or record_every < 1:
+    if not _is_int(record_every) or record_every < 1:
         raise ConfigError("record_every must be a positive integer")
     mode = doc.get("mode", "run")
     if mode not in ("run", "steady"):
@@ -162,11 +178,12 @@ def parse_config(doc) -> RunConfig:
     fmt = doc.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("format must be 'csv' or 'json'")
-    tol = doc.get("tol", float(os.environ.get("OQW_TOL", DEFAULT_TOL)))
-    if not (isinstance(tol, (int, float)) and tol > 0):
+    tol = doc["tol"] if "tol" in doc else _env_tol()
+    if not (isinstance(tol, (int, float)) and not isinstance(tol, bool)
+            and tol > 0):
         raise ConfigError("tol must be a positive number")
     max_iter = doc.get("max_iter", DEFAULT_MAX_ITER)
-    if not isinstance(max_iter, int) or max_iter < 1:
+    if not _is_int(max_iter) or max_iter < 1:
         raise ConfigError("max_iter must be a positive integer")
     params = {k: v for k, v in doc.items() if k not in RESERVED_KEYS}
     return RunConfig(scenario=scenario, params=params, steps=steps,
@@ -258,7 +275,7 @@ def _plan_line(cfg: RunConfig) -> ScenarioPlan:
     else:
         raise ConfigError("line scenario needs 'theta' or 'theta_cos'")
     window = params.get("window", max(cfg.steps, 1))
-    if not isinstance(window, int) or window < 1:
+    if not _is_int(window) or window < 1:
         raise ConfigError("window must be a positive integer")
     if window < cfg.steps:
         raise ConfigError(
@@ -344,7 +361,7 @@ def _plan_transport(cfg: RunConfig) -> ScenarioPlan:
     _check_param_names(params, {"N", "p", "q", "sqrt_p", "psi1", "psi2",
                                 "psi0"}, "transport")
     n_nodes = params.get("N")
-    if not isinstance(n_nodes, int) or n_nodes < 2:
+    if not _is_int(n_nodes) or n_nodes < 2:
         raise ConfigError("transport needs an integer node count N >= 2")
     p = _hop_probability(params)
     psi1 = _parse_ket(params["psi1"]) if "psi1" in params else None
@@ -372,7 +389,7 @@ def _plan_dqc(cfg: RunConfig) -> ScenarioPlan:
     if not isinstance(omega, (int, float)) or not 0.0 < omega < 1.0:
         raise ConfigError("dqc needs omega strictly inside (0, 1)")
     t_final = params.get("T")
-    if not isinstance(t_final, int) or t_final < 1:
+    if not _is_int(t_final) or t_final < 1:
         raise ConfigError("dqc needs an integer register count T >= 1")
     raw = params.get("unitaries", ["H"] * t_final)
     if not isinstance(raw, list) or len(raw) != t_final:
@@ -422,11 +439,8 @@ def build_plan(cfg: RunConfig) -> ScenarioPlan:
 
 def occupation_records(trajectory, nodes) -> list[tuple[int, dict]]:
     """Per-snapshot occupation maps, ordered by the spec's node order."""
-    records = []
-    for step_index, state in trajectory:
-        occ = analysis.occupation(state)
-        records.append((step_index, {n: occ[n] for n in nodes if n in occ}))
-    return records
+    return [(step_index, analysis.occupation(state, nodes))
+            for step_index, state in trajectory]
 
 
 def emit_csv(records) -> str:
@@ -486,14 +500,13 @@ def execute(cfg: RunConfig) -> int:
             f"no steady state within {cfg.max_iter} iterations "
             f"(last residual {result.residual:.3e})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    occ = analysis.occupation(result.state)
+    occ = analysis.occupation(result.state, plan.spec.nodes)
     payload = {
         "scenario": cfg.scenario,
         "converged": True,
         "iterations": result.iterations,
         "residual": result.residual,
-        "occupation": {str(n): round(occ[n], 12)
-                       for n in plan.spec.nodes if n in occ},
+        "occupation": {str(n): round(p, 12) for n, p in occ.items()},
         "blocks": state_to_dict(result.state)["blocks"],
         "report": plan.steady_report(result.state),
     }

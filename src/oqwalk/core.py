@@ -14,6 +14,18 @@ One step maps the block at node i to
 
 which keeps the state block-diagonal in position: position coherences
 can never build up, so storage stays at O(V d^2) instead of O((V d)^2).
+
+A WalkSpec is compiled once into edge arrays: ``_src``/``_tgt`` hold the
+node positions of every edge, sorted by (target, source) position, and
+``_ops`` is the read-only (E, d, d) operator stack, the only copy of the
+operators (``transitions`` maps each edge to a view of its row). A step
+gathers the blocks of the occupied sources, forms every K rho K^dag
+product with stacked matmuls, and sums each target's terms in ascending
+source order. The states it returns hold compact rows: the ascending
+positions of the occupied nodes, one (k, d, d) block stack and the k
+traces; ``WalkerState.blocks`` maps nodes to read-only views of those
+rows.
+
 The dense full-space map (``full_map_step``) implements the same
 dynamics on the complete V*d x V*d density matrix and is kept as a
 brute-force cross-check of the block evolution.
@@ -26,13 +38,65 @@ from typing import Hashable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_operator, trace_distance
+from .linalg import DEFAULT_TOL, as_operator, completeness_residual, trace_distance
 
 Node = Hashable
 
 # Blocks with less occupation weight than this are dropped after each
 # step; keeps line-walk storage proportional to the reachable window.
 PRUNE_TRACE = 1e-15
+
+# Bytes of K rho K^dag products a step forms at once. Each chunk also
+# holds the gathered blocks, the adjoint operators and one partial
+# product of the same size, so the transient memory of a step stays
+# near 4x this whatever d and the edge count are.
+_CHUNK_BYTES = 1 << 17
+
+
+def _as_index(idx: np.ndarray):
+    """A run of consecutive indices as a slice (cheaper to apply), else idx."""
+    if idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _sum_plan(tgt: np.ndarray, dim: int) -> tuple:
+    """How step() sums the K rho K^dag terms of a target-sorted edge list.
+
+    Returns (targets, chunks). targets[r] is the target position of
+    output row r. Each chunk (e0, e1, parts) covers edges e0..e1-1;
+    each part (j, rows, edges) pairs output rows with the chunk-local
+    indices of the edges that carry their (j+1)-th term. Parts come in
+    ascending j, so each row gets its first term assigned (j = 0) and
+    the later ones added in edge order, that is in ascending source
+    position.
+    """
+    # marks each target's first edge, plus one mark past the last edge
+    start = np.empty(tgt.size + 1, dtype=bool)
+    start[0] = start[-1] = True
+    np.not_equal(tgt[1:], tgt[:-1], out=start[1:-1])
+    bounds = np.flatnonzero(start)
+    first = bounds[:-1]
+    counts = bounds[1:] - first
+    # level j: the rows with more than j terms, and their (j+1)-th edge
+    levels = []
+    active = np.arange(first.size)
+    while active.size:
+        levels.append((active, first[active] + len(levels)))
+        active = active[counts[active] > len(levels)]
+    per_chunk = max(1, _CHUNK_BYTES // (16 * dim * dim))
+    chunks = []
+    for e0 in range(0, tgt.size, per_chunk):
+        e1 = min(e0 + per_chunk, tgt.size)
+        parts = []
+        for j, (rows, edges) in enumerate(levels):
+            if e1 - e0 < tgt.size:  # several chunks: this chunk's share
+                lo, hi = np.searchsorted(edges, (e0, e1))
+                rows, edges = rows[lo:hi], edges[lo:hi] - e0
+            if rows.size:
+                parts.append((j, _as_index(rows), _as_index(edges)))
+        chunks.append((e0, e1, parts))
+    return tgt[first], chunks
 
 
 @dataclass(frozen=True)
@@ -43,13 +107,18 @@ class WalkSpec:
                 serialization order; builders list them sorted)
     dim         internal Hilbert-space dimension, shared by all operators
     transitions (source, target) -> dim x dim complex matrix; absent
-                edges are implicit zero operators
+                edges are implicit zero operators. After construction
+                the values are read-only views into the operator stack.
     """
 
     nodes: tuple
     dim: int
     transitions: dict
-    _incoming: dict = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
+    _src: np.ndarray = field(init=False, repr=False, compare=False)
+    _tgt: np.ndarray = field(init=False, repr=False, compare=False)
+    _ops: np.ndarray = field(init=False, repr=False, compare=False)
+    _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
@@ -59,46 +128,41 @@ class WalkSpec:
             raise ValueError("duplicate node labels")
         if self.dim < 1:
             raise ValueError("internal dimension must be >= 1")
-        node_set = set(nodes)
-        clean = {}
+        index = {n: k for k, n in enumerate(nodes)}
+        edges = []
         for (src, tgt), op in self.transitions.items():
-            if src not in node_set or tgt not in node_set:
+            if src not in index or tgt not in index:
                 raise ValueError(f"edge ({src!r} -> {tgt!r}) uses unknown nodes")
             m = as_operator(op)
             if m.shape[0] != self.dim:
                 raise ValueError(
                     f"operator on edge ({src!r} -> {tgt!r}) has dimension "
                     f"{m.shape[0]}, expected {self.dim}")
-            m = m.copy()
-            m.setflags(write=False)
-            clean[(src, tgt)] = m
+            edges.append((index[tgt], index[src], (src, tgt), m))
+        # Stack order is (target, source) position, so each target's
+        # incoming terms are adjacent and in ascending source order;
+        # step() sums them in exactly this order, which keeps results
+        # bitwise reproducible. ``transitions`` keeps insertion order.
+        edges.sort(key=lambda edge: edge[:2])
+        ops = np.empty((len(edges), self.dim, self.dim), dtype=complex)
+        for row, edge in enumerate(edges):
+            ops[row] = edge[3]
+        ops.setflags(write=False)
+        views = {edge[2]: ops[row] for row, edge in enumerate(edges)}
+        clean = {key: views[key] for key in self.transitions}
+        tgt = np.array([edge[0] for edge in edges], dtype=np.intp)
+        src = np.array([edge[1] for edge in edges], dtype=np.intp)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "transitions", clean)
-        # Incoming edges per target, sorted by source position in the
-        # node order; step() sums in exactly this order so results are
-        # bitwise reproducible.
-        order = {n: k for k, n in enumerate(nodes)}
-        incoming: dict = {n: [] for n in nodes}
-        for (src, tgt), op in clean.items():
-            incoming[tgt].append((src, op))
-        for tgt in incoming:
-            incoming[tgt].sort(key=lambda pair: order[pair[0]])
-        object.__setattr__(self, "_incoming", incoming)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_src", src)
+        object.__setattr__(self, "_tgt", tgt)
+        object.__setattr__(self, "_ops", ops)
+        object.__setattr__(self, "_plan", _sum_plan(tgt, self.dim))
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-    def incoming(self, target: Node) -> list:
-        """(source, operator) pairs feeding the target node, in node order."""
-        return self._incoming[target]
-
-    def outgoing(self, source: Node) -> list:
-        """(target, operator) pairs leaving the source node, in node order."""
-        order = {n: k for k, n in enumerate(self.nodes)}
-        out = [(tgt, op) for (src, tgt), op in self.transitions.items() if src == source]
-        out.sort(key=lambda pair: order[pair[0]])
-        return out
 
 
 @dataclass
@@ -127,40 +191,81 @@ class ValidationReport:
 def validate_walk(spec: WalkSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the per-node completeness relation sum_K K^dag K = I.
 
-    The sum at each source node runs over its stored outgoing edges.
-    A node with no outgoing edges has residual 1 (the zero map loses
-    all probability).
+    The sum at each source node runs over its stored outgoing edges, in
+    the order of ``spec.transitions``. A node with no outgoing edges has
+    residual 1 (the zero map loses all probability).
     """
-    residuals = {}
-    for src in spec.nodes:
-        acc = np.zeros((spec.dim, spec.dim), dtype=complex)
-        for (s, _t), op in spec.transitions.items():
-            if s == src:
-                acc += op.conj().T @ op
-        residuals[src] = float(np.max(np.abs(acc - np.eye(spec.dim))))
+    families: dict = {n: [] for n in spec.nodes}
+    for (src, _tgt), op in spec.transitions.items():
+        families[src].append(op)
+    residuals = {n: completeness_residual(ops) if ops else 1.0
+                 for n, ops in families.items()}
     return ValidationReport(residuals=residuals, tol=tol)
 
 
-@dataclass
 class WalkerState:
-    """Unnormalized positive blocks keyed by node; Tr(block) = occupation."""
+    """Unnormalized positive blocks keyed by node; Tr(block) = occupation.
 
-    blocks: dict
+    Built from a dict, a state keeps read-only copies of the blocks.
+    States returned by step() keep compact rows instead (the ascending
+    positions of the occupied nodes in the spec's node order, one block
+    stack and the traces); for those, ``blocks`` is built on first use
+    and maps each node to a read-only view of its row. Treat ``blocks``
+    as read-only either way.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("_blocks", "_nodes", "_pos", "_rho", "_tr")
+
+    def __init__(self, blocks: dict):
         clean = {}
-        for node, m in self.blocks.items():
-            a = as_operator(m)
-            a = a.copy()
+        for node, m in blocks.items():
+            a = as_operator(m).copy()
             a.setflags(write=False)
             clean[node] = a
-        self.blocks = clean
+        self._blocks = clean
+        self._nodes = self._pos = self._rho = self._tr = None
+
+    @classmethod
+    def _from_rows(cls, nodes: tuple, pos: np.ndarray, rho: np.ndarray,
+                   tr: np.ndarray) -> "WalkerState":
+        state = cls.__new__(cls)
+        rho.setflags(write=False)
+        state._blocks = None
+        state._nodes, state._pos, state._rho, state._tr = nodes, pos, rho, tr
+        return state
+
+    def _labels(self):
+        return map(self._nodes.__getitem__, self._pos.tolist())
+
+    @property
+    def blocks(self) -> dict:
+        if self._blocks is None:
+            self._blocks = dict(zip(self._labels(), self._rho))
+        return self._blocks
+
+    def traces(self, nodes: tuple | None = None) -> dict:
+        """Node -> Tr(block) as a float.
+
+        With ``nodes`` (a spec's node tuple) only those nodes are
+        listed, in that order. A state that step() returned for that
+        spec is already in that order, so its stored traces are read
+        as they are.
+        """
+        if self._nodes is not None and (nodes is None or nodes is self._nodes):
+            return dict(zip(self._labels(), self._tr.tolist()))
+        occ = {node: float(np.trace(b).real) for node, b in self.blocks.items()}
+        if nodes is None:
+            return occ
+        return {n: occ[n] for n in nodes if n in occ}
 
     def total_trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self.blocks.values()))
+        return float(sum(self.traces().values()))
 
     def block(self, node: Node) -> np.ndarray | None:
         return self.blocks.get(node)
+
+    def __repr__(self) -> str:
+        return f"WalkerState({self.blocks!r})"
 
 
 def pure_state(node: Node, psi: np.ndarray) -> WalkerState:
@@ -194,36 +299,70 @@ def state_trace_distance(a: WalkerState, b: WalkerState) -> float:
     return total
 
 
-def _check_state(spec: WalkSpec, state: WalkerState) -> None:
+def _rows(spec: WalkSpec, state: WalkerState) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending node positions of the occupied blocks and their (k, d, d) stack.
+
+    Raises ValueError when the state occupies a node the spec lacks or
+    holds a block of the wrong dimension.
+    """
+    d = spec.dim
+    if state._nodes is spec.nodes:
+        if state._rho.shape[1] != d:
+            raise ValueError(
+                f"blocks have dimension {state._rho.shape[1]}, spec expects {d}")
+        return state._pos, state._rho
+    rows = []
     for node, block in state.blocks.items():
-        if node not in spec._incoming:
+        if node not in spec._index:
             raise ValueError(f"state occupies unknown node {node!r}")
-        if block.shape[0] != spec.dim:
+        if block.shape[0] != d:
             raise ValueError(
                 f"block at node {node!r} has dimension {block.shape[0]}, "
-                f"spec expects {spec.dim}")
+                f"spec expects {d}")
+        rows.append((spec._index[node], block))
+    rows.sort(key=lambda row: row[0])
+    pos = np.array([p for p, _ in rows], dtype=np.intp)
+    rho = np.empty((len(rows), d, d), dtype=complex)
+    for k, (_p, block) in enumerate(rows):
+        rho[k] = block
+    return pos, rho
 
 
 def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
     """Advance the walk by one step.
 
     The block landing on each target node is the sum over its incoming
-    edges of K rho_source K^dag, accumulated in node order. Blocks whose
-    trace falls below PRUNE_TRACE are dropped.
+    edges of K rho K^dag, accumulated in ascending source position:
+    the first term is assigned and the others added, so no term is
+    ever added onto zeros. Only edges whose source is occupied are
+    evaluated. Blocks whose trace falls below PRUNE_TRACE are dropped.
     """
-    _check_state(spec, state)
-    new_blocks = {}
-    for target in spec.nodes:
-        acc = None
-        for source, op in spec.incoming(target):
-            rho = state.blocks.get(source)
-            if rho is None:
-                continue
-            term = op @ rho @ op.conj().T
-            acc = term if acc is None else acc + term
-        if acc is not None and float(np.trace(acc).real) > PRUNE_TRACE:
-            new_blocks[target] = acc
-    return WalkerState(new_blocks)
+    pos, rho = _rows(spec, state)
+    ops, src, plan = spec._ops, spec._src, spec._plan
+    if pos.size < spec.node_count:
+        # each edge's source as a row of rho (-1: source unoccupied)
+        row_of = np.full(spec.node_count, -1, dtype=np.intp)
+        row_of[pos] = np.arange(pos.size)
+        src = row_of[src]
+        used = np.flatnonzero(src >= 0)
+        if used.size < src.size:
+            ops, src = ops[used], src[used]
+            plan = _sum_plan(spec._tgt[used], spec.dim)
+    targets, chunks = plan
+    acc = np.empty((targets.size, spec.dim, spec.dim), dtype=complex)
+    for e0, e1, parts in chunks:
+        k = ops[e0:e1]
+        terms = k @ rho[src[e0:e1]] @ k.conj().transpose(0, 2, 1)
+        for j, rows, edges in parts:
+            if j == 0:
+                acc[rows] = terms[edges]
+            else:
+                acc[rows] += terms[edges]
+    tr = np.trace(acc, axis1=1, axis2=2).real
+    keep = tr > PRUNE_TRACE
+    if not keep.all():
+        targets, acc, tr = targets[keep], acc[keep], tr[keep]
+    return WalkerState._from_rows(spec.nodes, targets, acc, tr)
 
 
 def run(spec: WalkSpec, initial: WalkerState, n_steps: int,
@@ -293,21 +432,13 @@ def find_steady_state(spec: WalkSpec, initial: WalkerState,
 # sum_i kron(rho_i, E_ii).
 # ----------------------------------------------------------------------
 
-def _node_index(spec: WalkSpec) -> dict:
-    return {n: k for k, n in enumerate(spec.nodes)}
-
-
 def to_full_density(spec: WalkSpec, state: WalkerState) -> np.ndarray:
     """Embed a block state as a dense V*d x V*d density matrix."""
-    _check_state(spec, state)
+    pos, rho = _rows(spec, state)
     v = spec.node_count
     d = spec.dim
-    idx = _node_index(spec)
     full = np.zeros((d * v, d * v), dtype=complex)
-    view = full.reshape(d, v, d, v)
-    for node, block in state.blocks.items():
-        i = idx[node]
-        view[:, i, :, i] = block
+    full.reshape(d, v, d, v)[:, pos, :, pos] = rho
     return full
 
 
@@ -352,7 +483,7 @@ def full_map_step(spec: WalkSpec, full: np.ndarray) -> np.ndarray:
     if full.shape[0] != d * v:
         raise ValueError(
             f"full matrix has dimension {full.shape[0]}, expected {d * v}")
-    idx = _node_index(spec)
+    idx = spec._index
     out = np.zeros_like(full)
     for (src, tgt), op in spec.transitions.items():
         shift = np.zeros((v, v), dtype=complex)

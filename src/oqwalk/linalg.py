@@ -106,10 +106,6 @@ def outer(psi: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
     return np.outer(psi, phi.conj())
 
 
-def projector(psi: np.ndarray) -> np.ndarray:
-    return outer(psi)
-
-
 def apply_kraus(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
     """Apply the operator-sum map rho -> sum_K K rho K^dag.
 
@@ -140,12 +136,6 @@ def completeness_residual(ops: Sequence[np.ndarray]) -> float:
             raise ValueError("operator family has mixed dimensions")
         acc += k.conj().T @ k
     return float(np.max(np.abs(acc - np.eye(dim))))
-
-
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = np.asarray(a, dtype=complex)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and bool(
-        np.max(np.abs(a - a.conj().T)) <= tol)
 
 
 def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -54,6 +54,32 @@ def random_block_state(nodes, dim: int, rng: np.random.Generator,
             for i, w in zip(chosen, weights)}
 
 
+def reference_step(spec, blocks: dict, prune: float) -> dict:
+    """One walk step by the plain per-node loop; node -> block in node order.
+
+    For each target in node order, sums K rho K^dag over its incoming
+    edges in ascending source position (the first term assigned, the
+    rest added) and drops sums whose trace is not above prune. Reads
+    only ``spec.nodes`` and ``spec.transitions``.
+    """
+    order = {n: k for k, n in enumerate(spec.nodes)}
+    incoming = {n: [] for n in spec.nodes}
+    for (src, tgt), op in spec.transitions.items():
+        incoming[tgt].append((src, op))
+    out = {}
+    for target in spec.nodes:
+        acc = None
+        for source, op in sorted(incoming[target], key=lambda pair: order[pair[0]]):
+            rho = blocks.get(source)
+            if rho is None:
+                continue
+            term = op @ rho @ op.conj().T
+            acc = term if acc is None else acc + term
+        if acc is not None and float(np.trace(acc).real) > prune:
+            out[target] = acc
+    return out
+
+
 def enumerate_hop_paths(rho0: np.ndarray, right: np.ndarray,
                         left: np.ndarray, n_steps: int) -> dict[int, np.ndarray]:
     """Walk on the integers by explicit enumeration of operator sequences.

@@ -276,3 +276,39 @@ def test_env_tolerance_override(monkeypatch):
     monkeypatch.delenv("OQW_TOL")
     cfg = parse_config({"scenario": "line", "theta_cos": 0.8})
     assert cfg.tol == 1e-10
+
+
+BASE_DOCS = {
+    "steps": {"scenario": "line", "theta_cos": 0.8},
+    "record_every": {"scenario": "line", "theta_cos": 0.8, "steps": 2},
+    "max_iter": {"scenario": "gate", "gate": "X", "p": 0.5},
+    "window": {"scenario": "line", "theta_cos": 0.8, "steps": 1},
+    "N": {"scenario": "transport", "p": 0.5},
+    "T": {"scenario": "dqc", "omega": 0.5},
+    "tol": {"scenario": "gate", "gate": "X", "p": 0.5},
+}
+
+
+@pytest.mark.parametrize("key", sorted(BASE_DOCS))
+def test_main_rejects_boolean_counts(tmp_path, capsys, key):
+    # JSON true is a bool, and Python's bool is an int: it must not pass
+    # as the count (or tolerance) 1
+    path = write_config(tmp_path, {**BASE_DOCS[key], key: True})
+    mode = "steady" if key in ("max_iter", "tol") else "run"
+    assert main([mode, path, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_main_rejects_bad_env_tolerance(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("OQW_TOL", value)
+    path = write_config(tmp_path, {"scenario": "line", "theta_cos": 0.8,
+                                   "steps": 1})
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "tol" in captured.err.lower()

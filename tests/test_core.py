@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from oqwalk import core
 from oqwalk.core import (
+    PRUNE_TRACE,
     WalkerState,
     WalkSpec,
     extract_blocks,
@@ -23,6 +27,8 @@ from oracles import (
     random_block_state,
     random_density,
     random_kraus_family,
+    random_unitary,
+    reference_step,
 )
 
 
@@ -179,6 +185,176 @@ def test_run_record_every():
     assert [k for k, _ in traj] == [0, 3, 6, 7]
     for _, state in traj:
         assert abs(state.total_trace() - 1.0) < 1e-10
+
+
+# ---------------------------------------------------- compiled engine
+
+
+def scenario_cases():
+    """(label, spec, initial state) for every scenario builder."""
+    from oqwalk.linalg import CNOT
+    from oqwalk.scenarios import (
+        build_bell_grid,
+        build_dqc_chain,
+        build_state_prep,
+        build_transport_chain,
+    )
+
+    rng = np.random.default_rng(21)
+    return [
+        ("line", *build_line_walk(np.arccos(0.8), 12)),
+        ("gate", build_gate_walk(random_unitary(2, rng), 0.3),
+         pure_state(1, basis_ket(2, 0))),
+        ("cnot", build_gate_walk(CNOT, 0.5), mixed_state(1, 4)),
+        ("state_prep", build_state_prep(0.7, 2.1, 0.4), mixed_state(1, 2)),
+        ("bell", build_bell_grid(), mixed_state("UL", 4)),
+        ("transport", *build_transport_chain(9, 16 / 25)),
+        ("dqc", *build_dqc_chain([random_unitary(3, rng) for _ in range(5)],
+                                 0.6)),
+    ]
+
+
+def assert_same_blocks(got: dict, expected: dict):
+    # equal bytes, not just equal values: signed zeros reach the JSON
+    # output of the steady-state report
+    assert list(got) == list(expected)
+    for node, block in expected.items():
+        assert np.array_equal(got[node], block), node
+        assert got[node].tobytes() == block.tobytes(), node
+
+
+def test_step_matches_reference_loop_on_scenarios():
+    # the compiled engine must reproduce the per-node loop bit for bit,
+    # block order included, from every builder's canonical start
+    for label, spec, state in scenario_cases():
+        for _ in range(30):
+            expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+            state = step(spec, state)
+            assert_same_blocks(state.blocks, expected)
+            assert state.traces() == {
+                n: float(np.trace(b).real) for n, b in expected.items()}, label
+
+
+def test_step_matches_reference_loop_in_small_chunks(monkeypatch):
+    # chunks of one to three edges split the products of one step, and
+    # the terms of one target, across many batches; target sums must
+    # still come out bit for bit
+    monkeypatch.setattr(core, "_CHUNK_BYTES", 3 * 16 * 2 ** 2)
+    for label, spec, state in scenario_cases():
+        assert len(spec._plan[1]) > 1, label
+        for _ in range(12):
+            expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+            state = step(spec, state)
+            assert_same_blocks(state.blocks, expected)
+
+
+def random_graph_spec(rng, n_nodes: int, dim: int) -> WalkSpec:
+    """Random walk graph on 0..n_nodes-1 with complete Kraus families.
+
+    Every node but the last gets 1 to 4 outgoing edges; the last node
+    has none, and nodes 0..3 all feed it, so its in-degree is at least
+    4. Edges are inserted in random order.
+    """
+    sink = n_nodes - 1
+    edges = []
+    for src in range(sink):
+        k = int(rng.integers(1, 5))
+        others = [n for n in range(sink) if n != src]
+        targets = list(rng.choice(others, size=k, replace=False))
+        if src < 4:
+            targets[0] = sink
+        for tgt, op in zip(targets, random_kraus_family(dim, k, rng)):
+            edges.append(((src, int(tgt)), op))
+    order = rng.permutation(len(edges))
+    return WalkSpec(nodes=tuple(range(n_nodes)), dim=dim,
+                    transitions=dict(edges[k] for k in order))
+
+
+def test_step_matches_dense_map_on_random_graphs():
+    rng = np.random.default_rng(2024)
+    for dim in (1, 2, 3):
+        for trial in range(4):
+            spec = random_graph_spec(rng, 8, dim)
+            in_degree = Counter(tgt for _src, tgt in spec.transitions)
+            assert max(in_degree.values()) >= 4
+            occupied = 2 if trial % 2 else 8  # sparse, then full occupancy
+            blocks = random_block_state(spec.nodes, dim, rng, occupied=occupied)
+            state = WalkerState(blocks)
+            full = to_full_density(spec, state)
+            for _ in range(6):
+                expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+                state = step(spec, state)
+                full = full_map_step(spec, full)
+                assert_same_blocks(state.blocks, expected)
+                dense, off_diag = extract_blocks(spec, full)
+                assert off_diag <= 1e-12
+                zero = np.zeros((dim, dim))
+                for node in spec.nodes:
+                    a = state.blocks.get(node, zero)
+                    b = dense.blocks.get(node, zero)
+                    assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_step_prunes_negligible_blocks():
+    # weight at site 5 stays below PRUNE_TRACE after the step, so its
+    # only targets 4 and 6 are dropped
+    spec, _ = build_line_walk(np.arccos(0.8), 8)
+    rho = random_density(2, np.random.default_rng(4))
+    blocks = {0: rho, 5: 1e-17 * np.eye(2) / 2}
+    out = step(spec, WalkerState(blocks))
+    assert set(out.blocks) == {-1, 1}
+    assert_same_blocks(out.blocks, reference_step(spec, blocks, PRUNE_TRACE))
+    dense, _ = extract_blocks(spec, full_map_step(spec, to_full_density(
+        spec, WalkerState(blocks))))
+    assert set(dense.blocks) == {-1, 1}
+
+
+def test_step_keeps_signed_zeros():
+    # Y |0><0| Y^dag has -0.0 entries; a sum started from zeros would
+    # turn them into +0.0
+    from oqwalk.linalg import PAULI_Y, PAULI_Z
+
+    spec = WalkSpec(nodes=(1, 2), dim=2, transitions={
+        (1, 2): PAULI_Y, (2, 1): PAULI_Y, (2, 2): PAULI_Z})
+    state = WalkerState({1: outer(basis_ket(2, 0))})
+    for _ in range(3):
+        expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+        state = step(spec, state)
+        assert_same_blocks(state.blocks, expected)
+    assert np.signbit(state.blocks[1].real).any()
+
+
+def test_step_empty_state():
+    spec = random_graph_spec(np.random.default_rng(6), 5, 2)
+    out = step(spec, WalkerState({}))
+    assert out.blocks == {} and out.total_trace() == 0.0
+    assert step(spec, out).blocks == {}
+    full = full_map_step(spec, to_full_density(spec, out))
+    assert not full.any()
+
+
+def test_spec_copies_operators_once():
+    rng = np.random.default_rng(9)
+    b1, c1 = random_kraus_family(2, 2, rng)
+    b2, c2 = random_kraus_family(2, 2, rng)
+    originals = [m.copy() for m in (b1, c1, b2, c2)]
+    spec = two_node_spec(b1, c1, b2, c2)
+    state = WalkerState(random_block_state([1, 2], 2, rng))
+    before = step(spec, state)
+    for m in (b1, c1, b2, c2):
+        m[...] = 7.0
+    keys = [(1, 2), (1, 1), (2, 1), (2, 2)]
+    assert list(spec.transitions) == keys
+    for key, m in zip(keys, originals):
+        op = spec.transitions[key]
+        assert np.array_equal(op, m)
+        assert not op.flags.writeable
+        assert op.base is spec._ops  # a view into the one operator stack
+    assert_same_blocks(step(spec, state).blocks, before.blocks)
+    with pytest.raises(ValueError):
+        spec.transitions[(1, 2)][0, 0] = 0.0
+    with pytest.raises(ValueError):
+        before.blocks[1][0, 0] = 0.0
 
 
 # ------------------------------------------------------- dense oracle
