@@ -13,9 +13,14 @@ Subcommands:
 A configuration is a single JSON document (file path or ``-`` for
 stdin) with the scenario name, its parameters and the run settings,
 e.g. ``{"scenario": "line", "theta_cos": 0.8, "steps": 100}``. The
-``--scenario``/``--set`` flags build the same configuration from the
-command line. The environment variable OQW_TOL overrides the default
-tolerance 1e-10.
+``--scenario``/``--set KEY=VALUE`` flags (VALUE parsed as JSON, else
+kept as a string) build the same document from the command line. The
+environment variable OQW_TOL overrides the default tolerance 1e-10.
+
+Each ``SCENARIOS`` entry holds a scenario's parameters (spellings,
+typed parsers, defaults) and an adapter that calls its builder, which
+owns the range checks. Bad input raises ``ConfigError``, which ``main``
+prints as one ``error:`` line with exit status 1.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -132,309 +138,267 @@ class ScenarioPlan:
     steady_report: Callable[[WalkerState], dict] = field(default=lambda state: {})
 
 
-RESERVED_KEYS = {"scenario", "steps", "record_every", "mode", "output",
-                 "format", "tol", "max_iter"}
+# Typed parsers: (key, JSON value) -> value, or a ConfigError naming the key
+def _integer(key: str, value, low: int | None = None) -> int:
+    # JSON true/false are bools, and Python's bool is an int: not counts
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{key} must be an integer{bound}")
+    return value
 
 
-def _is_int(value) -> bool:
-    """True for a JSON integer; JSON true/false are bools, not counts."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _real(key: str, value, positive: bool = False) -> float:
+    # not JSON true/false, NaN, Infinity or a number beyond the float range
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max and (value > 0 or not positive)):
+        return float(value)
+    kind = "a positive finite" if positive else "a finite"
+    raise ConfigError(f"{key} must be {kind} number")
 
 
-def _env_tol() -> float:
-    """The OQW_TOL tolerance, or DEFAULT_TOL when it is unset."""
-    raw = os.environ.get("OQW_TOL")
-    if raw is None:
-        return DEFAULT_TOL
+def _acos(key: str, value) -> float:
+    c = _real(key, value)
+    if not -1.0 <= c <= 1.0:
+        raise ConfigError(f"{key} must lie in [-1, 1]")
+    return math.acos(c)
+
+
+def _text(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string")
+    return value
+
+
+def _named(table: dict):
+    def parse(key: str, value):
+        # check the type first: a list is unhashable
+        if not isinstance(value, str) or value not in table:
+            raise ConfigError(f"{key} must be one of " + ", ".join(table))
+        return table[value]
+    return parse
+
+
+def _literal(key: str, value, table: dict, from_json: Callable):
+    """A name in `table`, or a JSON literal that `from_json` decodes."""
+    if isinstance(value, str):
+        return _named(table)(key, value)
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"OQW_TOL must be a number, got {raw!r}") from None
+        return from_json(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad literal for {key}: {exc}") from exc
+
+
+def _gate(key: str, value) -> np.ndarray:
+    return _literal(key, value, NAMED_GATES, matrix_from_json)
+
+
+def _ket(key: str, value) -> np.ndarray:
+    return _literal(key, value, NAMED_KETS, lambda v: normalized(ket_from_json(v)))
+
+
+def _gates(key: str, value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of gates")
+    return [_gate(f"{key}[{k}]", entry) for k, entry in enumerate(value)]
+
+
+# run settings: key -> (parser, default); other keys are scenario parameters
+_SETTINGS = {
+    "steps": (partial(_integer, low=0), 0),
+    "record_every": (partial(_integer, low=1), 1),
+    "mode": (_named({"run": "run", "steady": "steady"}), "run"),
+    "format": (_named({"csv": "csv", "json": "json"}), "csv"),
+    "output": (_text, None),
+    "tol": (partial(_real, positive=True), DEFAULT_TOL),
+    "max_iter": (partial(_integer, low=1), DEFAULT_MAX_ITER),
+}
+
+
+def _decode(doc) -> dict:
+    """The configuration object of JSON text, or `doc` itself."""
+    if isinstance(doc, (str, bytes)):
+        try:
+            doc = json.loads(doc)
+        except ValueError as exc:
+            raise ConfigError(f"malformed JSON configuration: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("configuration must be a JSON object")
+    return doc
 
 
 def parse_config(doc) -> RunConfig:
     """Validate a JSON document (text or parsed dict) into a RunConfig."""
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON configuration: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration must be a JSON object")
+    doc = _decode(doc)
     scenario = doc.get("scenario")
     if scenario not in SCENARIO_NAMES:
         raise ConfigError(
             f"unknown scenario {scenario!r}; valid scenarios: "
             + ", ".join(SCENARIO_NAMES))
-    steps = doc.get("steps", 0)
-    record_every = doc.get("record_every", 1)
-    if not _is_int(steps) or steps < 0:
-        raise ConfigError("steps must be a non-negative integer")
-    if not _is_int(record_every) or record_every < 1:
-        raise ConfigError("record_every must be a positive integer")
-    mode = doc.get("mode", "run")
-    if mode not in ("run", "steady"):
-        raise ConfigError("mode must be 'run' or 'steady'")
-    fmt = doc.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError("format must be 'csv' or 'json'")
-    tol = doc["tol"] if "tol" in doc else _env_tol()
-    if not (isinstance(tol, (int, float)) and not isinstance(tol, bool)
-            and tol > 0):
-        raise ConfigError("tol must be a positive number")
-    max_iter = doc.get("max_iter", DEFAULT_MAX_ITER)
-    if not _is_int(max_iter) or max_iter < 1:
-        raise ConfigError("max_iter must be a positive integer")
-    params = {k: v for k, v in doc.items() if k not in RESERVED_KEYS}
-    return RunConfig(scenario=scenario, params=params, steps=steps,
-                     record_every=record_every, mode=mode,
-                     output=doc.get("output"), fmt=fmt, tol=float(tol),
-                     max_iter=max_iter)
-
-
-def _parse_ket(value, dim: int | None = None) -> np.ndarray:
-    if isinstance(value, str):
-        if value not in NAMED_KETS:
-            raise ConfigError(
-                f"unknown state name {value!r}; named states: "
-                + ", ".join(sorted(NAMED_KETS)))
-        ket = NAMED_KETS[value]
-    else:
+    if "tol" not in doc and "OQW_TOL" in os.environ:
+        raw = os.environ["OQW_TOL"]
         try:
-            ket = normalized(ket_from_json(value))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad state vector: {exc}") from exc
-    if dim is not None and ket.size != dim:
-        raise ConfigError(
-            f"state has dimension {ket.size}, scenario expects {dim}")
-    return ket
+            doc = {**doc, "tol": float(raw)}
+        except ValueError:
+            raise ConfigError(f"OQW_TOL must be a number, got {raw!r}") from None
+    settings = {key: parse(key, doc[key]) if key in doc else default
+                for key, (parse, default) in _SETTINGS.items()}
+    settings["fmt"] = settings.pop("format")
+    params = {k: v for k, v in doc.items()
+              if k != "scenario" and k not in _SETTINGS}
+    return RunConfig(scenario=scenario, params=params, **settings)
 
 
-def _parse_gate(params: dict) -> np.ndarray:
-    if "gate" in params and "matrix" in params:
-        raise ConfigError("give either 'gate' or 'matrix', not both")
-    if "gate" in params:
-        name = params["gate"]
-        if name not in NAMED_GATES:
-            raise ConfigError(
-                f"unknown gate {name!r}; named gates: "
-                + ", ".join(sorted(NAMED_GATES)))
-        return NAMED_GATES[name]
-    if "matrix" in params:
-        try:
-            return matrix_from_json(params["matrix"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad gate matrix: {exc}") from exc
-    raise ConfigError("gate scenario needs a 'gate' name or a 'matrix'")
+_REQUIRED = object()
 
 
-def _hop_probability(params: dict, default: float | None = None) -> float:
-    """Resolve p / q / sqrt_p parameter spellings into p."""
-    given = [k for k in ("p", "q", "sqrt_p") if k in params]
-    if len(given) > 1:
-        raise ConfigError("give only one of 'p', 'q', 'sqrt_p'")
-    if not given:
-        if default is None:
-            raise ConfigError("missing probability parameter 'p'")
-        return default
-    key = given[0]
-    value = params[key]
-    if not isinstance(value, (int, float)):
-        raise ConfigError(f"'{key}' must be a number")
-    if key == "p":
-        p = float(value)
-    elif key == "q":
-        p = 1.0 - float(value)
-    else:
-        p = float(value) ** 2
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"'{key}' puts p = {p} outside [0, 1]")
-    return p
+class Param(NamedTuple):
+    """A parameter's spellings, each with its parser, and its default:
+    ``_REQUIRED``, a value, or None for one the adapter works out. The
+    value is stored under the first spelling, whichever is given."""
+
+    spellings: dict
+    default: object = None
 
 
-def _check_param_names(params: dict, allowed: set, scenario: str) -> None:
-    unknown = set(params) - allowed
+def _describe(param: Param) -> str:
+    note = ("" if param.default is None else " (required)"
+            if param.default is _REQUIRED else f" (default {param.default})")
+    return " | ".join(param.spellings) + note
+
+
+def _resolve(params: tuple, given: dict, scenario: str) -> dict:
+    """Parse `given` against a scenario's parameters into name -> value."""
+    unknown = set(given).difference(*(p.spellings for p in params))
     if unknown:
         raise ConfigError(
             f"unknown parameter(s) for scenario '{scenario}': "
             + ", ".join(sorted(unknown)))
+    values = {}
+    for param in params:
+        found = [key for key in param.spellings if key in given]
+        if len(found) > 1:
+            raise ConfigError("give only one of " + ", ".join(map(repr, found)))
+        if not found and param.default is _REQUIRED:
+            raise ConfigError(f"scenario '{scenario}' needs "
+                              + " or ".join(map(repr, param.spellings)))
+        name = next(iter(param.spellings))
+        values[name] = (param.spellings[found[0]](found[0], given[found[0]])
+                        if found else param.default)
+    return values
 
 
-def _plan_line(cfg: RunConfig) -> ScenarioPlan:
-    params = cfg.params
-    _check_param_names(params, {"theta", "theta_cos", "window"}, "line")
-    if "theta" in params and "theta_cos" in params:
-        raise ConfigError("give either 'theta' or 'theta_cos', not both")
-    if "theta" in params:
-        theta = float(params["theta"])
-    elif "theta_cos" in params:
-        c = float(params["theta_cos"])
-        if not -1.0 <= c <= 1.0:
-            raise ConfigError("theta_cos must lie in [-1, 1]")
-        theta = math.acos(c)
-    else:
-        raise ConfigError("line scenario needs 'theta' or 'theta_cos'")
-    window = params.get("window", max(cfg.steps, 1))
-    if not _is_int(window) or window < 1:
-        raise ConfigError("window must be a positive integer")
+def _sized(key: str, ket: np.ndarray, dim: int) -> np.ndarray:
+    if ket.size != dim:
+        raise ConfigError(f"{key} has dimension {ket.size}, scenario expects {dim}")
+    return ket
+
+
+def _readout(state: WalkerState, node, **extra) -> dict:
+    return {"readout_node": node,
+            "readout_probability": analysis.readout_probability(state, node),
+            **extra}
+
+
+def _line(values: dict, cfg: RunConfig) -> ScenarioPlan:
+    window = max(cfg.steps, 1) if values["window"] is None else values["window"]
     if window < cfg.steps:
         raise ConfigError(
             f"window {window} is smaller than steps {cfg.steps}; the "
             "window must cover the whole run")
-    spec, initial = build_line_walk(theta, window)
-    return ScenarioPlan(spec, initial)
+    return ScenarioPlan(*build_line_walk(values["theta"], window))
 
 
-def _plan_gate(cfg: RunConfig) -> ScenarioPlan:
-    params = cfg.params
-    _check_param_names(params, {"gate", "matrix", "p", "q", "sqrt_p", "psi0"},
-                       "gate")
-    gate = _parse_gate(params)
-    p = _hop_probability(params)
-    try:
-        spec = build_gate_walk(gate, p)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    psi0 = _parse_ket(params.get("psi0", basis_ket(gate.shape[0], 0)),
-                      gate.shape[0])
-    initial = pure_state(1, psi0)
-    expected = gate @ psi0
-
-    def report(state: WalkerState) -> dict:
-        return {
-            "readout_node": 2,
-            "readout_probability": analysis.readout_probability(state, 2),
-            "gate_fidelity": analysis.node_fidelity(state, 2, expected),
-        }
-
-    return ScenarioPlan(spec, initial, report)
+def _gate_walk(values: dict, cfg: RunConfig) -> ScenarioPlan:
+    gate, psi0 = values["gate"], values["psi0"]
+    spec = build_gate_walk(gate, values["p"])
+    psi0 = (basis_ket(spec.dim, 0) if psi0 is None
+            else _sized("psi0", psi0, spec.dim))
+    return ScenarioPlan(spec, pure_state(1, psi0), lambda state: _readout(
+        state, 2, gate_fidelity=analysis.node_fidelity(state, 2, gate @ psi0)))
 
 
-def _plan_state_prep(cfg: RunConfig) -> ScenarioPlan:
-    params = cfg.params
-    _check_param_names(params, {"alpha", "beta", "p", "q", "psi0"},
-                       "state_prep")
-    alpha = float(params.get("alpha", 0.0))
-    beta = float(params.get("beta", 0.0))
-    p = _hop_probability(params, default=0.5)
-    if not 0.0 < p < 1.0:
-        raise ConfigError("state_prep needs p strictly inside (0, 1)")
-    spec = build_state_prep(alpha, beta, p)
-    if "psi0" in params:
-        initial = pure_state(1, _parse_ket(params["psi0"], 2))
-    else:
-        initial = mixed_state(1, 2)
-    target, _ = state_prep_targets(alpha, beta)
-
-    def report(state: WalkerState) -> dict:
-        return {
-            "readout_node": 2,
-            "readout_probability": analysis.readout_probability(state, 2),
-            "target_fidelity": analysis.node_fidelity(state, 2, target),
-        }
-
-    return ScenarioPlan(spec, initial, report)
+def _state_prep(values: dict, cfg: RunConfig) -> ScenarioPlan:
+    spec = build_state_prep(values["alpha"], values["beta"], values["p"])
+    psi0 = values["psi0"]
+    initial = (mixed_state(1, 2) if psi0 is None
+               else pure_state(1, _sized("psi0", psi0, 2)))
+    target, _ = state_prep_targets(values["alpha"], values["beta"])
+    return ScenarioPlan(spec, initial, lambda state: _readout(
+        state, 2, target_fidelity=analysis.node_fidelity(state, 2, target)))
 
 
-def _plan_bell(cfg: RunConfig) -> ScenarioPlan:
-    params = cfg.params
-    _check_param_names(params, {"start_node"}, "bell")
-    start = params.get("start_node", "UL")
-    if start not in BELL_NODE_STATES:
-        raise ConfigError(
-            "start_node must be one of " + ", ".join(BELL_NODE_STATES))
-    spec = build_bell_grid()
-    initial = mixed_state(start, 4)
-
-    def report(state: WalkerState) -> dict:
-        fidelities = {}
-        for node, bell in BELL_NODE_STATES.items():
-            if analysis.readout_probability(state, node) > 1e-12:
-                fidelities[node] = analysis.node_fidelity(state, node, bell)
-        return {"bell_fidelities": fidelities}
-
-    return ScenarioPlan(spec, initial, report)
+def _bell(values: dict, cfg: RunConfig) -> ScenarioPlan:
+    return ScenarioPlan(
+        build_bell_grid(), mixed_state(values["start_node"], 4),
+        lambda state: {"bell_fidelities": {
+            node: analysis.node_fidelity(state, node, bell)
+            for node, bell in BELL_NODE_STATES.items()
+            if analysis.readout_probability(state, node) > 1e-12}})
 
 
-def _plan_transport(cfg: RunConfig) -> ScenarioPlan:
-    params = cfg.params
-    _check_param_names(params, {"N", "p", "q", "sqrt_p", "psi1", "psi2",
-                                "psi0"}, "transport")
-    n_nodes = params.get("N")
-    if not _is_int(n_nodes) or n_nodes < 2:
-        raise ConfigError("transport needs an integer node count N >= 2")
-    p = _hop_probability(params)
-    psi1 = _parse_ket(params["psi1"]) if "psi1" in params else None
-    psi2 = _parse_ket(params["psi2"]) if "psi2" in params else None
-    try:
-        spec, initial = build_transport_chain(n_nodes, p, psi1, psi2)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if "psi0" in params:
-        initial = pure_state(1, _parse_ket(params["psi0"], spec.dim))
-
-    def report(state: WalkerState) -> dict:
-        return {
-            "readout_node": n_nodes,
-            "readout_probability": analysis.readout_probability(state, n_nodes),
-        }
-
-    return ScenarioPlan(spec, initial, report)
+def _transport(values: dict, cfg: RunConfig) -> ScenarioPlan:
+    spec, initial = build_transport_chain(values["N"], values["p"],
+                                          values["psi1"], values["psi2"])
+    if values["psi0"] is not None:
+        initial = pure_state(1, _sized("psi0", values["psi0"], spec.dim))
+    return ScenarioPlan(spec, initial, lambda state: _readout(state, values["N"]))
 
 
-def _plan_dqc(cfg: RunConfig) -> ScenarioPlan:
-    params = cfg.params
-    _check_param_names(params, {"omega", "T", "unitaries", "psi0"}, "dqc")
-    omega = params.get("omega")
-    if not isinstance(omega, (int, float)) or not 0.0 < omega < 1.0:
-        raise ConfigError("dqc needs omega strictly inside (0, 1)")
-    t_final = params.get("T")
-    if not _is_int(t_final) or t_final < 1:
-        raise ConfigError("dqc needs an integer register count T >= 1")
-    raw = params.get("unitaries", ["H"] * t_final)
-    if not isinstance(raw, list) or len(raw) != t_final:
+def _dqc(values: dict, cfg: RunConfig) -> ScenarioPlan:
+    omega, t_final, psi0 = values["omega"], values["T"], values["psi0"]
+    gates = values["unitaries"]
+    if gates is None:
+        gates = [NAMED_GATES["H"]] * t_final
+    elif len(gates) != t_final:
         raise ConfigError("'unitaries' must be a list of T entries")
-    gates = []
-    for entry in raw:
-        if isinstance(entry, str):
-            if entry not in NAMED_GATES:
-                raise ConfigError(f"unknown gate {entry!r} in 'unitaries'")
-            gates.append(NAMED_GATES[entry])
-        else:
-            gates.append(matrix_from_json(entry))
-    psi0 = _parse_ket(params["psi0"]) if "psi0" in params else None
-    try:
-        spec, initial = build_dqc_chain(gates, float(omega), psi0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec, initial = build_dqc_chain(gates, omega, psi0)
     # expected output: the whole gate sequence applied to psi0
     vec = psi0 if psi0 is not None else basis_ket(spec.dim, 0)
     for g in gates:
         vec = g @ vec
-
-    def report(state: WalkerState) -> dict:
-        return {
-            "readout_node": t_final,
-            "readout_probability": analysis.readout_probability(state, t_final),
-            "predicted_readout": analysis.dqc_predicted_readout(float(omega), t_final),
-            "output_fidelity": analysis.node_fidelity(state, t_final, vec),
-        }
-
-    return ScenarioPlan(spec, initial, report)
+    return ScenarioPlan(spec, initial, lambda state: _readout(
+        state, t_final,
+        predicted_readout=analysis.dqc_predicted_readout(omega, t_final),
+        output_fidelity=analysis.node_fidelity(state, t_final, vec)))
 
 
-_PLANNERS = {
-    "line": _plan_line,
-    "gate": _plan_gate,
-    "state_prep": _plan_state_prep,
-    "bell": _plan_bell,
-    "transport": _plan_transport,
-    "dqc": _plan_dqc,
+_P_OR_Q = {"p": _real, "q": lambda key, value: 1.0 - _real(key, value)}
+_HOP = {**_P_OR_Q, "sqrt_p": lambda key, value: _real(key, value) ** 2}
+
+# scenario name -> (its parameters, its adapter); an adapter takes the
+# resolved values and the RunConfig and returns the ScenarioPlan
+SCENARIOS = {
+    "line": ((Param({"theta": _real, "theta_cos": _acos}, _REQUIRED),
+              Param({"window": _integer})), _line),
+    "gate": ((Param({"gate": _gate, "matrix": _gate}, _REQUIRED),
+              Param(_HOP, _REQUIRED),
+              Param({"psi0": _ket})), _gate_walk),
+    "state_prep": ((Param({"alpha": _real}, 0.0),
+                    Param({"beta": _real}, 0.0),
+                    Param(_P_OR_Q, 0.5),
+                    Param({"psi0": _ket})), _state_prep),
+    "bell": ((Param({"start_node": _named({n: n for n in BELL_NODE_STATES})},
+                    "UL"),), _bell),
+    "transport": ((Param({"N": _integer}, _REQUIRED),
+                   Param(_HOP, _REQUIRED),
+                   Param({"psi1": _ket}),
+                   Param({"psi2": _ket}),
+                   Param({"psi0": _ket})), _transport),
+    "dqc": ((Param({"omega": _real}, _REQUIRED),
+             Param({"T": _integer}, _REQUIRED),
+             Param({"unitaries": _gates}),
+             Param({"psi0": _ket})), _dqc),
 }
 
 
 def build_plan(cfg: RunConfig) -> ScenarioPlan:
-    return _PLANNERS[cfg.scenario](cfg)
+    params, adapter = SCENARIOS[cfg.scenario]
+    values = _resolve(params, cfg.params, cfg.scenario)
+    try:
+        return adapter(values, cfg)
+    except ValueError as exc:  # a builder's range check
+        raise ConfigError(str(exc)) from exc
 
 
 def occupation_records(trajectory, nodes) -> list[tuple[int, dict]]:
@@ -460,14 +424,6 @@ def emit_json(records) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def execute(cfg: RunConfig) -> int:
     """Run a validated configuration; returns the process exit status."""
     try:
@@ -485,47 +441,35 @@ def execute(cfg: RunConfig) -> int:
         trajectory = run(plan.spec, plan.initial, cfg.steps, cfg.record_every)
         records = occupation_records(trajectory, plan.spec.nodes)
         text = emit_csv(records) if cfg.fmt == "csv" else emit_json(records)
-        try:
-            _write_output(text, cfg.output)
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        return EXIT_OK
-
-    # steady mode
-    result = find_steady_state(plan.spec, plan.initial, tol=cfg.tol,
-                               max_iter=cfg.max_iter)
-    if not result.converged:
-        print(
-            f"no steady state within {cfg.max_iter} iterations "
-            f"(last residual {result.residual:.3e})", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    occ = analysis.occupation(result.state, plan.spec.nodes)
-    payload = {
-        "scenario": cfg.scenario,
-        "converged": True,
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "occupation": {str(n): round(p, 12) for n, p in occ.items()},
-        "blocks": state_to_dict(result.state)["blocks"],
-        "report": plan.steady_report(result.state),
-    }
+    else:
+        result = find_steady_state(plan.spec, plan.initial, tol=cfg.tol,
+                                   max_iter=cfg.max_iter)
+        if not result.converged:
+            print(
+                f"no steady state within {cfg.max_iter} iterations "
+                f"(last residual {result.residual:.3e})", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
+        occ = analysis.occupation(result.state, plan.spec.nodes)
+        payload = {
+            "scenario": cfg.scenario,
+            "converged": True,
+            "iterations": result.iterations,
+            "residual": result.residual,
+            "occupation": {str(n): round(p, 12) for n, p in occ.items()},
+            "blocks": state_to_dict(result.state)["blocks"],
+            "report": plan.steady_report(result.state),
+        }
+        text = json.dumps(payload, indent=2) + "\n"
     try:
-        _write_output(json.dumps(payload, indent=2) + "\n", cfg.output)
+        if cfg.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID
     return EXIT_OK
-
-
-SCENARIO_HELP = {
-    "line": "theta | theta_cos, window (>= steps)",
-    "gate": "gate (X,Y,Z,H,S,T,CNOT) | matrix, p | q | sqrt_p, psi0",
-    "state_prep": "alpha, beta, p | q, psi0 (default: mixed at node 1)",
-    "bell": "start_node (UL, UR, DL, DR)",
-    "transport": "N, p | q | sqrt_p, psi1, psi2, psi0 (default: mixed)",
-    "dqc": "omega, T, unitaries (default: T Hadamards), psi0",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -554,20 +498,15 @@ def _document_from_args(args) -> dict:
     if args.config is not None and args.scenario is not None:
         raise ConfigError("give a config file or --scenario, not both")
     if args.config is not None:
-        if args.config == "-":
-            text = sys.stdin.read()
-        else:
-            try:
+        try:
+            if args.config == "-":
+                text = sys.stdin.read()
+            else:
                 with open(args.config, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
-                raise ConfigError(f"cannot read config: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON configuration: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("configuration must be a JSON object")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        doc = _decode(text)
     elif args.scenario is not None:
         doc = {"scenario": args.scenario}
         for item in args.assignments:
@@ -581,14 +520,10 @@ def _document_from_args(args) -> dict:
     else:
         raise ConfigError("a config file or --scenario is required")
     # command-line settings override the document
-    if args.steps is not None:
-        doc["steps"] = args.steps
-    if args.record_every is not None:
-        doc["record_every"] = args.record_every
-    if args.output is not None:
-        doc["output"] = args.output
-    if args.fmt is not None:
-        doc["format"] = args.fmt
+    for key, value in (("steps", args.steps), ("record_every", args.record_every),
+                       ("output", args.output), ("format", args.fmt)):
+        if value is not None:
+            doc[key] = value
     return doc
 
 
@@ -606,8 +541,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "scenarios":
-        for name in SCENARIO_NAMES:
-            print(f"{name}: {SCENARIO_HELP[name]}")
+        for name, (params, _) in SCENARIOS.items():
+            print(f"{name}: " + "; ".join(map(_describe, params)))
+        print("named gates: " + ", ".join(NAMED_GATES))
+        print("named states: " + ", ".join(NAMED_KETS))
         return EXIT_OK
 
     try:
@@ -615,20 +552,13 @@ def main(argv=None) -> int:
         if args.command in ("run", "steady"):
             doc["mode"] = args.command
         cfg = parse_config(doc)
+        if args.command == "validate":
+            report = validate_walk(build_plan(cfg).spec, tol=cfg.tol)
+            print(str(report))
+            return EXIT_OK if report.ok else EXIT_INVALID
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-
-    if args.command == "validate":
-        try:
-            plan = build_plan(cfg)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        report = validate_walk(plan.spec, tol=cfg.tol)
-        print(str(report))
-        return EXIT_OK if report.ok else EXIT_INVALID
-
     return execute(cfg)
 
 

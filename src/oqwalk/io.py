@@ -27,7 +27,7 @@ def matrix_from_json(data) -> np.ndarray:
         for z in row:
             if isinstance(z, (list, tuple)):
                 if len(z) != 2:
-                    raise ValueError(f"matrix entry {z!r} is not a [re, im] pair")
+                    raise ValueError(f"entry {z!r} is not a [re, im] pair")
                 entries.append(complex(z[0], z[1]))
             else:
                 entries.append(complex(z))
@@ -36,15 +36,7 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def ket_from_json(data) -> np.ndarray:
-    out = []
-    for z in data:
-        if isinstance(z, (list, tuple)):
-            if len(z) != 2:
-                raise ValueError(f"amplitude {z!r} is not a [re, im] pair")
-            out.append(complex(z[0], z[1]))
-        else:
-            out.append(complex(z))
-    return np.array(out, dtype=complex)
+    return matrix_from_json([data])[0]
 
 
 def spec_to_dict(spec: WalkSpec) -> dict:

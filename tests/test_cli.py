@@ -1,9 +1,13 @@
 import json
+import os
+import re
+import sys
 
 import numpy as np
 import pytest
 
 from oqwalk.cli import (
+    SCENARIOS,
     ConfigError,
     RunConfig,
     build_plan,
@@ -14,6 +18,7 @@ from oqwalk.cli import (
     occupation_records,
     parse_config,
 )
+from oqwalk.scenarios import SCENARIO_NAMES
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -249,6 +254,14 @@ def test_main_missing_config(capsys):
     assert main(["run"]) == 1
 
 
+def test_main_config_not_utf8(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"scenario": "line", "theta_cos": 0.8, "x": "\xff"}')
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and err.count("\n") == 1
+
+
 def test_main_scenarios_listing(capsys):
     assert main(["scenarios"]) == 0
     out = capsys.readouterr().out
@@ -286,6 +299,17 @@ BASE_DOCS = {
     "N": {"scenario": "transport", "p": 0.5},
     "T": {"scenario": "dqc", "omega": 0.5},
     "tol": {"scenario": "gate", "gate": "X", "p": 0.5},
+    "p": {"scenario": "gate", "gate": "X"},
+    "q": {"scenario": "gate", "gate": "X"},
+    "sqrt_p": {"scenario": "gate", "gate": "X"},
+    "theta": {"scenario": "line", "steps": 1},
+    "theta_cos": {"scenario": "line", "steps": 1},
+    "alpha": {"scenario": "state_prep"},
+    "beta": {"scenario": "state_prep"},
+    "omega": {"scenario": "dqc", "T": 2},
+    "start_node": {"scenario": "bell"},
+    "gate": {"scenario": "gate", "p": 0.5},
+    "unitaries": {"scenario": "dqc", "omega": 0.5, "T": 1},
 }
 
 
@@ -312,3 +336,76 @@ def test_main_rejects_bad_env_tolerance(tmp_path, capsys, monkeypatch, value):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "tol" in captured.err.lower()
+
+
+# non-boolean values that must be rejected, each added as raw JSON text
+# to the key's base document (BASE_DOCS, or the line walk for "output",
+# which takes no -o flag since -o would override it)
+REJECTED = [
+    ("theta", '"abc"'), ("theta", "[1]"), ("theta", "Infinity"),
+    ("alpha", '"pi"'), ("start_node", '["UL"]'), ("gate", '["X"]'),
+    ("unitaries", "[5]"), ("unitaries", '[[["a"]]]'),
+    ("unitaries", "[[[1, 0], [0]]]"), ("tol", "1e400"),
+    ("output", "true"), ("output", "1"), ("output", '["a"]'),
+]
+
+
+@pytest.mark.parametrize("key,raw", REJECTED)
+def test_main_rejects_bad_values(tmp_path, capsys, key, raw):
+    # exit 1 with one line naming the key: no traceback, no coercion,
+    # no output file, and the process's stdout is left open
+    doc = BASE_DOCS.get(key, BASE_DOCS["steps"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc)[:-1] + f', "{key}": {raw}}}')
+    argv = ["run", str(path)]
+    if key != "output":
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == 1
+    os.fstat(1)
+    assert not sys.stdout.closed
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert re.search(rf"\b{re.escape(key)}\b", captured.err)
+    assert not (tmp_path / "out").exists()
+
+
+ACCEPTED_KEYS = {
+    "line": ["theta", "theta_cos", "window"],
+    "gate": ["gate", "matrix", "p", "q", "sqrt_p", "psi0"],
+    "state_prep": ["alpha", "beta", "p", "q", "psi0"],
+    "bell": ["start_node"],
+    "transport": ["N", "p", "q", "sqrt_p", "psi1", "psi2", "psi0"],
+    "dqc": ["omega", "T", "unitaries", "psi0"],
+}
+
+
+def test_main_scenarios_follow_registry(capsys):
+    assert tuple(SCENARIOS) == SCENARIO_NAMES
+    assert main(["scenarios"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines[:len(SCENARIO_NAMES)]] \
+        == list(SCENARIO_NAMES)
+    for name, line in zip(SCENARIO_NAMES, lines):
+        for key in ACCEPTED_KEYS[name]:
+            assert re.search(rf"\b{re.escape(key)}\b", line), (name, key)
+
+
+@pytest.mark.parametrize("mode", ["run", "steady"])
+def test_main_probability_spellings_same_bytes(tmp_path, mode):
+    # p = 1/4, q = 3/4 and sqrt_p = 1/2 are exact in binary
+    outputs = []
+    for assignment in ("p=0.25", "q=0.75", "sqrt_p=0.5"):
+        out = tmp_path / assignment
+        assert main([mode, "--scenario", "gate", "--set", "gate=X",
+                     "--set", assignment, "--steps", "5", "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_main_steps_flag_overrides_invalid_config_steps(tmp_path):
+    out = tmp_path / "line.csv"
+    path = write_config(tmp_path, {"scenario": "line", "theta_cos": 0.8,
+                                   "steps": -1})
+    assert main(["run", path, "--steps", "2", "-o", str(out)]) == 0
+    assert "2,2,0.564800000000" in out.read_text()

@@ -1,9 +1,11 @@
 import json
 
 import numpy as np
+import pytest
 
 from oqwalk.core import WalkerState, state_trace_distance
 from oqwalk.io import (
+    ket_from_json,
     matrix_from_json,
     matrix_to_json,
     spec_from_json,
@@ -59,3 +61,10 @@ def test_state_round_trip_integer_keys_without_nodes():
     state = WalkerState({-2: np.eye(2) / 4, 3: np.eye(2) / 4})
     back = state_from_json(state_to_json(state))
     assert set(back.blocks) == {-2, 3}
+
+
+def test_ket_from_json_rejects_bad_pair():
+    with pytest.raises(ValueError, match=r"not a \[re, im\] pair"):
+        ket_from_json([[1, 0], [0, 1, 2]])
+    assert np.array_equal(ket_from_json([[0.6, 0], [0, 0.8]]),
+                          np.array([0.6, 0.8j]))
