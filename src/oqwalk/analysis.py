@@ -45,8 +45,7 @@ def readout_probability(state: WalkerState, node, nodes=None) -> float:
     """
     if nodes is not None and node not in nodes:
         raise KeyError(f"unknown node {node!r}")
-    block = state.blocks.get(node)
-    return 0.0 if block is None else float(np.trace(block).real)
+    return state.traces().get(node, 0.0)
 
 
 def node_fidelity(state: WalkerState, node, target: np.ndarray) -> float:
@@ -57,11 +56,10 @@ def node_fidelity(state: WalkerState, node, target: np.ndarray) -> float:
     Raises ValueError when the node carries no weight (< 1e-14), where
     the conditional state is undefined.
     """
-    block = state.blocks.get(node)
-    weight = 0.0 if block is None else float(np.trace(block).real)
+    weight = readout_probability(state, node)
     if weight < 1e-14:
         raise ValueError(f"node {node!r} carries no weight; fidelity undefined")
-    return pure_fidelity(block, target) / weight
+    return pure_fidelity(state.blocks[node], target) / weight
 
 
 def internal_sector_occupation(state: WalkerState, sector: np.ndarray) -> dict:

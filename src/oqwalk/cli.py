@@ -300,6 +300,14 @@ def _readout(state: WalkerState, node, **extra) -> dict:
             **extra}
 
 
+def _fidelity(state: WalkerState, node, key: str, target: np.ndarray) -> dict:
+    """{key: the conditional fidelity at node}, or {} for an empty node."""
+    try:
+        return {key: analysis.node_fidelity(state, node, target)}
+    except ValueError:  # the node's weight is below node_fidelity's floor
+        return {}
+
+
 def _line(values: dict, cfg: RunConfig) -> ScenarioPlan:
     window = max(cfg.steps, 1) if values["window"] is None else values["window"]
     if window < cfg.steps:
@@ -315,7 +323,7 @@ def _gate_walk(values: dict, cfg: RunConfig) -> ScenarioPlan:
     psi0 = (basis_ket(spec.dim, 0) if psi0 is None
             else _sized("psi0", psi0, spec.dim))
     return ScenarioPlan(spec, pure_state(1, psi0), lambda state: _readout(
-        state, 2, gate_fidelity=analysis.node_fidelity(state, 2, gate @ psi0)))
+        state, 2, **_fidelity(state, 2, "gate_fidelity", gate @ psi0)))
 
 
 def _state_prep(values: dict, cfg: RunConfig) -> ScenarioPlan:
@@ -325,7 +333,7 @@ def _state_prep(values: dict, cfg: RunConfig) -> ScenarioPlan:
                else pure_state(1, _sized("psi0", psi0, 2)))
     target, _ = state_prep_targets(values["alpha"], values["beta"])
     return ScenarioPlan(spec, initial, lambda state: _readout(
-        state, 2, target_fidelity=analysis.node_fidelity(state, 2, target)))
+        state, 2, **_fidelity(state, 2, "target_fidelity", target)))
 
 
 def _bell(values: dict, cfg: RunConfig) -> ScenarioPlan:
@@ -360,7 +368,7 @@ def _dqc(values: dict, cfg: RunConfig) -> ScenarioPlan:
     return ScenarioPlan(spec, initial, lambda state: _readout(
         state, t_final,
         predicted_readout=analysis.dqc_predicted_readout(omega, t_final),
-        output_fidelity=analysis.node_fidelity(state, t_final, vec)))
+        **_fidelity(state, t_final, "output_fidelity", vec)))
 
 
 _P_OR_Q = {"p": _real, "q": lambda key, value: 1.0 - _real(key, value)}

@@ -18,13 +18,12 @@ can never build up, so storage stays at O(V d^2) instead of O((V d)^2).
 A WalkSpec is compiled once into edge arrays: ``_src``/``_tgt`` hold the
 node positions of every edge, sorted by (target, source) position, and
 ``_ops`` is the read-only (E, d, d) operator stack, the only copy of the
-operators (``transitions`` maps each edge to a view of its row). A step
-gathers the blocks of the occupied sources, forms every K rho K^dag
-product with stacked matmuls, and sums each target's terms in ascending
-source order. The states it returns hold compact rows: the ascending
-positions of the occupied nodes, one (k, d, d) block stack and the k
-traces; ``WalkerState.blocks`` maps nodes to read-only views of those
-rows.
+operators (``transitions`` maps each edge to a view of its row). A
+WalkerState has one form, compact rows: a node tuple, the ascending
+positions of the occupied nodes in it, one (k, d, d) block stack and
+the k traces. A step gathers the blocks of the occupied sources, forms
+every K rho K^dag product with stacked matmuls, sums each target's terms
+in ascending source order and returns rows over the spec's node tuple.
 
 The dense full-space map (``full_map_step``) implements the same
 dynamics on the complete V*d x V*d density matrix and is kept as a
@@ -38,7 +37,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_operator, completeness_residual, trace_distance
+from .linalg import DEFAULT_TOL, as_operator, completeness_residual
 
 Node = Hashable
 
@@ -206,36 +205,46 @@ def validate_walk(spec: WalkSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
 class WalkerState:
     """Unnormalized positive blocks keyed by node; Tr(block) = occupation.
 
-    Built from a dict, a state keeps read-only copies of the blocks.
-    States returned by step() keep compact rows instead (the ascending
-    positions of the occupied nodes in the spec's node order, one block
-    stack and the traces); for those, ``blocks`` is built on first use
-    and maps each node to a read-only view of its row. Treat ``blocks``
-    as read-only either way.
+    A state is compact rows: a tuple of node labels, the ascending
+    positions of the occupied nodes in it, one read-only (k, d, d) block
+    stack and the k traces. A state built from a dict stacks its blocks
+    once, in the dict's order, with the dict's keys as its labels;
+    step() returns rows over the spec's node tuple. ``blocks`` is built
+    on first use and maps each node to a read-only view of its row.
     """
 
     __slots__ = ("_blocks", "_nodes", "_pos", "_rho", "_tr")
 
     def __init__(self, blocks: dict):
-        clean = {}
-        for node, m in blocks.items():
-            a = as_operator(m).copy()
-            a.setflags(write=False)
-            clean[node] = a
-        self._blocks = clean
-        self._nodes = self._pos = self._rho = self._tr = None
+        mats = [as_operator(m) for m in blocks.values()]
+        dims = {m.shape[0] for m in mats}
+        if len(dims) > 1:
+            raise ValueError(f"blocks have mixed dimensions {sorted(dims)}")
+        rho = np.array(mats) if mats else np.empty((0, 0, 0), dtype=complex)
+        self._set(tuple(blocks), np.arange(len(mats)), rho,
+                  np.trace(rho, axis1=1, axis2=2).real)
+
+    def _set(self, nodes: tuple, pos: np.ndarray, rho: np.ndarray,
+             tr: np.ndarray) -> "WalkerState":
+        rho.setflags(write=False)
+        self._blocks = None
+        self._nodes, self._pos, self._rho, self._tr = nodes, pos, rho, tr
+        return self
 
     @classmethod
-    def _from_rows(cls, nodes: tuple, pos: np.ndarray, rho: np.ndarray,
-                   tr: np.ndarray) -> "WalkerState":
-        state = cls.__new__(cls)
-        rho.setflags(write=False)
-        state._blocks = None
-        state._nodes, state._pos, state._rho, state._tr = nodes, pos, rho, tr
-        return state
+    def _from_rows(cls, *rows) -> "WalkerState":
+        """A state of rows (nodes, ascending positions, block stack, traces)."""
+        return cls.__new__(cls)._set(*rows)
 
     def _labels(self):
         return map(self._nodes.__getitem__, self._pos.tolist())
+
+    def _stack(self, dim: int) -> np.ndarray:
+        """The (k, dim, dim) block stack; ValueError for blocks of another size."""
+        if self._pos.size and self._rho.shape[1] != dim:
+            raise ValueError(
+                f"blocks have dimension {self._rho.shape[1]}, expected {dim}")
+        return self._rho.reshape(self._pos.size, dim, dim)
 
     @property
     def blocks(self) -> dict:
@@ -247,19 +256,15 @@ class WalkerState:
         """Node -> Tr(block) as a float.
 
         With ``nodes`` (a spec's node tuple) only those nodes are
-        listed, in that order. A state that step() returned for that
-        spec is already in that order, so its stored traces are read
-        as they are.
+        listed, in that order.
         """
-        if self._nodes is not None and (nodes is None or nodes is self._nodes):
-            return dict(zip(self._labels(), self._tr.tolist()))
-        occ = {node: float(np.trace(b).real) for node, b in self.blocks.items()}
-        if nodes is None:
+        occ = dict(zip(self._labels(), self._tr.tolist()))
+        if nodes is None or nodes is self._nodes:
             return occ
         return {n: occ[n] for n in nodes if n in occ}
 
     def total_trace(self) -> float:
-        return float(sum(self.traces().values()))
+        return float(sum(self._tr.tolist()))
 
     def block(self, node: Node) -> np.ndarray | None:
         return self.blocks.get(node)
@@ -283,19 +288,29 @@ def state_trace_distance(a: WalkerState, b: WalkerState) -> float:
     """Sum of per-node trace distances; missing blocks count as zero.
 
     Equals the trace distance between the corresponding block-diagonal
-    full-space density matrices.
+    full-space density matrices. The per-node distances are added one by
+    one, in spec order when both states came from step() on one spec,
+    else over a's nodes and then the nodes only b occupies.
     """
+    if a._nodes is b._nodes:
+        pa, pb = a._pos, b._pos
+    else:
+        shared = {n: k for k, n in enumerate(dict.fromkeys(
+            [*a._labels(), *b._labels()]))}
+        pa = np.arange(a._pos.size)
+        pb = np.fromiter(map(shared.__getitem__, b._labels()), dtype=np.intp,
+                         count=b._pos.size)
+    d = max(a._rho.shape[1], b._rho.shape[1])
+    union = np.union1d(pa, pb)
+    diff = np.zeros((union.size, d, d), dtype=complex)
+    diff[np.searchsorted(union, pa)] = a._stack(d)
+    diff[np.searchsorted(union, pb)] -= b._stack(d)
+    # eigenvalues of the Hermitian parts; blocks are Hermitian by contract
+    herm = (diff + diff.conj().transpose(0, 2, 1)) / 2
+    per_node = 0.5 * np.abs(np.linalg.eigvalsh(herm)).sum(axis=1)
     total = 0.0
-    zeros: dict[int, np.ndarray] = {}
-    for node in a.blocks.keys() | b.blocks.keys():
-        x = a.blocks.get(node)
-        y = b.blocks.get(node)
-        if x is None and y is None:
-            continue
-        ref = x if x is not None else y
-        z = zeros.setdefault(ref.shape[0], np.zeros_like(ref))
-        total += trace_distance(x if x is not None else z,
-                                y if y is not None else z)
+    for dist in per_node.tolist():
+        total += dist
     return total
 
 
@@ -303,29 +318,18 @@ def _rows(spec: WalkSpec, state: WalkerState) -> tuple[np.ndarray, np.ndarray]:
     """Ascending node positions of the occupied blocks and their (k, d, d) stack.
 
     Raises ValueError when the state occupies a node the spec lacks or
-    holds a block of the wrong dimension.
+    holds blocks of the wrong dimension.
     """
-    d = spec.dim
+    rho = state._stack(spec.dim)
     if state._nodes is spec.nodes:
-        if state._rho.shape[1] != d:
-            raise ValueError(
-                f"blocks have dimension {state._rho.shape[1]}, spec expects {d}")
-        return state._pos, state._rho
-    rows = []
-    for node, block in state.blocks.items():
-        if node not in spec._index:
-            raise ValueError(f"state occupies unknown node {node!r}")
-        if block.shape[0] != d:
-            raise ValueError(
-                f"block at node {node!r} has dimension {block.shape[0]}, "
-                f"spec expects {d}")
-        rows.append((spec._index[node], block))
-    rows.sort(key=lambda row: row[0])
-    pos = np.array([p for p, _ in rows], dtype=np.intp)
-    rho = np.empty((len(rows), d, d), dtype=complex)
-    for k, (_p, block) in enumerate(rows):
-        rho[k] = block
-    return pos, rho
+        return state._pos, rho
+    try:
+        pos = np.fromiter(map(spec._index.__getitem__, state._labels()),
+                          dtype=np.intp, count=state._pos.size)
+    except KeyError as exc:
+        raise ValueError(f"state occupies unknown node {exc.args[0]!r}") from None
+    order = np.argsort(pos, kind="stable")
+    return pos[order], rho[order]
 
 
 def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
@@ -456,18 +460,13 @@ def extract_blocks(spec: WalkSpec, full: np.ndarray) -> tuple[WalkerState, float
         raise ValueError(
             f"full matrix has dimension {full.shape[0]}, expected {d * v}")
     view = full.reshape(d, v, d, v)
-    blocks = {}
-    for i, node in enumerate(spec.nodes):
-        block = np.array(view[:, i, :, i])
-        if float(np.trace(block).real) > PRUNE_TRACE:
-            blocks[node] = block
-    off_diag = 0.0
-    for i in range(v):
-        for j in range(v):
-            if i != j:
-                m = float(np.max(np.abs(view[:, i, :, j])))
-                off_diag = max(off_diag, m)
-    return WalkerState(blocks), off_diag
+    rho = np.stack([view[:, i, :, i] for i in range(v)])
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    keep = np.flatnonzero(tr > PRUNE_TRACE)
+    off = np.abs(view).max(axis=(0, 2))
+    np.fill_diagonal(off, 0.0)
+    state = WalkerState._from_rows(spec.nodes, keep, rho[keep], tr[keep])
+    return state, float(off.max())
 
 
 def full_map_step(spec: WalkSpec, full: np.ndarray) -> np.ndarray:

@@ -21,18 +21,34 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
+    """Rows of entries, each a finite JSON number or a [re, im] pair of them.
+
+    JSON true/false and numbers written as strings raise ValueError.
+    """
     rows = []
-    for row in data:
-        entries = []
-        for z in row:
-            if isinstance(z, (list, tuple)):
-                if len(z) != 2:
-                    raise ValueError(f"entry {z!r} is not a [re, im] pair")
-                entries.append(complex(z[0], z[1]))
-            else:
-                entries.append(complex(z))
-        rows.append(entries)
-    return np.array(rows, dtype=complex)
+    try:
+        for row in data:
+            entries = []
+            for z in row:
+                if type(z) is list or type(z) is tuple:
+                    if len(z) != 2:
+                        raise ValueError(f"entry {z!r} is not a [re, im] pair")
+                    re, im = z
+                else:
+                    re, im = z, 0
+                # exact types, since a bool is an int
+                if not ((type(re) is float or type(re) is int)
+                        and (type(im) is float or type(im) is int)):
+                    raise ValueError(f"entry {z!r} is not a number or a "
+                                     "[re, im] pair of numbers")
+                entries.append(complex(re, im))
+            rows.append(entries)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"entry out of range: {exc}") from None
+    m = np.array(rows, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError("entries must be finite")
+    return m
 
 
 def ket_from_json(data) -> np.ndarray:

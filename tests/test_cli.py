@@ -310,6 +310,7 @@ BASE_DOCS = {
     "start_node": {"scenario": "bell"},
     "gate": {"scenario": "gate", "p": 0.5},
     "unitaries": {"scenario": "dqc", "omega": 0.5, "T": 1},
+    "psi0": {"scenario": "gate", "gate": "X", "p": 0.5},
 }
 
 
@@ -347,6 +348,8 @@ REJECTED = [
     ("unitaries", "[5]"), ("unitaries", '[[["a"]]]'),
     ("unitaries", "[[[1, 0], [0]]]"), ("tol", "1e400"),
     ("output", "true"), ("output", "1"), ("output", '["a"]'),
+    ("psi0", "[true, false]"), ("psi0", '["1", "0"]'), ("psi0", "[NaN, 1]"),
+    ("gate", '[[0, 1], ["1", 0]]'), ("gate", "[[0, [true, false]], [1, 0]]"),
 ]
 
 
@@ -368,6 +371,26 @@ def test_main_rejects_bad_values(tmp_path, capsys, key, raw):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert re.search(rf"\b{re.escape(key)}\b", captured.err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("assignments,node,key", [
+    (["--scenario", "gate", "--set", "gate=X", "--set", "p=0"], "2",
+     "gate_fidelity"),
+    (["--scenario", "gate", "--set", "gate=H", "--set", "p=1e-16"], "2",
+     "gate_fidelity"),
+    (["--scenario", "dqc", "--set", "omega=0.05", "--set", "T=12"], "12",
+     "output_fidelity"),
+])
+def test_main_steady_report_skips_empty_readout_node(tmp_path, assignments,
+                                                     node, key):
+    # the read-out node's weight is below node_fidelity's floor, so the
+    # conditional fidelity is undefined and left out of the report
+    out = tmp_path / "steady.json"
+    assert main(["steady", *assignments, "-o", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert key not in report
+    assert report["readout_node"] == int(node)
+    assert report["readout_probability"] < 1e-14
 
 
 ACCEPTED_KEYS = {

@@ -19,7 +19,7 @@ from oqwalk.core import (
     to_full_density,
     validate_walk,
 )
-from oqwalk.linalg import PAULI_X, basis_ket, is_psd, outer
+from oqwalk.linalg import PAULI_X, basis_ket, is_psd, outer, trace_distance
 from oqwalk.scenarios import build_gate_walk, build_line_walk
 
 from oracles import (
@@ -502,6 +502,66 @@ def test_state_trace_distance_missing_blocks():
     b = WalkerState({2: np.eye(2) / 2})
     assert abs(state_trace_distance(a, b) - 1.0) < 1e-12
     assert state_trace_distance(a, a) == 0.0
+
+
+def test_state_trace_distance_matches_dense_and_per_node_sum():
+    # a dict-built state against step() states with partly overlapping
+    # support; the per-node distances must be summed one by one in the
+    # documented order, which fixes the bytes of the steady residual
+    rng = np.random.default_rng(77)
+    for dim in (1, 2, 3):
+        for _ in range(4):
+            spec = random_graph_spec(rng, 16, dim)
+            b = step(spec, WalkerState(random_block_state(
+                spec.nodes, dim, rng, occupied=6)))
+            c = step(spec, b)
+            # every other node of b, and up to two nodes b leaves empty
+            outside = [n for n in spec.nodes if n not in b.blocks][:2]
+            a = WalkerState({n: random_density(dim, rng) / 5 for n in
+                             sorted([*list(b.blocks)[::2], *outside])})
+            assert outside and len(b.blocks) >= 2
+            for x, y, order in (
+                    (a, b, [*a.blocks, *(n for n in b.blocks if n not in a.blocks)]),
+                    (b, a, [*b.blocks, *(n for n in a.blocks if n not in b.blocks)]),
+                    (c, b, sorted(b.blocks.keys() | c.blocks.keys()))):
+                got = state_trace_distance(x, y)
+                dense = trace_distance(to_full_density(spec, x),
+                                       to_full_density(spec, y))
+                assert abs(got - dense) <= 1e-12
+                zero = np.zeros((dim, dim))
+                expected = 0.0
+                for node in order:
+                    expected += trace_distance(x.blocks.get(node, zero),
+                                               y.blocks.get(node, zero))
+                assert got == expected
+
+
+def test_walker_state_rejects_mixed_dimensions():
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        WalkerState({1: np.eye(2) / 2, 2: np.eye(3) / 3})
+
+
+def test_walker_state_traces_equal_per_block_traces():
+    rng = np.random.default_rng(32)
+    for dim in (2, 32):
+        blocks = random_block_state(range(6), dim, rng)
+        state = WalkerState(blocks)
+        assert state.traces() == {
+            n: float(np.trace(b).real) for n, b in blocks.items()}
+        assert list(state.traces((5, 4, 3, 2, 1, 0))) == [5, 4, 3, 2, 1, 0]
+        for node, block in blocks.items():
+            assert np.array_equal(state.blocks[node], block)
+            assert not state.blocks[node].flags.writeable
+
+
+def test_empty_walker_state():
+    spec = random_graph_spec(np.random.default_rng(8), 5, 3)
+    empty = WalkerState({})
+    out = step(spec, empty)
+    assert out.blocks == {} and out.traces(spec.nodes) == {}
+    assert state_trace_distance(empty, empty) == 0.0
+    assert state_trace_distance(out, empty) == 0.0
+    assert abs(state_trace_distance(empty, mixed_state(0, 3)) - 0.5) < 1e-12
 
 
 def test_trace_preserved_over_ten_thousand_steps():

@@ -68,3 +68,27 @@ def test_ket_from_json_rejects_bad_pair():
         ket_from_json([[1, 0], [0, 1, 2]])
     assert np.array_equal(ket_from_json([[0.6, 0], [0, 0.8]]),
                           np.array([0.6, 0.8j]))
+
+
+@pytest.mark.parametrize("data", [
+    [[True, 0], [0, 1]],
+    [["1", 0], [0, 1]],
+    [[[1, False], 0], [0, 1]],
+    [[["1", 0], 0], [0, 1]],
+    [[None, 0], [0, 1]],
+    [[float("nan"), 0], [0, 1]],
+    [[[0, float("inf")], 0], [0, 1]],
+    [[10 ** 400, 0], [0, 1]],
+])
+def test_matrix_from_json_rejects_non_numbers(data):
+    # JSON true/false, numbers written as strings and non-finite values
+    with pytest.raises(ValueError):
+        matrix_from_json(data)
+    with pytest.raises(ValueError):
+        ket_from_json(data[0])
+
+
+def test_matrix_from_json_mixes_numbers_and_pairs():
+    m = matrix_from_json([[1, [0, -0.5]], [(2.5, 0), -3]])
+    assert m.tobytes() == np.array([[1, complex(0, -0.5)], [2.5, -3]],
+                                   dtype=complex).tobytes()
