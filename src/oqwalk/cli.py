@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``oqw validate <config>``  build the scenario and print the per-node
-  completeness report (exit 1 when rejected)
+  completeness report, or write it to ``-o`` (exit 1 when rejected)
 * ``oqw run <config>``       evolve and emit occupation trajectories
 * ``oqw steady <config>``    iterate to the fixed point and emit a JSON
   report (exit 2 when the walk never settles, which is the expected
@@ -14,7 +14,8 @@ A configuration is a single JSON document (file path or ``-`` for
 stdin) with the scenario name, its parameters and the run settings,
 e.g. ``{"scenario": "line", "theta_cos": 0.8, "steps": 100}``. The
 ``--scenario``/``--set KEY=VALUE`` flags (VALUE parsed as JSON, else
-kept as a string) build the same document from the command line. The
+kept as a string) build the same document from the command line;
+``--set`` also overrides keys of a config file. The
 environment variable OQW_TOL overrides the default tolerance 1e-10.
 
 Each ``SCENARIOS`` entry holds a scenario's parameters (spellings,
@@ -38,6 +39,7 @@ import numpy as np
 
 from . import analysis
 from .core import (
+    DEFAULT_MAX_ITER,
     WalkerState,
     WalkSpec,
     find_steady_state,
@@ -77,8 +79,6 @@ from .scenarios import (
     build_transport_chain,
     state_prep_targets,
 )
-
-DEFAULT_MAX_ITER = 10 ** 6
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -468,11 +468,16 @@ def execute(cfg: RunConfig) -> int:
             "report": plan.steady_report(result.state),
         }
         text = json.dumps(payload, indent=2) + "\n"
+    return _write_output(text, cfg.output)
+
+
+def _write_output(text: str, output: str | None) -> int:
+    """Write text to the output file, or to stdout; returns the exit status."""
     try:
-        if cfg.output is None:
+        if output is None:
             sys.stdout.write(text)
         else:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+            with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
@@ -517,17 +522,17 @@ def _document_from_args(args) -> dict:
         doc = _decode(text)
     elif args.scenario is not None:
         doc = {"scenario": args.scenario}
-        for item in args.assignments:
-            key, sep, raw = item.partition("=")
-            if not sep:
-                raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-            try:
-                doc[key] = json.loads(raw)
-            except json.JSONDecodeError:
-                doc[key] = raw
     else:
         raise ConfigError("a config file or --scenario is required")
-    # command-line settings override the document
+    # command-line settings override the document, named flags last
+    for item in args.assignments:
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+        try:
+            doc[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            doc[key] = raw
     for key, value in (("steps", args.steps), ("record_every", args.record_every),
                        ("output", args.output), ("format", args.fmt)):
         if value is not None:
@@ -562,8 +567,9 @@ def main(argv=None) -> int:
         cfg = parse_config(doc)
         if args.command == "validate":
             report = validate_walk(build_plan(cfg).spec, tol=cfg.tol)
-            print(str(report))
-            return EXIT_OK if report.ok else EXIT_INVALID
+            # only -o: a config's "output" names the run's output file
+            status = _write_output(str(report) + "\n", args.output)
+            return status if report.ok else EXIT_INVALID
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

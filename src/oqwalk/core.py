@@ -16,14 +16,15 @@ which keeps the state block-diagonal in position: position coherences
 can never build up, so storage stays at O(V d^2) instead of O((V d)^2).
 
 A WalkSpec is compiled once into edge arrays: ``_src``/``_tgt`` hold the
-node positions of every edge, sorted by (target, source) position, and
-``_ops`` is the read-only (E, d, d) operator stack, the only copy of the
-operators (``transitions`` maps each edge to a view of its row). A
+node positions of every edge and ``_ops`` is the read-only (E, d, d)
+operator stack, the only copy of the operators (``transitions`` maps
+each edge to a view of its row). Level j of the stack, one run of it,
+holds each target's j-th incoming edge by source position. A
 WalkerState has one form, compact rows: a node tuple, the ascending
 positions of the occupied nodes in it, one (k, d, d) block stack and
-the k traces. A step gathers the blocks of the occupied sources, forms
-every K rho K^dag product with stacked matmuls, sums each target's terms
-in ascending source order and returns rows over the spec's node tuple.
+the k traces. A step forms the K rho K^dag products of the occupied
+sources with stacked matmuls, adds the levels in order onto a -0.0 seed
+and returns rows over the spec's node tuple.
 
 The dense full-space map (``full_map_step``) implements the same
 dynamics on the complete V*d x V*d density matrix and is kept as a
@@ -51,51 +52,8 @@ PRUNE_TRACE = 1e-15
 # near 4x this whatever d and the edge count are.
 _CHUNK_BYTES = 1 << 17
 
-
-def _as_index(idx: np.ndarray):
-    """A run of consecutive indices as a slice (cheaper to apply), else idx."""
-    if idx[-1] - idx[0] == idx.size - 1:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
-def _sum_plan(tgt: np.ndarray, dim: int) -> tuple:
-    """How step() sums the K rho K^dag terms of a target-sorted edge list.
-
-    Returns (targets, chunks). targets[r] is the target position of
-    output row r. Each chunk (e0, e1, parts) covers edges e0..e1-1;
-    each part (j, rows, edges) pairs output rows with the chunk-local
-    indices of the edges that carry their (j+1)-th term. Parts come in
-    ascending j, so each row gets its first term assigned (j = 0) and
-    the later ones added in edge order, that is in ascending source
-    position.
-    """
-    # marks each target's first edge, plus one mark past the last edge
-    start = np.empty(tgt.size + 1, dtype=bool)
-    start[0] = start[-1] = True
-    np.not_equal(tgt[1:], tgt[:-1], out=start[1:-1])
-    bounds = np.flatnonzero(start)
-    first = bounds[:-1]
-    counts = bounds[1:] - first
-    # level j: the rows with more than j terms, and their (j+1)-th edge
-    levels = []
-    active = np.arange(first.size)
-    while active.size:
-        levels.append((active, first[active] + len(levels)))
-        active = active[counts[active] > len(levels)]
-    per_chunk = max(1, _CHUNK_BYTES // (16 * dim * dim))
-    chunks = []
-    for e0 in range(0, tgt.size, per_chunk):
-        e1 = min(e0 + per_chunk, tgt.size)
-        parts = []
-        for j, (rows, edges) in enumerate(levels):
-            if e1 - e0 < tgt.size:  # several chunks: this chunk's share
-                lo, hi = np.searchsorted(edges, (e0, e1))
-                rows, edges = rows[lo:hi], edges[lo:hi] - e0
-            if rows.size:
-                parts.append((j, _as_index(rows), _as_index(edges)))
-        chunks.append((e0, e1, parts))
-    return tgt[first], chunks
+# Iteration cap of find_steady_state (and of ``oqw steady``).
+DEFAULT_MAX_ITER = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -117,7 +75,9 @@ class WalkSpec:
     _src: np.ndarray = field(init=False, repr=False, compare=False)
     _tgt: np.ndarray = field(init=False, repr=False, compare=False)
     _ops: np.ndarray = field(init=False, repr=False, compare=False)
-    _plan: tuple = field(init=False, repr=False, compare=False)
+    _levels: np.ndarray = field(init=False, repr=False, compare=False)
+    _targets: np.ndarray = field(init=False, repr=False, compare=False)
+    _out: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
@@ -128,36 +88,47 @@ class WalkSpec:
         if self.dim < 1:
             raise ValueError("internal dimension must be >= 1")
         index = {n: k for k, n in enumerate(nodes)}
-        edges = []
-        for (src, tgt), op in self.transitions.items():
-            if src not in index or tgt not in index:
-                raise ValueError(f"edge ({src!r} -> {tgt!r}) uses unknown nodes")
+        mats, src, tgt = [], [], []
+        for (s, t), op in self.transitions.items():
+            if s not in index or t not in index:
+                raise ValueError(f"edge ({s!r} -> {t!r}) uses unknown nodes")
             m = as_operator(op)
             if m.shape[0] != self.dim:
                 raise ValueError(
-                    f"operator on edge ({src!r} -> {tgt!r}) has dimension "
+                    f"operator on edge ({s!r} -> {t!r}) has dimension "
                     f"{m.shape[0]}, expected {self.dim}")
-            edges.append((index[tgt], index[src], (src, tgt), m))
-        # Stack order is (target, source) position, so each target's
-        # incoming terms are adjacent and in ascending source order;
-        # step() sums them in exactly this order, which keeps results
-        # bitwise reproducible. ``transitions`` keeps insertion order.
-        edges.sort(key=lambda edge: edge[:2])
-        ops = np.empty((len(edges), self.dim, self.dim), dtype=complex)
-        for row, edge in enumerate(edges):
-            ops[row] = edge[3]
+            mats.append(m)
+            src.append(index[s])
+            tgt.append(index[t])
+        # Stack order is (rank, target position); an edge's rank is its
+        # index among its target's incoming edges by source position. So
+        # level j (rank j) is one run of the stack with distinct targets,
+        # and step() adds each target's terms in ascending source order,
+        # which keeps results bitwise reproducible. ``transitions`` keeps
+        # insertion order.
+        src, tgt = np.array(src, dtype=np.intp), np.array(tgt, dtype=np.intp)
+        by_target = np.lexsort((src, tgt))
+        ts = tgt[by_target]
+        rank = np.arange(ts.size) - np.searchsorted(ts, ts)
+        order = by_target[np.lexsort((ts, rank))]
+        stack_rows = np.empty_like(order)  # each edge's row, in insertion order
+        stack_rows[order] = np.arange(order.size)
+        ops = np.empty((len(mats), self.dim, self.dim), dtype=complex)
+        for m, row in zip(mats, stack_rows.tolist()):
+            ops[row] = m
         ops.setflags(write=False)
-        views = {edge[2]: ops[row] for row, edge in enumerate(edges)}
-        clean = {key: views[key] for key in self.transitions}
-        tgt = np.array([edge[0] for edge in edges], dtype=np.intp)
-        src = np.array([edge[1] for edge in edges], dtype=np.intp)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "transitions", clean)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_src", src)
-        object.__setattr__(self, "_tgt", tgt)
-        object.__setattr__(self, "_ops", ops)
-        object.__setattr__(self, "_plan", _sum_plan(tgt, self.dim))
+        views = dict(zip(self.transitions, map(ops.__getitem__, stack_rows.tolist())))
+        src, tgt = src[order], tgt[order]
+        # where each level starts, then the edge count; the reached
+        # targets are the output rows of a step with every node occupied
+        levels = np.concatenate(([0], np.cumsum(np.bincount(rank))))
+        targets = ts[rank == 0]
+        for name, value in (
+                ("nodes", nodes), ("transitions", views), ("_index", index),
+                ("_src", src), ("_tgt", tgt), ("_ops", ops),
+                ("_levels", levels), ("_targets", targets),
+                ("_out", np.searchsorted(targets, tgt))):
+            object.__setattr__(self, name, value)
 
     @property
     def node_count(self) -> int:
@@ -336,13 +307,15 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
     """Advance the walk by one step.
 
     The block landing on each target node is the sum over its incoming
-    edges of K rho K^dag, accumulated in ascending source position:
-    the first term is assigned and the others added, so no term is
-    ever added onto zeros. Only edges whose source is occupied are
-    evaluated. Blocks whose trace falls below PRUNE_TRACE are dropped.
+    edges of K rho K^dag, accumulated in ascending source position onto
+    a -0.0 seed (an exact additive identity, so each block has the bits
+    of its terms added in that order, signed zeros included). Only
+    edges whose source is occupied are evaluated. Blocks whose trace
+    falls below PRUNE_TRACE are dropped.
     """
     pos, rho = _rows(spec, state)
-    ops, src, plan = spec._ops, spec._src, spec._plan
+    ops, src, levels = spec._ops, spec._src, spec._levels
+    targets, out = spec._targets, spec._out
     if pos.size < spec.node_count:
         # each edge's source as a row of rho (-1: source unoccupied)
         row_of = np.full(spec.node_count, -1, dtype=np.intp)
@@ -350,18 +323,23 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
         src = row_of[src]
         used = np.flatnonzero(src >= 0)
         if used.size < src.size:
-            ops, src = ops[used], src[used]
-            plan = _sum_plan(spec._tgt[used], spec.dim)
-    targets, chunks = plan
-    acc = np.empty((targets.size, spec.dim, spec.dim), dtype=complex)
-    for e0, e1, parts in chunks:
+            ops, src, levels = ops[used], src[used], np.searchsorted(used, levels)
+            targets, out = np.unique(spec._tgt[used], return_inverse=True)
+    acc = np.full((targets.size, spec.dim, spec.dim), complex(-0.0, -0.0))
+    per_chunk = max(1, _CHUNK_BYTES // (16 * spec.dim ** 2))
+    bounds = levels.tolist()
+    for e0 in range(0, src.size, per_chunk):
+        e1 = min(e0 + per_chunk, src.size)
         k = ops[e0:e1]
         terms = k @ rho[src[e0:e1]] @ k.conj().transpose(0, 2, 1)
-        for j, rows, edges in parts:
-            if j == 0:
-                acc[rows] = terms[edges]
-            else:
-                acc[rows] += terms[edges]
+        # the chunk's share of each level, in level order; a level has
+        # distinct targets, and a run of consecutive rows is a slice
+        for lo, hi in zip(bounds, bounds[1:]):
+            lo, hi = max(lo, e0), min(hi, e1)
+            if lo < hi:
+                r0, r1 = out[lo], out[hi - 1]
+                rows = slice(r0, r1 + 1) if r1 - r0 == hi - lo - 1 else out[lo:hi]
+                acc[rows] += terms[lo - e0:hi - e0]
     tr = np.trace(acc, axis1=1, axis2=2).real
     keep = tr > PRUNE_TRACE
     if not keep.all():
@@ -407,7 +385,7 @@ class SteadyStateResult:
 
 def find_steady_state(spec: WalkSpec, initial: WalkerState,
                       tol: float = DEFAULT_TOL,
-                      max_iter: int = 10 ** 6) -> SteadyStateResult:
+                      max_iter: int = DEFAULT_MAX_ITER) -> SteadyStateResult:
     """Iterate the walk map until two successive states agree within tol.
 
     Returns the first iterate whose total trace distance to its

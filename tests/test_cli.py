@@ -211,6 +211,43 @@ def test_main_validate_reports_rejection(capsys):
     assert "accepted" in capsys.readouterr().out
 
 
+def test_main_validate_writes_output_file(tmp_path, capsys):
+    args = ["validate", "--scenario", "gate", "--set", "gate=X", "--set", "p=0.5"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.txt"
+    assert main([*args, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+    assert main([*args, "-o", str(tmp_path / "missing" / "report.txt")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write output:")
+    # a config's own output file is the run's, not the report's
+    run_out = tmp_path / "line.csv"
+    path = write_config(tmp_path, {"scenario": "line", "theta_cos": 0.8,
+                                   "output": str(run_out)})
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out.endswith("accepted\n")
+    assert not run_out.exists()
+
+
+def test_main_set_overrides_config_file(tmp_path, capsys):
+    out = tmp_path / "line.csv"
+    path = write_config(tmp_path, {"scenario": "line", "theta_cos": 0.8,
+                                   "steps": 5})
+    assert main(["run", path, "--set", "steps=1", "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].startswith("1,")
+    # named flags come after --set
+    assert main(["run", path, "--set", "steps=1", "--steps", "2",
+                 "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].startswith("2,")
+    capsys.readouterr()
+    assert main(["run", path, "--set", "steps=1", "--set", "bogus=3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: unknown parameter(s) for scenario 'line': bogus\n"
+
+
 def test_main_quick_mode_equals_config_file(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     path = write_config(tmp_path, {"scenario": "transport", "N": 6,

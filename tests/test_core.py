@@ -238,10 +238,20 @@ def test_step_matches_reference_loop_on_scenarios():
 def test_step_matches_reference_loop_in_small_chunks(monkeypatch):
     # chunks of one to three edges split the products of one step, and
     # the terms of one target, across many batches; target sums must
-    # still come out bit for bit
+    # still come out bit for bit. The random graphs add in-degree >= 4,
+    # sparse occupancy and targets whose first source is unoccupied.
     monkeypatch.setattr(core, "_CHUNK_BYTES", 3 * 16 * 2 ** 2)
-    for label, spec, state in scenario_cases():
-        assert len(spec._plan[1]) > 1, label
+    rng = np.random.default_rng(13)
+    cases = scenario_cases()
+    for dim in (2, 3):
+        # nodes 0..3 all feed the sink, so with nodes 1 and 2 occupied
+        # its first source is not
+        spec = random_graph_spec(rng, 8, dim)
+        blocks = random_block_state((1, 2), dim, rng)
+        cases.append((f"random d={dim}", spec, WalkerState(blocks)))
+    for label, spec, state in cases:
+        per_chunk = max(1, core._CHUNK_BYTES // (16 * spec.dim ** 2))
+        assert spec._src.size > per_chunk, label  # several chunks per step
         for _ in range(12):
             expected = reference_step(spec, state.blocks, PRUNE_TRACE)
             state = step(spec, state)
