@@ -28,6 +28,7 @@ from .core import (
     extract_blocks,
     find_steady_state,
     full_map_step,
+    iter_run,
     mixed_state,
     pure_state,
     run,
@@ -67,6 +68,7 @@ __all__ = [
     "validate_walk",
     "step",
     "run",
+    "iter_run",
     "find_steady_state",
     "state_trace_distance",
     "to_full_density",

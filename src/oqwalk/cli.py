@@ -4,7 +4,7 @@ Subcommands:
 
 * ``oqw validate <config>``  build the scenario and print the per-node
   completeness report, or write it to ``-o`` (exit 1 when rejected)
-* ``oqw run <config>``       evolve and emit occupation trajectories
+* ``oqw run <config>``       evolve and stream occupation trajectories
 * ``oqw steady <config>``    iterate to the fixed point and emit a JSON
   report (exit 2 when the walk never settles, which is the expected
   outcome for the line walk)
@@ -33,7 +33,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,9 +43,9 @@ from .core import (
     WalkerState,
     WalkSpec,
     find_steady_state,
+    iter_run,
     mixed_state,
     pure_state,
-    run,
     validate_walk,
 )
 from .io import ket_from_json, matrix_from_json, state_to_dict
@@ -203,15 +203,15 @@ def _gates(key: str, value) -> list:
     return [_gate(f"{key}[{k}]", entry) for k, entry in enumerate(value)]
 
 
-# run settings: key -> (parser, default); other keys are scenario parameters
+# run settings: key -> parser (defaults in RunConfig); others are parameters
 _SETTINGS = {
-    "steps": (partial(_integer, low=0), 0),
-    "record_every": (partial(_integer, low=1), 1),
-    "mode": (_named({"run": "run", "steady": "steady"}), "run"),
-    "format": (_named({"csv": "csv", "json": "json"}), "csv"),
-    "output": (_text, None),
-    "tol": (partial(_real, positive=True), DEFAULT_TOL),
-    "max_iter": (partial(_integer, low=1), DEFAULT_MAX_ITER),
+    "steps": partial(_integer, low=0),
+    "record_every": partial(_integer, low=1),
+    "mode": _named({"run": "run", "steady": "steady"}),
+    "format": _named({"csv": "csv", "json": "json"}),
+    "output": _text,
+    "tol": partial(_real, positive=True),
+    "max_iter": partial(_integer, low=1),
 }
 
 
@@ -241,9 +241,8 @@ def parse_config(doc) -> RunConfig:
             doc = {**doc, "tol": float(raw)}
         except ValueError:
             raise ConfigError(f"OQW_TOL must be a number, got {raw!r}") from None
-    settings = {key: parse(key, doc[key]) if key in doc else default
-                for key, (parse, default) in _SETTINGS.items()}
-    settings["fmt"] = settings.pop("format")
+    settings = {"fmt" if key == "format" else key: parse(key, doc[key])
+                for key, parse in _SETTINGS.items() if key in doc}
     params = {k: v for k, v in doc.items()
               if k != "scenario" and k not in _SETTINGS}
     return RunConfig(scenario=scenario, params=params, **settings)
@@ -409,27 +408,24 @@ def build_plan(cfg: RunConfig) -> ScenarioPlan:
         raise ConfigError(str(exc)) from exc
 
 
-def occupation_records(trajectory, nodes) -> list[tuple[int, dict]]:
-    """Per-snapshot occupation maps, ordered by the spec's node order."""
-    return [(step_index, analysis.occupation(state, nodes))
-            for step_index, state in trajectory]
+def emit_csv(records) -> Iterator[str]:
+    """CSV text of (step, {node: probability}) records, a piece per record."""
+    yield "step,node,probability\n"
+    for step_index, occ in records:  # one %-format per snapshot, a row per node
+        yield (f"{step_index},%s,%.12f\n" * len(occ)) % tuple(
+            [x for item in occ.items() for x in item])
 
 
-def emit_csv(records) -> str:
-    lines = ["step,node,probability"]
+def emit_json(records) -> Iterator[str]:
+    """``json.dumps(payload, indent=2) + "\\n"`` of the records, a piece per
+    record: exact, as json escapes the newlines inside strings."""
+    sep = "[\n  "
     for step_index, occ in records:
-        for node, prob in occ.items():
-            lines.append(f"{step_index},{node},{prob:.12f}")
-    return "\n".join(lines) + "\n"
-
-
-def emit_json(records) -> str:
-    payload = [
-        {"step": step_index,
-         "occupations": {str(node): round(prob, 12) for node, prob in occ.items()}}
-        for step_index, occ in records
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+        entry = {"step": step_index, "occupations": {
+            str(node): round(prob, 12) for node, prob in occ.items()}}
+        yield sep + json.dumps(entry, indent=2).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"  # "[]" for no records
 
 
 def execute(cfg: RunConfig) -> int:
@@ -446,39 +442,39 @@ def execute(cfg: RunConfig) -> int:
         return EXIT_INVALID
 
     if cfg.mode == "run":
-        trajectory = run(plan.spec, plan.initial, cfg.steps, cfg.record_every)
-        records = occupation_records(trajectory, plan.spec.nodes)
-        text = emit_csv(records) if cfg.fmt == "csv" else emit_json(records)
-    else:
-        result = find_steady_state(plan.spec, plan.initial, tol=cfg.tol,
-                                   max_iter=cfg.max_iter)
-        if not result.converged:
-            print(
-                f"no steady state within {cfg.max_iter} iterations "
-                f"(last residual {result.residual:.3e})", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
-        occ = analysis.occupation(result.state, plan.spec.nodes)
-        payload = {
-            "scenario": cfg.scenario,
-            "converged": True,
-            "iterations": result.iterations,
-            "residual": result.residual,
-            "occupation": {str(n): round(p, 12) for n, p in occ.items()},
-            "blocks": state_to_dict(result.state)["blocks"],
-            "report": plan.steady_report(result.state),
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    return _write_output(text, cfg.output)
+        records = ((k, state.traces(plan.spec.nodes)) for k, state in iter_run(
+            plan.spec, plan.initial, cfg.steps, cfg.record_every))
+        emit = emit_csv if cfg.fmt == "csv" else emit_json
+        return _write_output(emit(records), cfg.output)
+
+    result = find_steady_state(plan.spec, plan.initial, tol=cfg.tol,
+                               max_iter=cfg.max_iter)
+    if not result.converged:
+        print(
+            f"no steady state within {cfg.max_iter} iterations "
+            f"(last residual {result.residual:.3e})", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    occ = analysis.occupation(result.state, plan.spec.nodes)
+    payload = {
+        "scenario": cfg.scenario,
+        "converged": True,
+        "iterations": result.iterations,
+        "residual": result.residual,
+        "occupation": {str(n): round(p, 12) for n, p in occ.items()},
+        "blocks": state_to_dict(result.state)["blocks"],
+        "report": plan.steady_report(result.state),
+    }
+    return _write_output([json.dumps(payload, indent=2) + "\n"], cfg.output)
 
 
-def _write_output(text: str, output: str | None) -> int:
-    """Write text to the output file, or to stdout; returns the exit status."""
+def _write_output(pieces: Iterable[str], output: str | None) -> int:
+    """Write text pieces to the output file or stdout; returns the exit status."""
     try:
         if output is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
         else:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -568,7 +564,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             report = validate_walk(build_plan(cfg).spec, tol=cfg.tol)
             # only -o: a config's "output" names the run's output file
-            status = _write_output(str(report) + "\n", args.output)
+            status = _write_output([str(report) + "\n"], args.output)
             return status if report.ok else EXIT_INVALID
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,8 @@ WalkerState has one form, compact rows: a node tuple, the ascending
 positions of the occupied nodes in it, one (k, d, d) block stack and
 the k traces. A step forms the K rho K^dag products of the occupied
 sources with stacked matmuls, adds the levels in order onto a -0.0 seed
-and returns rows over the spec's node tuple.
+and returns rows over the spec's node tuple. ``iter_run`` yields a run's
+snapshots as it makes them, holding one state; ``run`` lists them.
 
 The dense full-space map (``full_map_step``) implements the same
 dynamics on the complete V*d x V*d density matrix and is kept as a
@@ -34,7 +35,7 @@ brute-force cross-check of the block evolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Iterator
 
 import numpy as np
 
@@ -347,24 +348,27 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
     return WalkerState._from_rows(spec.nodes, targets, acc, tr)
 
 
-def run(spec: WalkSpec, initial: WalkerState, n_steps: int,
-        record_every: int = 1) -> list[tuple[int, WalkerState]]:
-    """Evolve for n_steps, recording (step index, state) snapshots.
-
-    Snapshot 0 is the initial state; afterwards one snapshot is taken
-    every record_every steps, and the final state is always included.
-    """
+def iter_run(spec: WalkSpec, initial: WalkerState, n_steps: int,
+             record_every: int = 1) -> Iterator[tuple[int, WalkerState]]:
+    """Evolve for n_steps, yielding (step index, state) snapshots as made:
+    snapshot 0 is the initial state, then one every record_every steps,
+    and the final state is always included."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    trajectory = [(0, initial)]
+    yield 0, initial
     state = initial
     for k in range(1, n_steps + 1):
         state = step(spec, state)
         if k % record_every == 0 or k == n_steps:
-            trajectory.append((k, state))
-    return trajectory
+            yield k, state
+
+
+def run(spec: WalkSpec, initial: WalkerState, n_steps: int,
+        record_every: int = 1) -> list[tuple[int, WalkerState]]:
+    """The list of iter_run's (step index, state) snapshots."""
+    return list(iter_run(spec, initial, n_steps, record_every))
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Matrices are encoded entry-wise as [re, im] pairs in row-major nested
 lists. Node labels must be JSON-native (ints or strings); string keys
 of block maps are converted back to ints on load when they parse as
-such, or matched against a supplied node collection.
+such, or matched against a supplied node collection. A malformed
+document raises ValueError with a one-line message.
 """
 
 from __future__ import annotations
@@ -66,21 +67,71 @@ def spec_to_dict(spec: WalkSpec) -> dict:
     }
 
 
+def _get(data, key: str, what: str):
+    """data[key]; ValueError when data is not a JSON object or lacks the key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{what} has no {key!r} key")
+    return data[key]
+
+
+def _label(value, what: str):
+    # exact types: a bool is an int, and a label must survive a round trip
+    if type(value) is int or type(value) is str:
+        return value
+    raise ValueError(f"{what} must be an integer or a string, got {value!r}")
+
+
+def _matrix(data, what: str) -> np.ndarray:
+    try:
+        return matrix_from_json(data)
+    except (TypeError, ValueError) as exc:  # TypeError: not a list of rows
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def spec_from_dict(data: dict) -> WalkSpec:
-    nodes = tuple(data["nodes"])
+    """The WalkSpec of a spec_to_dict document; ValueError when malformed."""
+    nodes = _get(data, "nodes", "spec")
+    if not isinstance(nodes, list):
+        raise ValueError(
+            f"spec 'nodes' must be a list, got {type(nodes).__name__}")
+    dim = _get(data, "dim", "spec")
+    if type(dim) is not int:
+        raise ValueError(f"spec 'dim' must be an integer, got {dim!r}")
+    entries = _get(data, "transitions", "spec")
+    if not isinstance(entries, list):
+        raise ValueError(
+            f"spec 'transitions' must be a list, got {type(entries).__name__}")
     transitions = {}
-    for entry in data["transitions"]:
-        key = (entry["from"], entry["to"])
-        transitions[key] = matrix_from_json(entry["matrix"])
-    return WalkSpec(nodes=nodes, dim=int(data["dim"]), transitions=transitions)
+    for k, entry in enumerate(entries):
+        what = f"transition {k}"
+        key = tuple(_label(_get(entry, end, what), f"{what} {end!r}")
+                    for end in ("from", "to"))
+        if key in transitions:
+            raise ValueError(f"{what} repeats the edge {key[0]!r} -> {key[1]!r}")
+        transitions[key] = _matrix(_get(entry, "matrix", what), what)
+    return WalkSpec(nodes=tuple(_label(n, "node label") for n in nodes),
+                    dim=dim, transitions=transitions)
 
 
-def _node_from_key(key: str, nodes=None):
-    if nodes is not None:
-        by_str = {str(n): n for n in nodes}
-        if key in by_str:
-            return by_str[key]
-        raise KeyError(f"unknown node {key!r}")
+def _labels_by_key(nodes) -> dict:
+    """str(label) -> label; ValueError when two labels print the same."""
+    by_key = {}
+    for node in nodes:
+        key = str(node)
+        if key in by_key:
+            raise ValueError(
+                f"node labels {by_key[key]!r} and {node!r} both print as {key!r}")
+        by_key[key] = node
+    return by_key
+
+
+def _node_from_key(key: str, by_key: dict | None):
+    if by_key is not None:
+        if key in by_key:
+            return by_key[key]
+        raise ValueError(f"unknown node {key!r}")
     try:
         return int(key)
     except ValueError:
@@ -93,9 +144,24 @@ def state_to_dict(state: WalkerState) -> dict:
 
 
 def state_from_dict(data: dict, nodes=None) -> WalkerState:
+    """The WalkerState of a state_to_dict document; ValueError when malformed.
+
+    A block key names the label in ``nodes`` that prints as it; without
+    ``nodes``, a key that parses as an integer names that integer.
+    """
+    raw = _get(data, "blocks", "state")
+    if not isinstance(raw, dict):
+        raise ValueError(
+            f"state 'blocks' must be a JSON object, got {type(raw).__name__}")
+    by_key = None if nodes is None else _labels_by_key(nodes)
     blocks = {}
-    for key, mat in data["blocks"].items():
-        blocks[_node_from_key(key, nodes)] = matrix_from_json(mat)
+    for key, mat in raw.items():
+        if not isinstance(key, str):
+            raise ValueError(f"block key {key!r} is not a string")
+        node = _node_from_key(key, by_key)
+        if node in blocks:
+            raise ValueError(f"two blocks name the node {node!r}")
+        blocks[node] = _matrix(mat, f"block {key!r}")
     return WalkerState(blocks)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from oqwalk.cli import (
     emit_json,
     execute,
     main,
-    occupation_records,
     parse_config,
 )
 from oqwalk.scenarios import SCENARIO_NAMES
@@ -103,7 +103,7 @@ def test_plan_gate_matrix_input():
 
 
 def test_emit_csv_single_snapshot():
-    text = emit_csv([(0, {0: 1.0})])
+    text = "".join(emit_csv([(0, {0: 1.0})]))
     assert text == "step,node,probability\n0,0,1.000000000000\n"
 
 
@@ -112,8 +112,9 @@ def test_emit_csv_two_step_line():
     plan = build_plan(cfg)
     from oqwalk.core import run
 
-    records = occupation_records(run(plan.spec, plan.initial, 2), plan.spec.nodes)
-    text = emit_csv(records)
+    records = [(k, state.traces(plan.spec.nodes))
+               for k, state in run(plan.spec, plan.initial, 2)]
+    text = "".join(emit_csv(records))
     lines = text.strip().split("\n")
     step2 = [ln for ln in lines if ln.startswith("2,")]
     assert len(step2) == 3
@@ -124,12 +125,61 @@ def test_emit_csv_two_step_line():
 
 def test_emit_json_round_trip():
     records = [(0, {0: 1.0}), (1, {1: 17 / 25, -1: 8 / 25})]
-    payload = json.loads(emit_json(records))
+    payload = json.loads("".join(emit_json(records)))
     assert payload[0] == {"step": 0, "occupations": {"0": 1.0}}
     for (step_index, occ), entry in zip(records, payload):
         assert entry["step"] == step_index
         for node, prob in occ.items():
             assert abs(entry["occupations"][str(node)] - prob) <= 1e-12
+    assert "".join(emit_json([])) == json.dumps([], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"scenario": "line", "theta_cos": 0.8, "steps": 0},
+    {"scenario": "line", "theta_cos": 0.8, "steps": 5},
+    {"scenario": "line", "theta_cos": 0.8, "steps": 3, "record_every": 7},
+    {"scenario": "bell", "steps": 4},
+    {"scenario": "bell", "steps": 4, "record_every": 3},
+])
+def test_main_run_output_equals_text_of_whole_run(tmp_path, capsys, doc):
+    # the streamed output has the bytes of the text made from all
+    # snapshots at once: one json.dumps, or one f-string per CSV row
+    from oqwalk.core import run
+
+    plan = build_plan(parse_config(doc))
+    records = [(k, state.traces(plan.spec.nodes)) for k, state in run(
+        plan.spec, plan.initial, doc["steps"], doc.get("record_every", 1))]
+    expected = {
+        "json": json.dumps([{"step": k, "occupations": {
+            str(n): round(p, 12) for n, p in occ.items()}}
+            for k, occ in records], indent=2) + "\n",
+        "csv": "step,node,probability\n" + "".join(
+            f"{k},{n},{p:.12f}\n" for k, occ in records for n, p in occ.items()),
+    }
+    for fmt, text in expected.items():
+        path = write_config(tmp_path, {**doc, "format": fmt})
+        assert main(["run", path]) == 0
+        assert capsys.readouterr().out == text
+        out = tmp_path / f"run.{fmt}"
+        assert main(["run", path, "-o", str(out)]) == 0
+        assert out.read_text() == text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_main_run_memory_grows_with_one_snapshot(tmp_path, fmt):
+    # a line run's state grows linearly with the step count, a whole-run
+    # buffer with its square: 4x the steps must cost less than 5x the peak
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            assert main(["run", "--scenario", "line", "--set", "theta_cos=0.8",
+                         "--steps", str(steps), "--format", fmt,
+                         "-o", str(tmp_path / "out")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(800) / peak(200) < 5
 
 
 # --------------------------------------------------------------- execute
@@ -175,10 +225,13 @@ def test_execute_steady_line_never_converges(capsys):
     assert "no steady state" in capsys.readouterr().err
 
 
-def test_execute_unwritable_output(tmp_path):
+def test_execute_unwritable_output(tmp_path, capsys):
     cfg = RunConfig(scenario="line", params={"theta_cos": 0.8}, steps=1,
                     output=str(tmp_path / "missing" / "out.csv"))
     assert execute(cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 # ------------------------------------------------------------------ main

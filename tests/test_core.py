@@ -11,6 +11,7 @@ from oqwalk.core import (
     extract_blocks,
     find_steady_state,
     full_map_step,
+    iter_run,
     mixed_state,
     pure_state,
     run,
@@ -185,6 +186,37 @@ def test_run_record_every():
     assert [k for k, _ in traj] == [0, 3, 6, 7]
     for _, state in traj:
         assert abs(state.total_trace() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("n_steps,record_every", [(0, 1), (9, 1), (9, 4), (3, 10)])
+def test_run_lists_iter_run_bitwise(n_steps, record_every):
+    for label, spec, state in scenario_cases():
+        listed = run(spec, state, n_steps, record_every)
+        streamed = list(iter_run(spec, state, n_steps, record_every))
+        assert [k for k, _ in listed] == [k for k, _ in streamed], label
+        for (_, a), (_, b) in zip(listed, streamed):
+            assert_same_blocks(a.blocks, b.blocks)
+
+
+def test_iter_run_is_lazy(monkeypatch):
+    spec, init = build_line_walk(np.arccos(0.8), 2)
+    calls = []
+    monkeypatch.setattr(core, "step", lambda spec, state: calls.append(1) or state)
+    snapshots = iter_run(spec, init, 10 ** 9)
+    assert next(snapshots) == (0, init)
+    assert calls == []
+    assert next(snapshots) == (1, init)
+    assert calls == [1]
+
+
+def test_run_rejects_bad_counts_at_call():
+    spec, init = build_line_walk(np.arccos(0.8), 2)
+    for n_steps, record_every in ((-1, 1), (2, 0)):
+        with pytest.raises(ValueError):
+            run(spec, init, n_steps, record_every)
+        snapshots = iter_run(spec, init, n_steps, record_every)
+        with pytest.raises(ValueError):
+            next(snapshots)
 
 
 # ---------------------------------------------------- compiled engine

@@ -8,8 +8,10 @@ from oqwalk.io import (
     ket_from_json,
     matrix_from_json,
     matrix_to_json,
+    spec_from_dict,
     spec_from_json,
     spec_to_json,
+    state_from_dict,
     state_from_json,
     state_to_json,
 )
@@ -92,3 +94,50 @@ def test_matrix_from_json_mixes_numbers_and_pairs():
     m = matrix_from_json([[1, [0, -0.5]], [(2.5, 0), -3]])
     assert m.tobytes() == np.array([[1, complex(0, -0.5)], [2.5, -3]],
                                    dtype=complex).tobytes()
+
+
+EDGE = {"from": 0, "to": 0, "matrix": [[1]]}
+SPEC = {"nodes": [0], "dim": 1, "transitions": [EDGE]}
+
+
+@pytest.mark.parametrize("data", [
+    {**SPEC, "dim": "1"},
+    {**SPEC, "dim": 1.7},
+    {**SPEC, "dim": True},
+    {**SPEC, "nodes": "a", "transitions": [{**EDGE, "from": "a", "to": "a"}]},
+    {**SPEC, "nodes": [[0]]},
+    {**SPEC, "nodes": [0, True]},
+    {**SPEC, "transitions": [{**EDGE, "from": [0]}]},
+    {"nodes": [0], "dim": 1},
+    {"dim": 1, "transitions": []},
+    {**SPEC, "transitions": [{"to": 0, "matrix": [[1]]}]},
+    {**SPEC, "transitions": [{"from": 0, "matrix": [[1]]}]},
+    {**SPEC, "transitions": [{"from": 0, "to": 0}]},
+    {**SPEC, "transitions": [{**EDGE, "matrix": 5}]},
+    {**SPEC, "transitions": {"0": EDGE}},
+    {**SPEC, "transitions": [EDGE, [0, 0]]},
+    {**SPEC, "transitions": [EDGE, {**EDGE, "matrix": [[0]]}]},
+    [SPEC],
+])
+def test_spec_from_dict_rejects_malformed(data):
+    # every malformed document is a ValueError with a one-line message,
+    # never a coercion, a silent overwrite or another exception type
+    with pytest.raises(ValueError) as info:
+        spec_from_dict(data)
+    assert str(info.value) and "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("data,nodes", [
+    ({}, None),
+    ({"blocks": [1]}, None),
+    ({"blocks": {"0": 5}}, None),
+    ({"blocks": {"1": [[1]], "01": [[1]]}}, None),
+    ({"blocks": {"1": [[1]]}}, (1, "1")),
+    ({"blocks": {"2": [[1]]}}, (0, 1)),
+    ({"blocks": {1: [[1]]}}, None),
+    ("blocks", None),
+])
+def test_state_from_dict_rejects_malformed(data, nodes):
+    with pytest.raises(ValueError) as info:
+        state_from_dict(data, nodes)
+    assert str(info.value) and "\n" not in str(info.value)
