@@ -157,11 +157,15 @@ def _real(key: str, value, positive: bool = False) -> float:
     raise ConfigError(f"{key} must be {kind} number")
 
 
+def _within(key: str, value, low: int, high: int) -> float:
+    x = _real(key, value)
+    if not low <= x <= high:
+        raise ConfigError(f"{key} must lie in [{low}, {high}]")
+    return x
+
+
 def _acos(key: str, value) -> float:
-    c = _real(key, value)
-    if not -1.0 <= c <= 1.0:
-        raise ConfigError(f"{key} must lie in [-1, 1]")
-    return math.acos(c)
+    return math.acos(_within(key, value, -1, 1))
 
 
 def _text(key: str, value) -> str:
@@ -371,7 +375,7 @@ def _dqc(values: dict, cfg: RunConfig) -> ScenarioPlan:
 
 
 _P_OR_Q = {"p": _real, "q": lambda key, value: 1.0 - _real(key, value)}
-_HOP = {**_P_OR_Q, "sqrt_p": lambda key, value: _real(key, value) ** 2}
+_HOP = {**_P_OR_Q, "sqrt_p": lambda key, value: _within(key, value, 0, 1) ** 2}
 
 # scenario name -> (its parameters, its adapter); an adapter takes the
 # resolved values and the RunConfig and returns the ScenarioPlan
@@ -404,7 +408,8 @@ def build_plan(cfg: RunConfig) -> ScenarioPlan:
     values = _resolve(params, cfg.params, cfg.scenario)
     try:
         return adapter(values, cfg)
-    except ValueError as exc:  # a builder's range check
+    # a builder's range check, or a count past the index range
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

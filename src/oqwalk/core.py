@@ -15,10 +15,11 @@ One step maps the block at node i to
 which keeps the state block-diagonal in position: position coherences
 can never build up, so storage stays at O(V d^2) instead of O((V d)^2).
 
-A WalkSpec is compiled once into edge arrays: ``_src``/``_tgt`` hold the
-node positions of every edge and ``_ops`` is the read-only (E, d, d)
-operator stack, the only copy of the operators (``transitions`` maps
-each edge to a view of its row). Level j of the stack, one run of it,
+A WalkSpec is compiled once into edge arrays: ``_src`` holds each
+edge's source position, ``_out`` its target's row in ``_targets``, and
+``_ops`` is the read-only (E, d, d) operator stack, the only copy of the
+operators (``transitions`` maps each edge to a view of its row), which
+``validate_walk`` also reads. Level j of the stack, one run of it,
 holds each target's j-th incoming edge by source position. A
 WalkerState has one form, compact rows: a node tuple, the ascending
 positions of the occupied nodes in it, one (k, d, d) block stack and
@@ -39,7 +40,7 @@ from typing import Hashable, Iterator
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_operator, completeness_residual
+from .linalg import DEFAULT_TOL, as_operator
 
 Node = Hashable
 
@@ -74,7 +75,6 @@ class WalkSpec:
     transitions: dict
     _index: dict = field(init=False, repr=False, compare=False)
     _src: np.ndarray = field(init=False, repr=False, compare=False)
-    _tgt: np.ndarray = field(init=False, repr=False, compare=False)
     _ops: np.ndarray = field(init=False, repr=False, compare=False)
     _levels: np.ndarray = field(init=False, repr=False, compare=False)
     _targets: np.ndarray = field(init=False, repr=False, compare=False)
@@ -119,16 +119,14 @@ class WalkSpec:
             ops[row] = m
         ops.setflags(write=False)
         views = dict(zip(self.transitions, map(ops.__getitem__, stack_rows.tolist())))
-        src, tgt = src[order], tgt[order]
         # where each level starts, then the edge count; the reached
         # targets are the output rows of a step with every node occupied
         levels = np.concatenate(([0], np.cumsum(np.bincount(rank))))
         targets = ts[rank == 0]
         for name, value in (
                 ("nodes", nodes), ("transitions", views), ("_index", index),
-                ("_src", src), ("_tgt", tgt), ("_ops", ops),
-                ("_levels", levels), ("_targets", targets),
-                ("_out", np.searchsorted(targets, tgt))):
+                ("_src", src[order]), ("_ops", ops), ("_levels", levels),
+                ("_targets", targets), ("_out", np.searchsorted(targets, tgt[order]))):
             object.__setattr__(self, name, value)
 
     @property
@@ -162,16 +160,24 @@ class ValidationReport:
 def validate_walk(spec: WalkSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the per-node completeness relation sum_K K^dag K = I.
 
-    The sum at each source node runs over its stored outgoing edges, in
-    the order of ``spec.transitions``. A node with no outgoing edges has
-    residual 1 (the zero map loses all probability).
+    Each node adds its edges' K^dag K onto a zero sum in stack order (by
+    rank, then target position); its residual is the largest entry of
+    |sum - I|, so a node with no outgoing edges has residual 1 (the zero
+    map loses all probability).
     """
-    families: dict = {n: [] for n in spec.nodes}
-    for (src, _tgt), op in spec.transitions.items():
-        families[src].append(op)
-    residuals = {n: completeness_residual(ops) if ops else 1.0
-                 for n, ops in families.items()}
-    return ValidationReport(residuals=residuals, tol=tol)
+    by_src = np.argsort(spec._src, kind="stable")
+    src = spec._src[by_src]
+    nth = np.arange(src.size) - np.searchsorted(src, src)  # among its source's edges
+    order = by_src[np.argsort(nth, kind="stable")]  # level j: each source's j-th edge
+    ops, src = spec._ops[order], spec._src[order]
+    terms = ops.conj().transpose(0, 2, 1) @ ops
+    sums = np.zeros((spec.node_count, spec.dim, spec.dim), dtype=complex)
+    # one indexed add per level: a level's sources are distinct
+    bounds = np.cumsum(np.bincount(nth)).tolist()
+    for lo, hi in zip([0, *bounds], bounds):
+        sums[src[lo:hi]] += terms[lo:hi]
+    residuals = np.abs(sums - np.eye(spec.dim)).max(axis=(1, 2))
+    return ValidationReport(dict(zip(spec.nodes, residuals.tolist())), tol)
 
 
 class WalkerState:
@@ -325,7 +331,10 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
         used = np.flatnonzero(src >= 0)
         if used.size < src.size:
             ops, src, levels = ops[used], src[used], np.searchsorted(used, levels)
-            targets, out = np.unique(spec._tgt[used], return_inverse=True)
+            # the reached targets, and each used edge's row among them
+            out = out[used]
+            reached = np.bincount(out, minlength=targets.size) > 0
+            targets, out = targets[reached], (np.cumsum(reached) - 1)[out]
     acc = np.full((targets.size, spec.dim, spec.dim), complex(-0.0, -0.0))
     per_chunk = max(1, _CHUNK_BYTES // (16 * spec.dim ** 2))
     bounds = levels.tolist()

@@ -133,9 +133,10 @@ def _node_from_key(key: str, by_key: dict | None):
             return by_key[key]
         raise ValueError(f"unknown node {key!r}")
     try:
-        return int(key)
+        node = int(key)
     except ValueError:
         return key
+    return node if str(node) == key else key  # "01", " 2", "+1" stay strings
 
 
 def state_to_dict(state: WalkerState) -> dict:
@@ -147,7 +148,8 @@ def state_from_dict(data: dict, nodes=None) -> WalkerState:
     """The WalkerState of a state_to_dict document; ValueError when malformed.
 
     A block key names the label in ``nodes`` that prints as it; without
-    ``nodes``, a key that parses as an integer names that integer.
+    ``nodes``, a key that is the ``str()`` of an integer names that
+    integer and any other key names itself, so keys and nodes pair 1:1.
     """
     raw = _get(data, "blocks", "state")
     if not isinstance(raw, dict):
@@ -158,10 +160,7 @@ def state_from_dict(data: dict, nodes=None) -> WalkerState:
     for key, mat in raw.items():
         if not isinstance(key, str):
             raise ValueError(f"block key {key!r} is not a string")
-        node = _node_from_key(key, by_key)
-        if node in blocks:
-            raise ValueError(f"two blocks name the node {node!r}")
-        blocks[node] = _matrix(mat, f"block {key!r}")
+        blocks[_node_from_key(key, by_key)] = _matrix(mat, f"block {key!r}")
     return WalkerState(blocks)
 
 

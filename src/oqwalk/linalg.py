@@ -124,20 +124,6 @@ def apply_kraus(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def completeness_residual(ops: Sequence[np.ndarray]) -> float:
-    """Max-entry deviation of sum_K K^dag K from the identity."""
-    mats = [as_operator(k) for k in ops]
-    if not mats:
-        raise ValueError("empty operator family")
-    dim = mats[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    for k in mats:
-        if k.shape[0] != dim:
-            raise ValueError("operator family has mixed dimensions")
-        acc += k.conj().T @ k
-    return float(np.max(np.abs(acc - np.eye(dim))))
-
-
 def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending.
 

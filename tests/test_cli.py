@@ -463,6 +463,40 @@ def test_main_rejects_bad_values(tmp_path, capsys, key, raw):
     assert not (tmp_path / "out").exists()
 
 
+BIG = str(sys.maxsize * 10 ** 12)  # past the index range: fails before allocating
+
+
+@pytest.mark.parametrize("command,argv,key", [
+    *[(command, ["--scenario", scenario, "--set", f"sqrt_p={value}", *extra],
+       "sqrt_p")
+      for command in ("validate", "run", "steady")
+      for scenario, extra in (("gate", ["--set", "gate=X"]),
+                              ("transport", ["--set", "N=5"]))
+      for value in ("-0.5", "1.5", "1e200")],
+    *[(command, argv, None) for command in ("validate", "run", "steady")
+      for argv in (["--scenario", "line", "--set", "theta_cos=0.8",
+                    "--set", f"window={BIG}"],
+                   ["--scenario", "dqc", "--set", "omega=0.5", "--set", f"T={BIG}"])],
+    ("run", ["--scenario", "line", "--set", "theta_cos=0.8", "--steps", BIG], None),
+])
+def test_main_rejects_out_of_range_values(capsys, command, argv, key):
+    # exit 1 with one error: line, never a traceback or a coerced value
+    assert main([command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert key is None or key in captured.err
+
+
+@pytest.mark.parametrize("scenario,extra", [("gate", ["--set", "gate=X"]),
+                                            ("transport", ["--set", "N=5"])])
+def test_main_accepts_sqrt_p_bounds(capsys, scenario, extra):
+    for value in ("0", "1", "0.5"):
+        argv = ["validate", "--scenario", scenario, "--set", f"sqrt_p={value}"]
+        assert main(argv + extra) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("assignments,node,key", [
     (["--scenario", "gate", "--set", "gate=X", "--set", "p=0"], "2",
      "gate_fidelity"),

@@ -77,6 +77,52 @@ def test_validate_rejects_overcomplete_family():
     assert abs(report.residuals[2] - 1.0) < 1e-12
 
 
+def _loop_residuals(spec: WalkSpec) -> dict:
+    """Per-node max |sum K^dag K - I| over spec.transitions; 1.0 with no edges."""
+    out = {}
+    for node in spec.nodes:
+        family = [op for (src, _), op in spec.transitions.items() if src == node]
+        out[node] = (float(np.abs(sum(k.conj().T @ k for k in family)
+                                  - np.eye(spec.dim)).max()) if family else 1.0)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_validate_matches_per_node_loop(dim):
+    rng = np.random.default_rng(40 + dim)
+    labels = ["a", "b", "c", "d", "e", "f", "g"]
+    for _ in range(10):
+        nodes = tuple(rng.permutation(labels).tolist())
+        edges = []
+        # out-degrees 0, 1, 2, 3, 4 and 7; families complete, scaled, or
+        # overcomplete (node "f": every operator the identity)
+        for src, degree in zip(labels, (0, 1, 2, 3, 4, 2, 7)):
+            targets = rng.choice(labels, size=degree, replace=False).tolist()
+            if src == "f":
+                family = [np.eye(dim)] * degree
+            else:
+                scale = rng.choice([1.0, rng.uniform(0.7, 1.3)])
+                family = [scale * k for k in random_kraus_family(dim, degree, rng)]
+            edges += [((src, t), k) for t, k in zip(targets, family)]
+        # inserted in random order, not grouped by source
+        transitions = dict(edges[i] for i in rng.permutation(len(edges)))
+        spec = WalkSpec(nodes=nodes, dim=dim, transitions=transitions)
+        report = validate_walk(spec)
+        expected = _loop_residuals(spec)
+        assert list(report.residuals) == list(nodes)
+        for node in nodes:
+            assert abs(report.residuals[node] - expected[node]) <= 1e-15
+        assert report.residuals["a"] == 1.0
+        assert abs(report.residuals["f"] - 1.0) <= 1e-15 and not report.ok
+
+
+def test_validate_spec_without_edges():
+    for dim in (1, 2, 3):
+        report = validate_walk(WalkSpec(nodes=(3, 1, 2), dim=dim, transitions={}))
+        assert report.residuals == {3: 1.0, 1: 1.0, 2: 1.0}
+        assert not report.ok
+
+
 def test_validate_accepts_cnot_gate_walk():
     from oqwalk.linalg import CNOT
 

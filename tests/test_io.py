@@ -65,6 +65,14 @@ def test_state_round_trip_integer_keys_without_nodes():
     assert set(back.blocks) == {-2, 3}
 
 
+def test_state_from_dict_int_labels_only_from_canonical_keys():
+    keys = ["1", "-3", "0", "1_0", " 2", "00", "+1", "-0", "01", "x"]
+    back = state_from_dict({"blocks": {k: [[1]] for k in keys}})
+    assert list(back.blocks) == [1, -3, 0, "1_0", " 2", "00", "+1", "-0", "01", "x"]
+    # every label prints as its key, so the state round-trips
+    assert state_from_json(state_to_json(back)).traces() == back.traces()
+
+
 def test_ket_from_json_rejects_bad_pair():
     with pytest.raises(ValueError, match=r"not a \[re, im\] pair"):
         ket_from_json([[1, 0], [0, 1, 2]])
@@ -131,7 +139,7 @@ def test_spec_from_dict_rejects_malformed(data):
     ({}, None),
     ({"blocks": [1]}, None),
     ({"blocks": {"0": 5}}, None),
-    ({"blocks": {"1": [[1]], "01": [[1]]}}, None),
+    ({"blocks": {"0": [[1]], "1": [[1, 0], [0, 1]]}}, None),
     ({"blocks": {"1": [[1]]}}, (1, "1")),
     ({"blocks": {"2": [[1]]}}, (0, 1)),
     ({"blocks": {1: [[1]]}}, None),
