@@ -317,7 +317,10 @@ def _line(values: dict, cfg: RunConfig) -> ScenarioPlan:
         raise ConfigError(
             f"window {window} is smaller than steps {cfg.steps}; the "
             "window must cover the whole run")
-    return ScenarioPlan(*build_line_walk(values["theta"], window))
+    try:
+        return ScenarioPlan(*build_line_walk(values["theta"], window))
+    except (OverflowError, MemoryError):  # past the index range, or too many sites
+        raise ConfigError(f"window = {window} is too large to build") from None
 
 
 def _gate_walk(values: dict, cfg: RunConfig) -> ScenarioPlan:
@@ -360,7 +363,10 @@ def _dqc(values: dict, cfg: RunConfig) -> ScenarioPlan:
     omega, t_final, psi0 = values["omega"], values["T"], values["psi0"]
     gates = values["unitaries"]
     if gates is None:
-        gates = [NAMED_GATES["H"]] * t_final
+        try:
+            gates = [NAMED_GATES["H"]] * t_final
+        except (OverflowError, MemoryError):  # past the index range, or too long
+            raise ConfigError(f"T = {t_final} is too large to build") from None
     elif len(gates) != t_final:
         raise ConfigError("'unitaries' must be a list of T entries")
     spec, initial = build_dqc_chain(gates, omega, psi0)
@@ -408,8 +414,7 @@ def build_plan(cfg: RunConfig) -> ScenarioPlan:
     values = _resolve(params, cfg.params, cfg.scenario)
     try:
         return adapter(values, cfg)
-    # a builder's range check, or a count past the index range
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:  # a builder's range check
         raise ConfigError(str(exc)) from exc
 
 

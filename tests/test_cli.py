@@ -488,6 +488,23 @@ def test_main_rejects_out_of_range_values(capsys, command, argv, key):
     assert key is None or key in captured.err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "steady"])
+@pytest.mark.parametrize("argv,key", [
+    (["--scenario", "line", "--set", "theta_cos=0.8"], "window"),
+    (["--scenario", "dqc", "--set", "omega=0.5"], "T"),
+])
+@pytest.mark.parametrize("value", ["1000000000000000000000000000000",
+                                   "1000000000000000000"])
+def test_main_rejects_counts_too_large_to_build(capsys, command, argv, key,
+                                                value):
+    # 10^30 is past the index range; 10^18 fits it but asks for a list
+    # of 10^18 entries. Both fail before allocating, and both name the key.
+    assert main([command, *argv, "--set", f"{key}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} = {value} is too large to build\n"
+
+
 @pytest.mark.parametrize("scenario,extra", [("gate", ["--set", "gate=X"]),
                                             ("transport", ["--set", "N=5"])])
 def test_main_accepts_sqrt_p_bounds(capsys, scenario, extra):

@@ -577,6 +577,91 @@ def test_find_steady_state_line_never_converges():
     assert not result.converged
     assert result.iterations == 25
     assert result.residual > 1e-3
+    # the residual is exact even where the loop gives up
+    (_, before), (_, last) = run(spec, init, 25)[-2:]
+    assert result.residual == state_trace_distance(last, before)
+    assert_same_blocks(result.state.blocks, last.blocks)
+
+
+def plain_steady_loop(spec, state, tol, max_iter):
+    """find_steady_state's contract with the exact distance every iteration:
+    (state, iterations, converged, residual history)."""
+    residuals = []
+    for n in range(1, max_iter + 1):
+        nxt = step(spec, state)
+        residuals.append(state_trace_distance(nxt, state))
+        if residuals[-1] <= tol:
+            return nxt, n, True, residuals
+        state = nxt
+    return state, max_iter, False, residuals
+
+
+def steady_cases():
+    """(label, spec, initial state) for the steady-state scenarios."""
+    from oqwalk.linalg import CNOT
+    from oqwalk.scenarios import (
+        build_bell_grid,
+        build_dqc_chain,
+        build_state_prep,
+        build_transport_chain,
+    )
+
+    rng = np.random.default_rng(8)
+    return [
+        ("gate X", build_gate_walk(PAULI_X, 0.75), pure_state(1, basis_ket(2, 0))),
+        ("gate CNOT", build_gate_walk(CNOT, 0.5), pure_state(1, basis_ket(4, 2))),
+        ("state_prep", build_state_prep(0.3, 1.1, 0.7), mixed_state(1, 2)),
+        ("bell UL", build_bell_grid(), mixed_state("UL", 4)),
+        ("bell DR", build_bell_grid(), mixed_state("DR", 4)),
+        ("transport", *build_transport_chain(20, 0.5)),
+        *[(f"dqc omega={omega} T={t}", *build_dqc_chain(
+            [random_unitary(2, rng) for _ in range(t)], omega))
+          for omega in (0.5, 0.8) for t in (5, 20)],
+    ]
+
+
+@pytest.mark.parametrize("spec,initial", [
+    pytest.param(spec, initial, id=label) for label, spec, initial in steady_cases()])
+def test_find_steady_state_matches_plain_loop(spec, initial):
+    # skipping the eigenvalues while the Frobenius bound rules out
+    # convergence changes nothing: same stop, same residual and blocks
+    state, iterations, converged, residuals = plain_steady_loop(
+        spec, initial, 1e-10, 5000)
+    assert converged
+    result = find_steady_state(spec, initial, tol=1e-10, max_iter=5000)
+    assert (result.iterations, result.converged) == (iterations, True)
+    assert result.residual == residuals[-1]
+    assert_same_blocks(result.state.blocks, state.blocks)
+
+
+@pytest.mark.parametrize("omega,t_final", [(0.5, 5), (0.8, 20)])
+def test_find_steady_state_stops_where_bound_meets_tol(omega, t_final):
+    # tol is an exact residual of the plain loop, at the iteration where
+    # the bound is closest to it (the dqc chain's block differences are
+    # rank one, so the two agree to rounding and the bound may even be
+    # the larger): only the margin keeps the loop from passing over it
+    from oqwalk.scenarios import build_dqc_chain
+
+    rng = np.random.default_rng(8)
+    spec, initial = build_dqc_chain(
+        [random_unitary(2, rng) for _ in range(t_final)], omega)
+    ratios, residuals, state = [], [], initial
+    while not residuals or residuals[-1] > 1e-10:
+        nxt = step(spec, state)
+        herm = core._hermitian_diff(nxt, state)
+        ratios.append(core._frobenius_bound(herm) / core._trace_norm_sum(herm))
+        residuals.append(state_trace_distance(nxt, state))
+        state = nxt
+    k = int(np.argmax(ratios))
+    assert abs(ratios[k] - 1) < 1e-12
+    tol = residuals[k]
+    state, iterations, converged, residuals = plain_steady_loop(
+        spec, initial, tol, 5000)
+    assert converged and residuals[-1] <= tol
+    result = find_steady_state(spec, initial, tol=tol, max_iter=5000)
+    assert (result.iterations, result.converged) == (iterations, True)
+    assert result.residual == residuals[-1]
+    assert_same_blocks(result.state.blocks, state.blocks)
 
 
 def test_find_steady_state_tol_validation():
@@ -622,6 +707,55 @@ def test_state_trace_distance_matches_dense_and_per_node_sum():
                     expected += trace_distance(x.blocks.get(node, zero),
                                                y.blocks.get(node, zero))
                 assert got == expected
+
+
+def rows_state(nodes: tuple, pos, rho) -> WalkerState:
+    rho = np.array(rho, dtype=complex)
+    return WalkerState._from_rows(nodes, np.asarray(pos, dtype=np.intp), rho,
+                                  np.trace(rho, axis1=1, axis2=2).real)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_frobenius_bound_never_exceeds_trace_distance(dim):
+    # sum |lambda| >= sqrt(sum lambda^2) per Hermitian block, so half the
+    # summed Frobenius norms bound the distance from below; a rank-one
+    # difference meets the bound, so there the two agree to rounding
+    rng = np.random.default_rng(50 + dim)
+    nodes = tuple(range(10))
+    for trial in range(40):
+        pos = np.sort(rng.choice(10, size=6, replace=False))
+        a = np.array([random_density(dim, rng) / 6 for _ in pos])
+        if trial % 4 == 0:  # differing supports
+            other = np.sort(rng.choice(10, size=5, replace=False))
+            b = rows_state(nodes, other, [random_density(dim, rng) / 5
+                                          for _ in other])
+        elif trial % 4 == 1:  # rank-one differences
+            kets = rng.normal(size=(pos.size, dim, 2)) @ [1, 1j]
+            scale = rng.normal(size=(pos.size, 1, 1)) / 50
+            b = rows_state(nodes, pos, a + scale * np.einsum(
+                "ki,kj->kij", kets, kets.conj()))
+        else:  # same support, slightly non-Hermitian as step() leaves it
+            noise = rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)
+            b = rows_state(nodes, pos, [random_density(dim, rng) / 6
+                                        for _ in pos] + 1e-17 * noise)
+        a = rows_state(nodes, pos, a)
+        exact = state_trace_distance(a, b)
+        bound = core._frobenius_bound(core._hermitian_diff(a, b))
+        assert bound <= exact * (1 + 1e-13)
+        if dim > 1 and trial % 4 != 1:  # a 1x1 difference is rank one
+            assert bound < exact
+        # same positions take the direct subtraction, which must give
+        # the bits of filling a zero stack over the union of positions
+        union = np.union1d(a._pos, b._pos)
+        diff = np.zeros((union.size, dim, dim), dtype=complex)
+        diff[np.searchsorted(union, a._pos)] = a._rho
+        diff[np.searchsorted(union, b._pos)] -= b._rho
+        herm = (diff + diff.conj().transpose(0, 2, 1)) / 2
+        assert core._hermitian_diff(a, b).tobytes() == herm.tobytes()
+        if trial % 4:  # same support under a copy of the node tuple
+            copy = rows_state(tuple(list(nodes)), b._pos, b._rho)
+            assert copy._nodes is not a._nodes
+            assert state_trace_distance(a, copy) == exact
 
 
 def test_walker_state_rejects_mixed_dimensions():
