@@ -352,8 +352,11 @@ def _bell(values: dict, cfg: RunConfig) -> ScenarioPlan:
 
 
 def _transport(values: dict, cfg: RunConfig) -> ScenarioPlan:
-    spec, initial = build_transport_chain(values["N"], values["p"],
-                                          values["psi1"], values["psi2"])
+    try:
+        spec, initial = build_transport_chain(values["N"], values["p"],
+                                              values["psi1"], values["psi2"])
+    except (OverflowError, MemoryError):  # past the index range, or too many sites
+        raise ConfigError(f"N = {values['N']} is too large to build") from None
     if values["psi0"] is not None:
         initial = pure_state(1, _sized("psi0", values["psi0"], spec.dim))
     return ScenarioPlan(spec, initial, lambda state: _readout(state, values["N"]))

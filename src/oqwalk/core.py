@@ -16,7 +16,8 @@ which keeps the state block-diagonal in position: position coherences
 can never build up, so storage stays at O(V d^2) instead of O((V d)^2).
 
 A WalkSpec is compiled once into edge arrays: ``_src`` holds each
-edge's source position, ``_out`` its target's row in ``_targets``, and
+edge's source position, ``_out`` its target's row in ``_targets``,
+``_run`` its row's run of bytewise-equal operators along the stack, and
 ``_ops`` is the read-only (E, d, d) operator stack, the only copy of the
 operators (``transitions`` maps each edge to a view of its row), which
 ``validate_walk`` also reads. Level j of the stack, one run of it,
@@ -24,9 +25,16 @@ holds each target's j-th incoming edge by source position. A
 WalkerState has one form, compact rows: a node tuple, the ascending
 positions of the occupied nodes in it, one (k, d, d) block stack and
 the k traces. A step forms the K rho K^dag products of the occupied
-sources with stacked matmuls, adds the levels in order onto a -0.0 seed
-and returns rows over the spec's node tuple. ``iter_run`` yields a run's
-snapshots as it makes them, holding one state; ``run`` lists them.
+sources with matmuls, adds the levels in order onto a -0.0 seed and
+returns rows over the spec's node tuple. K rho is one stacked matmul,
+one matrix per edge. A level slice whose edges share one operator (every
+site of a translation-invariant walk) forms its (K rho_j) K^dag as one
+tall product [K rho_1; ...; K rho_n] @ K^dag: BLAS sees the same shared
+operand as in the per-matrix products, only more rows of it, and gives
+the same bits (tests/test_core.py checks that premise by name). The
+other grouping, K [rho_1 ... rho_n], changes bits and is not used.
+``iter_run`` yields a run's snapshots as it makes them, holding one
+state; ``run`` lists them.
 
 ``find_steady_state`` is power iteration of ``step``. Each iteration
 forms the per-node Hermitian differences of its last two states once;
@@ -91,6 +99,7 @@ class WalkSpec:
     _src: np.ndarray = field(init=False, repr=False, compare=False)
     _ops: np.ndarray = field(init=False, repr=False, compare=False)
     _levels: np.ndarray = field(init=False, repr=False, compare=False)
+    _run: np.ndarray = field(init=False, repr=False, compare=False)
     _targets: np.ndarray = field(init=False, repr=False, compare=False)
     _out: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -133,6 +142,11 @@ class WalkSpec:
             ops[row] = m
         ops.setflags(write=False)
         views = dict(zip(self.transitions, map(ops.__getitem__, stack_rows.tolist())))
+        # each row's run of equal operators along the stack, compared by
+        # bytes so that -0.0 and 0.0 are different operators
+        bits = ops.view(np.uint64)
+        starts = np.ones(len(mats), dtype=bool)
+        starts[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2))
         # where each level starts, then the edge count; the reached
         # targets are the output rows of a step with every node occupied
         levels = np.concatenate(([0], np.cumsum(np.bincount(rank))))
@@ -140,6 +154,7 @@ class WalkSpec:
         for name, value in (
                 ("nodes", nodes), ("transitions", views), ("_index", index),
                 ("_src", src[order]), ("_ops", ops), ("_levels", levels),
+                ("_run", np.cumsum(starts) - 1),
                 ("_targets", targets), ("_out", np.searchsorted(targets, tgt[order]))):
             object.__setattr__(self, name, value)
 
@@ -358,11 +373,15 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
     edges of K rho K^dag, accumulated in ascending source position onto
     a -0.0 seed (an exact additive identity, so each block has the bits
     of its terms added in that order, signed zeros included). Only
-    edges whose source is occupied are evaluated. Blocks whose trace
-    falls below PRUNE_TRACE are dropped.
+    edges whose source is occupied are evaluated. K rho is formed one
+    matrix per edge; where all edges of a level's slice carry one
+    operator, their (K rho) K^dag is one tall product, which has the
+    bits of the per-matrix products, and other slices take theirs from
+    one stacked product per chunk. Blocks whose trace falls below
+    PRUNE_TRACE are dropped.
     """
     pos, rho = _rows(spec, state)
-    ops, src, levels = spec._ops, spec._src, spec._levels
+    ops, src, levels, run = spec._ops, spec._src, spec._levels, spec._run
     targets, out = spec._targets, spec._out
     if pos.size < spec.node_count:
         # each edge's source as a row of rho (-1: source unoccupied)
@@ -371,26 +390,39 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
         src = row_of[src]
         used = np.flatnonzero(src >= 0)
         if used.size < src.size:
-            ops, src, levels = ops[used], src[used], np.searchsorted(used, levels)
+            ops, src, run = ops[used], src[used], run[used]
+            levels = np.searchsorted(used, levels)
             # the reached targets, and each used edge's row among them
             out = out[used]
             reached = np.bincount(out, minlength=targets.size) > 0
             targets, out = targets[reached], (np.cumsum(reached) - 1)[out]
-    acc = np.full((targets.size, spec.dim, spec.dim), complex(-0.0, -0.0))
-    per_chunk = max(1, _CHUNK_BYTES // (16 * spec.dim ** 2))
+    d = spec.dim
+    acc = np.full((targets.size, d, d), complex(-0.0, -0.0))
+    per_chunk = max(1, _CHUNK_BYTES // (16 * d ** 2))
     bounds = levels.tolist()
     for e0 in range(0, src.size, per_chunk):
         e1 = min(e0 + per_chunk, src.size)
         k = ops[e0:e1]
-        terms = k @ rho[src[e0:e1]] @ k.conj().transpose(0, 2, 1)
+        k_dag = k.conj().transpose(0, 2, 1)
+        half = k @ rho[src[e0:e1]]
+        stacked = None
         # the chunk's share of each level, in level order; a level has
         # distinct targets, and a run of consecutive rows is a slice
         for lo, hi in zip(bounds, bounds[1:]):
             lo, hi = max(lo, e0), min(hi, e1)
-            if lo < hi:
-                r0, r1 = out[lo], out[hi - 1]
-                rows = slice(r0, r1 + 1) if r1 - r0 == hi - lo - 1 else out[lo:hi]
-                acc[rows] += terms[lo - e0:hi - e0]
+            if lo >= hi:
+                continue
+            if run[lo] == run[hi - 1]:
+                # one operator: (K rho_j) K^dag for all j as one tall product
+                terms = (half[lo - e0:hi - e0].reshape(-1, d)
+                         @ k_dag[lo - e0]).reshape(-1, d, d)
+            else:
+                if stacked is None:
+                    stacked = half @ k_dag
+                terms = stacked[lo - e0:hi - e0]
+            r0, r1 = out[lo], out[hi - 1]
+            rows = slice(r0, r1 + 1) if r1 - r0 == hi - lo - 1 else out[lo:hi]
+            acc[rows] += terms
     tr = np.trace(acc, axis1=1, axis2=2).real
     keep = tr > PRUNE_TRACE
     if not keep.all():

@@ -236,6 +236,9 @@ def build_transport_chain(
     if abs(np.vdot(psi1, psi2)) > 1e-10:
         raise ValueError("psi1 and psi2 must be orthogonal")
     d = psi1.size
+    # built before the edges, so a count too large to build fails at once
+    # with MemoryError or OverflowError instead of filling memory
+    nodes = tuple(range(1, n_nodes + 1))
     forward = math.sqrt(q) * outer(psi2) + outer(psi1)
     convert = math.sqrt(p) * outer(psi1, psi2)
     transitions = {}
@@ -243,8 +246,7 @@ def build_transport_chain(
         transitions[(site, site + 1)] = forward
         transitions[(site, site)] = convert
     transitions[(n_nodes, n_nodes)] = np.eye(d, dtype=complex)
-    spec = WalkSpec(nodes=tuple(range(1, n_nodes + 1)), dim=d,
-                    transitions=transitions)
+    spec = WalkSpec(nodes=nodes, dim=d, transitions=transitions)
     return spec, mixed_state(1, d)
 
 

@@ -492,6 +492,7 @@ def test_main_rejects_out_of_range_values(capsys, command, argv, key):
 @pytest.mark.parametrize("argv,key", [
     (["--scenario", "line", "--set", "theta_cos=0.8"], "window"),
     (["--scenario", "dqc", "--set", "omega=0.5"], "T"),
+    (["--scenario", "transport", "--set", "sqrt_p=0.5"], "N"),
 ])
 @pytest.mark.parametrize("value", ["1000000000000000000000000000000",
                                    "1000000000000000000"])

@@ -421,6 +421,92 @@ def test_step_empty_state():
     assert not full.any()
 
 
+def blas_build() -> str:
+    """The BLAS numpy was built against, for failure messages."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy without the dict form
+        return f"numpy {np.__version__}"
+    return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 32])
+def test_tall_product_matches_per_matrix_product(dim):
+    # step() forms the (K rho_j) K^dag of a one-operator level as one
+    # tall [M_1; ...; M_n] @ K^dag. That keeps the engine's bits only if
+    # BLAS gives it the bits of the stacked per-matrix M_j @ K^dag.
+    rng = np.random.default_rng(dim)
+    ops = {"complex": rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
+           "real": rng.normal(size=(dim, dim)).astype(complex)}
+    for n in (1, 2, 3, 7, 16, 153, 400):
+        m = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+        zeros = rng.random(m.shape) < 0.2
+        m.real[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        m.imag[rng.random(m.shape) < 0.2] = -0.0
+        for label, op in ops.items():
+            k = np.repeat(op[None], n, axis=0)
+            k_dag = k.conj().transpose(0, 2, 1)  # the view step() passes
+            stacked = m @ k_dag
+            tall = (m.reshape(-1, dim) @ k_dag[0]).reshape(-1, dim, dim)
+            assert tall.tobytes() == stacked.tobytes(), (
+                f"tall and per-matrix M @ K^dag differ at d={dim}, n={n}, "
+                f"{label} K under {blas_build()}; step() would change bits")
+
+
+def test_spec_runs_of_equal_operators():
+    # _run numbers the runs of bytewise-equal rows of the operator stack
+    def byte_runs(spec):
+        rows = [op.tobytes() for op in spec._ops]
+        new = [k == 0 or rows[k] != rows[k - 1] for k in range(len(rows))]
+        return np.cumsum(new, dtype=np.intp) - 1
+
+    zero = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    neg_zero = zero.copy()
+    neg_zero[0, 0] = -0.0
+    assert np.array_equal(zero, neg_zero)  # equal values, other bytes
+    signed = WalkSpec(nodes=(1, 2, 3), dim=2, transitions={
+        (1, 2): zero, (2, 3): neg_zero, (3, 1): zero})
+    empty = WalkSpec(nodes=(1, 2), dim=2, transitions={})
+    cases = [(label, spec) for label, spec, _ in scenario_cases()]
+    for label, spec in [*cases, ("signed zero", signed), ("no edges", empty)]:
+        assert spec._run.shape == spec._src.shape, label
+        assert np.array_equal(spec._run, byte_runs(spec)), label
+    assert signed._run.tolist() == [0, 0, 1]  # stack (3->1), (1->2), (2->3)
+    assert empty._run.size == 0
+    assert step(empty, mixed_state(1, 2)).blocks == {}
+    state = WalkerState({2: outer(basis_ket(2, 0))})
+    for _ in range(4):
+        expected = reference_step(signed, state.blocks, PRUNE_TRACE)
+        state = step(signed, state)
+        assert_same_blocks(state.blocks, expected)
+
+
+def test_step_matches_reference_with_mixed_and_single_operator_levels():
+    # a ring where node i hops to i+1 and i+3 with one operator K, but
+    # edge 0->1 carries another: level 0 (each target's edge from its
+    # lower source) holds both operators, level 1 only K, and one chunk
+    # holds both levels, so a step takes the stacked and the tall path
+    rng = np.random.default_rng(17)
+    n = 8
+    k, other = (random_unitary(2, rng) / np.sqrt(2) for _ in range(2))
+    transitions = {}
+    for i in range(n):
+        transitions[(i, (i + 1) % n)] = other if i == 0 else k
+        transitions[(i, (i + 3) % n)] = k
+    spec = WalkSpec(nodes=tuple(range(n)), dim=2, transitions=transitions)
+    levels, runs = spec._levels.tolist(), spec._run
+    single = [bool(runs[lo] == runs[hi - 1]) for lo, hi in zip(levels, levels[1:])]
+    assert single == [False, True]
+    assert spec._src.size <= core._CHUNK_BYTES // (16 * spec.dim ** 2)
+    assert validate_walk(spec).ok
+    for occupied in (1, 3, n):
+        state = WalkerState(random_block_state(spec.nodes, 2, rng, occupied))
+        for _ in range(10):
+            expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+            state = step(spec, state)
+            assert_same_blocks(state.blocks, expected)
+
+
 def test_spec_copies_operators_once():
     rng = np.random.default_rng(9)
     b1, c1 = random_kraus_family(2, 2, rng)
