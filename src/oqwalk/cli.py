@@ -425,8 +425,9 @@ def emit_csv(records) -> Iterator[str]:
     """CSV text of (step, {node: probability}) records, a piece per record."""
     yield "step,node,probability\n"
     for step_index, occ in records:  # one %-format per snapshot, a row per node
-        yield (f"{step_index},%s,%.12f\n" * len(occ)) % tuple(
-            [x for item in occ.items() for x in item])
+        flat = [None] * (2 * len(occ))
+        flat[0::2], flat[1::2] = occ, occ.values()
+        yield (f"{step_index},%s,%.12f\n" * len(occ)) % tuple(flat)
 
 
 def emit_json(records) -> Iterator[str]:

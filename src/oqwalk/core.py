@@ -17,30 +17,36 @@ can never build up, so storage stays at O(V d^2) instead of O((V d)^2).
 
 A WalkSpec is compiled once into edge arrays: ``_src`` holds each
 edge's source position, ``_out`` its target's row in ``_targets``,
-``_run`` its row's run of bytewise-equal operators along the stack, and
-``_ops`` is the read-only (E, d, d) operator stack, the only copy of the
-operators (``transitions`` maps each edge to a view of its row), which
-``validate_walk`` also reads. Level j of the stack, one run of it,
-holds each target's j-th incoming edge by source position. A
-WalkerState has one form, compact rows: a node tuple, the ascending
+``_run`` its row's run of bytewise-equal operators along the stack,
+``_slot`` its index among its source's out-edges, and ``_ops`` is the
+read-only (E, d, d) operator stack (``transitions`` maps each edge to a
+view of its row), which ``validate_walk`` also reads. Level j of the
+stack, one run of it, holds each target's j-th incoming edge by source
+position. ``_fan``, built at the first step, is a second, read-only
+copy of the operators: row block s of its (V, D*d, d) array stacks node
+s's out-operators [K_1; ...; K_D] by slot, zero rows padding nodes of
+smaller out-degree.
+A WalkerState has one form, compact rows: a node tuple, the ascending
 positions of the occupied nodes in it, one (k, d, d) block stack and
 the k traces. A step forms the K rho K^dag products of the occupied
 sources with matmuls, adds the levels in order onto a -0.0 seed and
-returns rows over the spec's node tuple. K rho is one stacked matmul,
-one matrix per edge. A level slice whose edges share one operator (every
-site of a translation-invariant walk) forms its (K rho_j) K^dag as one
-tall product [K rho_1; ...; K rho_n] @ K^dag: BLAS sees the same shared
-operand as in the per-matrix products, only more rows of it, and gives
-the same bits (tests/test_core.py checks that premise by name). The
-other grouping, K [rho_1 ... rho_n], changes bits and is not used.
+returns rows over the spec's node tuple. A step whose products fit one
+chunk forms K rho as one [K_1; ...; K_D] rho per occupied source;
+larger steps form it one matrix per edge. A level slice whose edges
+share one operator (every site of a translation-invariant walk) forms
+its (K rho_j) K^dag as one tall product [K rho_1; ...; K rho_n] @ K^dag.
+Both tall products see the same shared operand as the per-matrix
+products, only more rows of the other one, and BLAS gives them the same
+bits (tests/test_core.py checks both premises by name). The other
+grouping, K [rho_1 ... rho_n], changes bits and is not used.
 ``iter_run`` yields a run's snapshots as it makes them, holding one
 state; ``run`` lists them.
 
-``find_steady_state`` is power iteration of ``step``. Each iteration
-forms the per-node Hermitian differences of its last two states once;
-half their summed Frobenius norms bound the trace distance from below,
-so the eigenvalues of the exact distance are computed only once that
-bound no longer rules convergence out.
+``find_steady_state`` is power iteration of ``step``. Half the summed
+differences of the stored per-node traces, less a rounding slack, bound
+the trace distance of the last two states from below, so the per-node
+differences and their eigenvalues are computed only once that bound no
+longer rules convergence out.
 
 The dense full-space map (``full_map_step``) implements the same
 dynamics on the complete V*d x V*d density matrix and is kept as a
@@ -50,6 +56,7 @@ brute-force cross-check of the block evolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterator
 
 import numpy as np
@@ -65,19 +72,40 @@ PRUNE_TRACE = 1e-15
 # Bytes of K rho K^dag products a step forms at once. Each chunk also
 # holds the gathered blocks, the adjoint operators and one partial
 # product of the same size, so the transient memory of a step stays
-# near 4x this whatever d and the edge count are.
+# near 4x this whatever d and the edge count are. A step whose occupied
+# sources' fan rows (k * D * d^2 entries) fit one chunk forms K rho per
+# source, from that one chunk-sized product; ``_fan`` is compiled only
+# when its zero padding also fits one chunk, so a node of far larger
+# out-degree than the rest does not cost O(V * D) stored operators.
 _CHUNK_BYTES = 1 << 17
 
 # Iteration cap of find_steady_state (and of ``oqw steady``).
 DEFAULT_MAX_ITER = 10 ** 6
 
-# find_steady_state skips the exact residual while the Frobenius lower
-# bound exceeds tol * (1 + _BOUND_MARGIN). The bound and the exact sum
-# each carry relative rounding of order 1e-15, and on rank-one block
-# differences (the dqc chain's) the two agree to that level, so the
-# margin must sit far above it for a skip never to pass over an iterate
-# whose computed residual is <= tol. A correctness constant, not a knob.
+# find_steady_state skips the exact residual while the trace bound
+# (_trace_bound) exceeds tol * (1 + _BOUND_MARGIN). On the dqc chain's
+# rank-one block differences the bound and the exact sum agree to
+# rounding, so a skip must never rest on a gap of rounding size. The
+# bound's slack (below) covers the absolute rounding of the stored
+# traces; this margin covers the relative errors of the exact side,
+# eigvalsh's (of order d * eps * |H_i|) and those of summing the
+# per-node terms. A correctness constant, not a knob.
 _BOUND_MARGIN = 1e-9
+
+# Rounding slack of the trace bound, in units of d * eps * (sum tr a +
+# sum tr b). For positive blocks a_i, b_i the stored trace difference
+# tr a_i - tr b_i (each trace a sum of d diagonal entries) differs from
+# the trace of the computed Hermitian difference H_i by at most about
+# (d + 1) * eps * (tr a_i + tr b_i), and half the trace norm of H_i,
+# half the sum of |lambda(H_i)|, is at least half |tr H_i|. So half the
+# summed |tr a_i - tr b_i|, less (d + 1) / 2 * eps * (sum tr a + sum tr
+# b), bounds the exact sum from below; 8 * d covers (d + 1) / 2 with a
+# wide margin. A relative margin alone cannot: near convergence
+# tr a_i - tr b_i cancels, so its rounding error is absolute (~1e-16 for
+# unit trace), while tol * _BOUND_MARGIN is ~1e-19 at tol = 1e-10. A
+# correctness constant, not a knob.
+_TRACE_SLACK = 8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -100,6 +128,7 @@ class WalkSpec:
     _ops: np.ndarray = field(init=False, repr=False, compare=False)
     _levels: np.ndarray = field(init=False, repr=False, compare=False)
     _run: np.ndarray = field(init=False, repr=False, compare=False)
+    _slot: np.ndarray = field(init=False, repr=False, compare=False)
     _targets: np.ndarray = field(init=False, repr=False, compare=False)
     _out: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -151,16 +180,41 @@ class WalkSpec:
         # targets are the output rows of a step with every node occupied
         levels = np.concatenate(([0], np.cumsum(np.bincount(rank))))
         targets = ts[rank == 0]
+        # each row's slot among its source's out-edges, in stack order
+        src = src[order]
+        by_src = np.argsort(src, kind="stable")
+        ss = src[by_src]
+        slot = np.empty_like(by_src)
+        slot[by_src] = np.arange(ss.size) - np.searchsorted(ss, ss)
         for name, value in (
                 ("nodes", nodes), ("transitions", views), ("_index", index),
-                ("_src", src[order]), ("_ops", ops), ("_levels", levels),
-                ("_run", np.cumsum(starts) - 1),
+                ("_src", src), ("_ops", ops), ("_levels", levels),
+                ("_run", np.cumsum(starts) - 1), ("_slot", slot),
                 ("_targets", targets), ("_out", np.searchsorted(targets, tgt[order]))):
             object.__setattr__(self, name, value)
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def _fan(self) -> np.ndarray | None:
+        """Read-only (V, D*d, d) stack whose row block s holds node s's
+        out-operators by slot, zero rows padding nodes of smaller
+        out-degree; None when that padding would exceed one chunk.
+
+        Built on the first step that reads it, so validating a spec
+        does not pay for it.
+        """
+        v, d = self.node_count, self.dim
+        width = int(self._slot.max(initial=-1)) + 1
+        if (v * width - self._slot.size) * 16 * d ** 2 > _CHUNK_BYTES:
+            return None
+        fan = np.zeros((v, width, d, d), dtype=complex)
+        fan[self._src, self._slot] = self._ops
+        fan = fan.reshape(v, width * d, d)
+        fan.setflags(write=False)
+        return fan
 
 
 @dataclass
@@ -194,15 +248,12 @@ def validate_walk(spec: WalkSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     |sum - I|, so a node with no outgoing edges has residual 1 (the zero
     map loses all probability).
     """
-    by_src = np.argsort(spec._src, kind="stable")
-    src = spec._src[by_src]
-    nth = np.arange(src.size) - np.searchsorted(src, src)  # among its source's edges
-    order = by_src[np.argsort(nth, kind="stable")]  # level j: each source's j-th edge
+    order = np.argsort(spec._slot, kind="stable")  # level j: each source's j-th edge
     ops, src = spec._ops[order], spec._src[order]
     terms = ops.conj().transpose(0, 2, 1) @ ops
     sums = np.zeros((spec.node_count, spec.dim, spec.dim), dtype=complex)
     # one indexed add per level: a level's sources are distinct
-    bounds = np.cumsum(np.bincount(nth)).tolist()
+    bounds = np.cumsum(np.bincount(spec._slot)).tolist()
     for lo, hi in zip([0, *bounds], bounds):
         sums[src[lo:hi]] += terms[lo:hi]
     residuals = np.abs(sums - np.eye(spec.dim)).max(axis=(1, 2))
@@ -291,30 +342,43 @@ def mixed_state(node: Node, dim: int) -> WalkerState:
     return WalkerState({node: np.eye(dim, dtype=complex) / dim})
 
 
-def _hermitian_diff(a: WalkerState, b: WalkerState) -> np.ndarray:
-    """The per-node Hermitian parts (D + D^dag)/2 of a - b, stacked in the
-    order state_trace_distance adds them; missing blocks count as zero.
+def _aligned(a: WalkerState, b: WalkerState) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of a's and b's rows in one shared node order.
 
-    Two states that occupy the same nodes in the same order (successive
-    steps once the occupied set stops changing) subtract their stacks
-    directly, which has the bits of the zero-fill path below.
+    States over one node tuple (successive steps) keep their positions;
+    otherwise a's nodes come first, in a's order, then the nodes only b
+    occupies.
     """
     if a._nodes is b._nodes:
-        pa, pb = a._pos, b._pos
-    else:
-        shared = {n: k for k, n in enumerate(dict.fromkeys(
-            [*a._labels(), *b._labels()]))}
-        pa = np.arange(a._pos.size)
-        pb = np.fromiter(map(shared.__getitem__, b._labels()), dtype=np.intp,
-                         count=b._pos.size)
+        return a._pos, b._pos
+    shared = {n: k for k, n in enumerate(dict.fromkeys(
+        [*a._labels(), *b._labels()]))}
+    return np.arange(a._pos.size), np.fromiter(
+        map(shared.__getitem__, b._labels()), dtype=np.intp, count=b._pos.size)
+
+
+def _difference(pa: np.ndarray, pb: np.ndarray, x: np.ndarray,
+                y: np.ndarray) -> np.ndarray:
+    """x - y row by row over the union of the positions pa (x's rows) and
+    pb (y's rows), in position order; a missing row counts as zero.
+
+    Equal positions subtract the stacks directly, which has the bits of
+    the zero-fill path below.
+    """
+    if pa is pb or np.array_equal(pa, pb):
+        return x - y
+    union = np.union1d(pa, pb)
+    diff = np.zeros((union.size, *x.shape[1:]), dtype=x.dtype)
+    diff[np.searchsorted(union, pa)] = x
+    diff[np.searchsorted(union, pb)] -= y
+    return diff
+
+
+def _hermitian_diff(a: WalkerState, b: WalkerState) -> np.ndarray:
+    """The per-node Hermitian parts (D + D^dag)/2 of a - b, stacked in the
+    order state_trace_distance adds them; missing blocks count as zero."""
     d = max(a._rho.shape[1], b._rho.shape[1])
-    if np.array_equal(pa, pb):
-        diff = a._stack(d) - b._stack(d)
-    else:
-        union = np.union1d(pa, pb)
-        diff = np.zeros((union.size, d, d), dtype=complex)
-        diff[np.searchsorted(union, pa)] = a._stack(d)
-        diff[np.searchsorted(union, pb)] -= b._stack(d)
+    diff = _difference(*_aligned(a, b), a._stack(d), b._stack(d))
     # blocks are Hermitian by contract; step() leaves rounding-level
     # anti-Hermitian parts, which the distance ignores
     return (diff + diff.conj().transpose(0, 2, 1)) / 2
@@ -330,11 +394,16 @@ def _trace_norm_sum(herm: np.ndarray) -> float:
     return total
 
 
-def _frobenius_bound(herm: np.ndarray) -> float:
-    """Half the sum of the blocks' Frobenius norms: a lower bound on
-    _trace_norm_sum, since sum |lambda| >= sqrt(sum lambda^2) for each
-    Hermitian block."""
-    return 0.5 * float(np.linalg.norm(herm, axis=(1, 2)).sum())
+def _trace_bound(a: WalkerState, b: WalkerState, dim: int) -> float:
+    """A lower bound on state_trace_distance(a, b) from the stored traces.
+
+    Half the summed |tr a_i - tr b_i| over the nodes either state
+    occupies, less the rounding slack _TRACE_SLACK * dim * eps *
+    (sum tr a + sum tr b); holds for positive blocks of dimension dim.
+    """
+    gap = _difference(*_aligned(a, b), a._tr, b._tr)
+    slack = _TRACE_SLACK * dim * _EPS * (a.total_trace() + b.total_trace())
+    return 0.5 * float(np.abs(gap).sum()) - slack
 
 
 def state_trace_distance(a: WalkerState, b: WalkerState) -> float:
@@ -373,16 +442,23 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
     edges of K rho K^dag, accumulated in ascending source position onto
     a -0.0 seed (an exact additive identity, so each block has the bits
     of its terms added in that order, signed zeros included). Only
-    edges whose source is occupied are evaluated. K rho is formed one
-    matrix per edge; where all edges of a level's slice carry one
-    operator, their (K rho) K^dag is one tall product, which has the
-    bits of the per-matrix products, and other slices take theirs from
-    one stacked product per chunk. Blocks whose trace falls below
-    PRUNE_TRACE are dropped.
+    edges whose source is occupied are evaluated. When the occupied
+    sources' rows of the fan fit one chunk, each source's K rho for all
+    its out-edges is one product [K_1; ...; K_D] rho; otherwise K rho is
+    formed one matrix per edge, chunk by chunk. Where all edges of a
+    level's slice carry one operator, their (K rho) K^dag is one tall
+    product, and other slices take theirs from one stacked product per
+    chunk. Both tall products have the bits of the per-matrix products.
+    Blocks whose trace falls below PRUNE_TRACE are dropped.
     """
     pos, rho = _rows(spec, state)
     ops, src, levels, run = spec._ops, spec._src, spec._levels, spec._run
-    targets, out = spec._targets, spec._out
+    slot, fan, targets, out = spec._slot, spec._fan, spec._targets, spec._out
+    d = spec.dim
+    per_chunk = max(1, _CHUNK_BYTES // (16 * d ** 2))
+    # the occupied sources' rows of the fan fit one chunk, so the used
+    # edges do too
+    fanned = fan is not None and pos.size * fan.shape[1] <= per_chunk * d
     if pos.size < spec.node_count:
         # each edge's source as a row of rho (-1: source unoccupied)
         row_of = np.full(spec.node_count, -1, dtype=np.intp)
@@ -390,21 +466,25 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
         src = row_of[src]
         used = np.flatnonzero(src >= 0)
         if used.size < src.size:
-            ops, src, run = ops[used], src[used], run[used]
+            ops, src, slot, run = ops[used], src[used], slot[used], run[used]
             levels = np.searchsorted(used, levels)
             # the reached targets, and each used edge's row among them
             out = out[used]
             reached = np.bincount(out, minlength=targets.size) > 0
             targets, out = targets[reached], (np.cumsum(reached) - 1)[out]
-    d = spec.dim
     acc = np.full((targets.size, d, d), complex(-0.0, -0.0))
-    per_chunk = max(1, _CHUNK_BYTES // (16 * d ** 2))
     bounds = levels.tolist()
     for e0 in range(0, src.size, per_chunk):
         e1 = min(e0 + per_chunk, src.size)
         k = ops[e0:e1]
         k_dag = k.conj().transpose(0, 2, 1)
-        half = k @ rho[src[e0:e1]]
+        if fanned:
+            # the one chunk: each source's [K_1; ...; K_D] rho, and each
+            # edge's K rho at its source's row times D plus its slot
+            fans = fan if pos.size == spec.node_count else fan[pos]
+            half = (fans @ rho).reshape(-1, d, d)[src * (fan.shape[1] // d) + slot]
+        else:
+            half = k @ rho[src[e0:e1]]
         stacked = None
         # the chunk's share of each level, in level order; a level has
         # distinct targets, and a run of consecutive rows is a slice
@@ -478,13 +558,14 @@ def find_steady_state(spec: WalkSpec, initial: WalkerState,
     predecessor (state_trace_distance) is <= tol, with the number of
     steps applied; after max_iter steps without that, the last iterate.
 
-    Each iteration forms the per-node Hermitian differences once. Half
-    the sum of their Frobenius norms is a lower bound on the trace
-    distance; while it exceeds tol by more than the relative margin
-    _BOUND_MARGIN the iterate cannot have converged, and the
-    eigenvalues are skipped. Otherwise, and on the last allowed
-    iteration, the exact distance is computed from the same stack, so
-    ``residual`` is always state_trace_distance of the last two states.
+    Each iteration first bounds the trace distance from below with the
+    stored per-node traces (_trace_bound: half the summed trace
+    differences, less a rounding slack). While that bound exceeds tol by
+    more than the relative margin _BOUND_MARGIN the iterate cannot have
+    converged, and the per-node differences and their eigenvalues are
+    skipped. Otherwise, and on the last allowed iteration, the exact
+    distance is computed, so ``residual`` is always state_trace_distance
+    of the last two states.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -493,9 +574,8 @@ def find_steady_state(spec: WalkSpec, initial: WalkerState,
     residual = float("inf")
     for n in range(1, max_iter + 1):
         nxt = step(spec, state)
-        herm = _hermitian_diff(nxt, state)
-        if n == max_iter or _frobenius_bound(herm) <= skip_above:
-            residual = _trace_norm_sum(herm)
+        if n == max_iter or _trace_bound(nxt, state, spec.dim) <= skip_above:
+            residual = state_trace_distance(nxt, state)
             if residual <= tol:
                 return SteadyStateResult(nxt, n, True, residual)
         state = nxt

@@ -434,7 +434,8 @@ def blas_build() -> str:
 def test_tall_product_matches_per_matrix_product(dim):
     # step() forms the (K rho_j) K^dag of a one-operator level as one
     # tall [M_1; ...; M_n] @ K^dag. That keeps the engine's bits only if
-    # BLAS gives it the bits of the stacked per-matrix M_j @ K^dag.
+    # BLAS gives it the bits of the stacked per-matrix M_j @ K^dag. The
+    # second half checks the same premise in the other orientation.
     rng = np.random.default_rng(dim)
     ops = {"complex": rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
            "real": rng.normal(size=(dim, dim)).astype(complex)}
@@ -451,6 +452,26 @@ def test_tall_product_matches_per_matrix_product(dim):
             assert tall.tobytes() == stacked.tobytes(), (
                 f"tall and per-matrix M @ K^dag differ at d={dim}, n={n}, "
                 f"{label} K under {blas_build()}; step() would change bits")
+    # A one-chunk step forms each source's K rho for its D out-edges as
+    # one [K_1; ...; K_D] @ rho, which must have the bits of the
+    # per-edge K_j @ rho it replaces.
+    for width in (1, 2, 3, 4):
+        for n in (1, 2, 21):
+            fan = (rng.normal(size=(n, width * dim, dim))
+                   + 1j * rng.normal(size=(n, width * dim, dim)))
+            fan.real[rng.random(fan.shape) < 0.2] = -0.0
+            fan.imag[rng.random(fan.shape) < 0.2] = 0.0
+            fan[:, -dim:].imag[...] = 0.0  # a real operator among them
+            rho = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+            zeros = rng.random(rho.shape) < 0.2
+            rho.real[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+            rho.imag[rng.random(rho.shape) < 0.2] = -0.0
+            per_source = (fan @ rho).reshape(-1, dim, dim)
+            per_edge = fan.reshape(-1, dim, dim) @ np.repeat(rho, width, axis=0)
+            assert per_source.tobytes() == per_edge.tobytes(), (
+                f"per-source [K_1; ...; K_D] @ rho and per-edge K_j @ rho "
+                f"differ at d={dim}, D={width}, n={n} under {blas_build()}; "
+                f"step() would change bits")
 
 
 def test_spec_runs_of_equal_operators():
@@ -505,6 +526,98 @@ def test_step_matches_reference_with_mixed_and_single_operator_levels():
             expected = reference_step(spec, state.blocks, PRUNE_TRACE)
             state = step(spec, state)
             assert_same_blocks(state.blocks, expected)
+
+
+def test_spec_fans_out_operators_by_source():
+    # row block s of _fan stacks node s's out-operators by slot, the
+    # slot of an edge being its index among its source's out-edges in
+    # stack order; nodes of smaller out-degree are padded with zeros
+    rng = np.random.default_rng(23)
+    from oqwalk.scenarios import build_transport_chain
+
+    mixed = random_graph_spec(rng, 8, 3)
+    cases = [(label, spec) for label, spec, _ in scenario_cases()]
+    cases += [("random", mixed), ("transport", build_transport_chain(50, 0.64)[0]),
+              ("no edges", WalkSpec(nodes=(1, 2), dim=2, transitions={}))]
+    for label, spec in cases:
+        d, v = spec.dim, spec.node_count
+        out_degree = np.bincount(spec._src, minlength=v)
+        width = int(out_degree.max(initial=0))
+        fan = spec._fan
+        assert fan.shape == (v, width * d, d), label
+        assert not fan.flags.writeable, label
+        blocks = fan.reshape(v, width, d, d)
+        seen = Counter()
+        for row, (src, op) in enumerate(zip(spec._src.tolist(), spec._ops)):
+            assert spec._slot[row] == seen[src], label
+            assert blocks[src, seen[src]].tobytes() == op.tobytes(), label
+            seen[src] += 1
+        for node in range(v):
+            assert not blocks[node, out_degree[node]:].any(), label
+    # the random graph's sink has no out-edges: a block of zeros only
+    assert mixed._fan.shape[1] > 0 and not mixed._fan[-1].any()
+
+
+def test_spec_without_fan_when_padding_exceeds_a_chunk():
+    # a hub with far more out-edges than the other nodes would pad every
+    # node to its out-degree; past one chunk of padding there is no fan
+    # and every step forms K rho one matrix per edge
+    rng = np.random.default_rng(31)
+    leaves = 70
+    transitions = {(0, leaf): k for leaf, k in zip(
+        range(1, leaves + 1), random_kraus_family(2, leaves, rng))}
+    transitions.update({(leaf, leaf): np.eye(2) for leaf in range(1, leaves + 1)})
+    transitions[(1, 0)] = transitions.pop((1, 1))  # weight returns to the hub
+    spec = WalkSpec(nodes=tuple(range(leaves + 1)), dim=2, transitions=transitions)
+    padding = (spec.node_count * leaves - spec._src.size) * 16 * 2 ** 2
+    assert padding > core._CHUNK_BYTES and spec._fan is None
+    assert validate_walk(spec).ok
+    state = WalkerState(random_block_state((0, 1, 5), 2, rng))
+    for _ in range(6):
+        expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+        state = step(spec, state)
+        assert_same_blocks(state.blocks, expected)
+
+
+def fan_cases():
+    """(label, spec, initial states) for the per-source K rho path: mixed
+    out-degrees with a sink (padding), the transport chain, no edges."""
+    from oqwalk.scenarios import build_transport_chain
+
+    rng = np.random.default_rng(29)
+    cases = []
+    for dim in (1, 2, 3):
+        spec = random_graph_spec(rng, 8, dim)
+        cases.append((f"random d={dim}", spec, [WalkerState(random_block_state(
+            spec.nodes, dim, rng, occupied=k)) for k in (1, 3, 8)]))
+    spec, initial = build_transport_chain(50, 0.64)
+    cases.append(("transport", spec, [initial, mixed_state(50, 2)]))
+    empty = WalkSpec(nodes=(1, 2, 3), dim=2, transitions={})
+    cases.append(("no edges", empty, [mixed_state(2, 2), WalkerState({})]))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", ["default", "tiny"])
+def test_step_matches_reference_per_source_and_per_edge(monkeypatch, chunk):
+    # at the default chunk every step here forms K rho per occupied
+    # source; at a one-edge chunk none does, and both must keep the bits
+    cases = fan_cases()
+    # the fan is built at first use: build it at the default chunk
+    assert all(spec._fan is not None for _, spec, _ in cases)
+    if chunk == "tiny":
+        monkeypatch.setattr(core, "_CHUNK_BYTES", 16)
+    for label, spec, states in cases:
+        d = spec.dim
+        per_chunk = max(1, core._CHUNK_BYTES // (16 * d ** 2))
+        for state in states:
+            for _ in range(12):
+                fits = len(state.blocks) * spec._fan.shape[1] <= per_chunk * d
+                # an empty state or a spec without edges has no product
+                assert fits == (chunk == "default" or not state.blocks
+                                or not spec._src.size), label
+                expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+                state = step(spec, state)
+                assert_same_blocks(state.blocks, expected)
 
 
 def test_spec_copies_operators_once():
@@ -703,13 +816,17 @@ def steady_cases():
         *[(f"dqc omega={omega} T={t}", *build_dqc_chain(
             [random_unitary(2, rng) for _ in range(t)], omega))
           for omega in (0.5, 0.8) for t in (5, 20)],
+        # occupied rows that change while the loop runs
+        ("transport N=50", *build_transport_chain(50, 0.8 ** 2)),
+        ("dqc omega=0.05 T=12", *build_dqc_chain(
+            [random_unitary(2, rng) for _ in range(12)], 0.05)),
     ]
 
 
 @pytest.mark.parametrize("spec,initial", [
     pytest.param(spec, initial, id=label) for label, spec, initial in steady_cases()])
 def test_find_steady_state_matches_plain_loop(spec, initial):
-    # skipping the eigenvalues while the Frobenius bound rules out
+    # skipping the exact residual while the trace bound rules out
     # convergence changes nothing: same stop, same residual and blocks
     state, iterations, converged, residuals = plain_steady_loop(
         spec, initial, 1e-10, 5000)
@@ -723,9 +840,9 @@ def test_find_steady_state_matches_plain_loop(spec, initial):
 @pytest.mark.parametrize("omega,t_final", [(0.5, 5), (0.8, 20)])
 def test_find_steady_state_stops_where_bound_meets_tol(omega, t_final):
     # tol is an exact residual of the plain loop, at the iteration where
-    # the bound is closest to it (the dqc chain's block differences are
-    # rank one, so the two agree to rounding and the bound may even be
-    # the larger): only the margin keeps the loop from passing over it
+    # the trace bound is closest to it (the dqc chain's block differences
+    # are rank one, so the two agree to rounding, the bound below by its
+    # slack): the loop must not pass over that iteration
     from oqwalk.scenarios import build_dqc_chain
 
     rng = np.random.default_rng(8)
@@ -734,9 +851,8 @@ def test_find_steady_state_stops_where_bound_meets_tol(omega, t_final):
     ratios, residuals, state = [], [], initial
     while not residuals or residuals[-1] > 1e-10:
         nxt = step(spec, state)
-        herm = core._hermitian_diff(nxt, state)
-        ratios.append(core._frobenius_bound(herm) / core._trace_norm_sum(herm))
         residuals.append(state_trace_distance(nxt, state))
+        ratios.append(core._trace_bound(nxt, state, spec.dim) / residuals[-1])
         state = nxt
     k = int(np.argmax(ratios))
     assert abs(ratios[k] - 1) < 1e-12
@@ -748,6 +864,22 @@ def test_find_steady_state_stops_where_bound_meets_tol(omega, t_final):
     assert (result.iterations, result.converged) == (iterations, True)
     assert result.residual == residuals[-1]
     assert_same_blocks(result.state.blocks, state.blocks)
+
+
+def test_find_steady_state_computes_exact_residual_once(monkeypatch):
+    # on the dqc chain the trace bound rules out every iteration but the
+    # last, so the eigenvalues are computed once per run
+    from oqwalk.scenarios import build_dqc_chain
+
+    rng = np.random.default_rng(3)
+    spec, initial = build_dqc_chain([random_unitary(2, rng) for _ in range(20)], 0.5)
+    calls = []
+    exact = core._trace_norm_sum
+    monkeypatch.setattr(core, "_trace_norm_sum", lambda herm: calls.append(
+        herm.shape) or exact(herm))
+    result = find_steady_state(spec, initial)
+    assert result.converged and result.iterations > 1000
+    assert calls == [(21, 2, 2)]
 
 
 def test_find_steady_state_tol_validation():
@@ -801,35 +933,52 @@ def rows_state(nodes: tuple, pos, rho) -> WalkerState:
                                   np.trace(rho, axis1=1, axis2=2).real)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_frobenius_bound_never_exceeds_trace_distance(dim):
-    # sum |lambda| >= sqrt(sum lambda^2) per Hermitian block, so half the
-    # summed Frobenius norms bound the distance from below; a rank-one
-    # difference meets the bound, so there the two agree to rounding
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 32])
+def test_trace_bound_never_exceeds_trace_distance(dim):
+    # half the trace norm of a Hermitian block is at least half the size
+    # of its trace, so half the summed trace differences, less the
+    # rounding slack, bound the distance from below; differences that
+    # are semidefinite (rank one here) meet it up to rounding
     rng = np.random.default_rng(50 + dim)
     nodes = tuple(range(10))
     for trial in range(40):
         pos = np.sort(rng.choice(10, size=6, replace=False))
-        a = np.array([random_density(dim, rng) / 6 for _ in pos])
-        if trial % 4 == 0:  # differing supports
-            other = np.sort(rng.choice(10, size=5, replace=False))
-            b = rows_state(nodes, other, [random_density(dim, rng) / 5
+        weight = rng.uniform(0.1, 3.0)  # total trace not 1
+        a = np.array([random_density(dim, rng) * weight / 6 for _ in pos])
+        kind = trial % 6
+        if kind == 0:  # disjoint rows
+            other = np.setdiff1d(np.arange(10), pos)[:3]
+            b = rows_state(nodes, other, [random_density(dim, rng) / 3
                                           for _ in other])
-        elif trial % 4 == 1:  # rank-one differences
+        elif kind == 1:  # overlapping rows
+            other = np.sort(rng.choice(10, size=5, replace=False))
+            b = rows_state(nodes, other, [random_density(dim, rng) * weight / 5
+                                          for _ in other])
+        elif kind == 2:  # equal rows, positive rank-one differences
             kets = rng.normal(size=(pos.size, dim, 2)) @ [1, 1j]
-            scale = rng.normal(size=(pos.size, 1, 1)) / 50
-            b = rows_state(nodes, pos, a + scale * np.einsum(
+            kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+            size = 10.0 ** rng.uniform(-15, -1)
+            b = rows_state(nodes, pos, a + size * np.einsum(
                 "ki,kj->kij", kets, kets.conj()))
-        else:  # same support, slightly non-Hermitian as step() leaves it
+        elif kind == 3:  # equal rows, other blocks, slightly non-Hermitian
             noise = rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)
-            b = rows_state(nodes, pos, [random_density(dim, rng) / 6
+            b = rows_state(nodes, pos, [random_density(dim, rng) * weight / 6
                                         for _ in pos] + 1e-17 * noise)
+        elif kind == 4:  # equal rows, blocks equal up to the last bits
+            b = rows_state(nodes, pos, a * (1 + 4e-16 * rng.normal(size=(6, 1, 1))))
+        else:  # a's blocks, and one more row that only b occupies
+            extra = np.setdiff1d(np.arange(10), pos)[trial % 4]
+            b = rows_state(nodes, np.sort([*pos, extra]), [
+                *a[pos < extra], random_density(dim, rng) * 1e-3, *a[pos > extra]])
         a = rows_state(nodes, pos, a)
-        exact = state_trace_distance(a, b)
-        bound = core._frobenius_bound(core._hermitian_diff(a, b))
-        assert bound <= exact * (1 + 1e-13)
-        if dim > 1 and trial % 4 != 1:  # a 1x1 difference is rank one
-            assert bound < exact
+        for x, y in ((a, b), (b, a)):
+            exact = state_trace_distance(x, y)
+            bound = core._trace_bound(x, y, dim)
+            assert bound <= exact
+            slack = core._TRACE_SLACK * dim * core._EPS * (
+                x.total_trace() + y.total_trace())
+            if kind in (2, 5):  # tight up to rounding of the order of the slack
+                assert exact - bound <= 2 * slack + 1e-12 * exact
         # same positions take the direct subtraction, which must give
         # the bits of filling a zero stack over the union of positions
         union = np.union1d(a._pos, b._pos)
@@ -838,10 +987,13 @@ def test_frobenius_bound_never_exceeds_trace_distance(dim):
         diff[np.searchsorted(union, b._pos)] -= b._rho
         herm = (diff + diff.conj().transpose(0, 2, 1)) / 2
         assert core._hermitian_diff(a, b).tobytes() == herm.tobytes()
-        if trial % 4:  # same support under a copy of the node tuple
+        if kind > 1:  # b under a copy of the node tuple
             copy = rows_state(tuple(list(nodes)), b._pos, b._rho)
             assert copy._nodes is not a._nodes
-            assert state_trace_distance(a, copy) == exact
+            assert state_trace_distance(a, copy) == state_trace_distance(a, b)
+            assert core._trace_bound(a, copy, dim) == core._trace_bound(a, b, dim)
+    # equal states: the bound is the negative slack
+    assert core._trace_bound(a, a, dim) < 0 == state_trace_distance(a, a)
 
 
 def test_walker_state_rejects_mixed_dimensions():
