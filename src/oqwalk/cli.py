@@ -4,7 +4,8 @@ Subcommands:
 
 * ``oqw validate <config>``  build the scenario and print the per-node
   completeness report, or write it to ``-o`` (exit 1 when rejected)
-* ``oqw run <config>``       evolve and stream occupation trajectories
+* ``oqw run <config>``       evolve and stream occupation trajectories;
+  only ``run`` takes ``--steps``, ``--record-every`` and ``--format``
 * ``oqw steady <config>``    iterate to the fixed point and emit a JSON
   report (exit 2 when the walk never settles, which is the expected
   outcome for the line walk)
@@ -20,8 +21,9 @@ environment variable OQW_TOL overrides the default tolerance 1e-10.
 
 Each ``SCENARIOS`` entry holds a scenario's parameters (spellings,
 typed parsers, defaults) and an adapter that calls its builder, which
-owns the range checks. Bad input raises ``ConfigError``, which ``main``
-prints as one ``error:`` line with exit status 1.
+owns the range checks. Bad input raises ``ConfigError``. It, a usage
+error and a walk that ``run`` or ``steady`` rejects each print one
+``error:`` line with exit status 1.
 """
 
 from __future__ import annotations
@@ -447,13 +449,12 @@ def execute(cfg: RunConfig) -> int:
     try:
         plan = build_plan(cfg)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _fail(exc)
     report = validate_walk(plan.spec, tol=cfg.tol)
-    if not report.ok:
-        print("walk validation failed:", file=sys.stderr)
-        print(str(report), file=sys.stderr)
-        return EXIT_INVALID
+    if not report.ok:  # the per-node report is what `oqw validate` prints
+        node = max(report.residuals, key=report.residuals.get)
+        return _fail(f"walk validation failed: node {node!r} has residual "
+                     f"{report.residuals[node]:.3e} > tol {cfg.tol:g}")
 
     if cfg.mode == "run":
         records = ((k, state.traces(plan.spec.nodes)) for k, state in iter_run(
@@ -490,31 +491,21 @@ def _write_output(pieces: Iterable[str], output: str | None) -> int:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _fail(f"cannot write output: {exc}")
     return EXIT_OK
 
 
+def _fail(message) -> int:
+    """Print `message` as the one ``error:`` line of an exit 1, newlines
+    escaped: it may quote a key or an argument as the user typed it."""
+    print("error: " + str(message).replace("\n", "\\n"), file=sys.stderr)
+    return EXIT_INVALID
+
+
 class _Parser(argparse.ArgumentParser):
-    # usage problems are configuration errors: exit 1, not argparse's 2
+    # a usage error is a configuration error: exit 1, not argparse's 2
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
-
-
-def _add_common(sub):
-    sub.add_argument("config", nargs="?", default=None,
-                     help="JSON configuration file, or '-' for stdin")
-    sub.add_argument("--scenario", help="scenario name (quick mode)")
-    sub.add_argument("--set", dest="assignments", action="append", default=[],
-                     metavar="KEY=VALUE",
-                     help="scenario parameter (repeatable); values parsed as JSON")
-    sub.add_argument("--steps", type=int, default=None)
-    sub.add_argument("--record-every", type=int, default=None)
-    sub.add_argument("--output", "-o", default=None)
-    sub.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                     default=None)
+        raise SystemExit(_fail(message))
 
 
 def _document_from_args(args) -> dict:
@@ -543,8 +534,8 @@ def _document_from_args(args) -> dict:
             doc[key] = json.loads(raw)
         except json.JSONDecodeError:
             doc[key] = raw
-    for key, value in (("steps", args.steps), ("record_every", args.record_every),
-                       ("output", args.output), ("format", args.fmt)):
+    for key in ("steps", "record_every", "output", "format"):
+        value = getattr(args, key, None)  # only `run` has all four flags
         if value is not None:
             doc[key] = value
     return doc
@@ -558,7 +549,17 @@ def main(argv=None) -> int:
                        ("run", "evolve and emit occupation trajectories"),
                        ("steady", "iterate to the steady state")):
         sub = subs.add_parser(name, help=desc)
-        _add_common(sub)
+        sub.add_argument("config", nargs="?", default=None,
+                         help="JSON configuration file, or '-' for stdin")
+        sub.add_argument("--scenario", help="scenario name (quick mode)")
+        sub.add_argument("--set", dest="assignments", action="append",
+                         default=[], metavar="KEY=VALUE", help="scenario "
+                         "parameter (repeatable); values parsed as JSON")
+        sub.add_argument("--output", "-o", default=None)
+        if name == "run":  # run settings that `validate` and `steady` never read
+            sub.add_argument("--steps", type=int, default=None)
+            sub.add_argument("--record-every", type=int, default=None)
+            sub.add_argument("--format", choices=("csv", "json"), default=None)
     subs.add_parser("scenarios", help="list scenarios and parameters")
 
     args = parser.parse_args(argv)
@@ -581,8 +582,7 @@ def main(argv=None) -> int:
             status = _write_output([str(report) + "\n"], args.output)
             return status if report.ok else EXIT_INVALID
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _fail(exc)
     return execute(cfg)
 
 

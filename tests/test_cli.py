@@ -18,6 +18,7 @@ from oqwalk.cli import (
     main,
     parse_config,
 )
+from oqwalk.core import validate_walk
 from oqwalk.scenarios import SCENARIO_NAMES
 
 
@@ -560,10 +561,11 @@ def test_main_scenarios_follow_registry(capsys):
 def test_main_probability_spellings_same_bytes(tmp_path, mode):
     # p = 1/4, q = 3/4 and sqrt_p = 1/2 are exact in binary
     outputs = []
+    steps = ["--steps", "5"] if mode == "run" else []
     for assignment in ("p=0.25", "q=0.75", "sqrt_p=0.5"):
         out = tmp_path / assignment
         assert main([mode, "--scenario", "gate", "--set", "gate=X",
-                     "--set", assignment, "--steps", "5", "-o", str(out)]) == 0
+                     "--set", assignment, *steps, "-o", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
 
@@ -574,3 +576,74 @@ def test_main_steps_flag_overrides_invalid_config_steps(tmp_path):
                                    "steps": -1})
     assert main(["run", path, "--steps", "2", "-o", str(out)]) == 0
     assert "2,2,0.564800000000" in out.read_text()
+
+
+def exit_status(argv) -> int:
+    """main's exit status, also when argparse exits through SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("flag", [["--steps", "5"], ["--record-every", "2"],
+                                  ["--format", "csv"]])
+def test_main_run_only_flags(tmp_path, capsys, flag):
+    # validate and steady read no run settings, so they refuse the flags
+    argv = ["--scenario", "gate", "--set", "gate=X", "--set", "p=0.5", *flag]
+    out = tmp_path / "out"
+    for command in ("validate", "steady"):
+        assert exit_status([command, *argv, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unrecognized arguments: ")
+        assert captured.err.count("\n") == 1 and flag[0] in captured.err
+        assert not out.exists()
+    assert main(["run", *argv, "-o", str(out)]) == 0
+    assert out.read_text().startswith("step,node,probability\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "line", "--set", "theta_cos=0.8", "--steps", "abc"],
+    ["run", "--scenario", "line", "--set", "theta_cos=0.8", "--format", "xml"],
+    ["run", "--scenario", "line", "--set", "theta_cos=0.8", "--bogus\nflag"],
+    ["run", "--scenario", "line", "--set", "theta_cos=0.8", "--set", "a\nb=1"],
+    ["walk"],
+    [],
+])
+def test_main_usage_and_config_errors_print_one_line(capsys, argv):
+    assert exit_status(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"scenario": "gate", "gate": "H", "p": 0.3},
+    {"scenario": "state_prep"},
+    {"scenario": "transport", "N": 5, "p": 0.5},
+])
+def test_main_rejected_walk_names_worst_node(tmp_path, capsys, doc):
+    # run and steady give one line naming the worst node; validate keeps
+    # the full per-node report as its output, with an empty stderr
+    doc = {**doc, "tol": 1e-300}
+    argv = ["--scenario", doc["scenario"]]
+    for key, value in doc.items():
+        argv += [] if key == "scenario" else ["--set", f"{key}={json.dumps(value)}"]
+    report = validate_walk(build_plan(parse_config(doc)).spec, tol=1e-300)
+    residuals = report.residuals
+    # the first node in report order with the largest residual
+    worst = next(node for node, r in residuals.items()
+                 if r == max(residuals.values()))
+    assert residuals[worst] > 1e-300
+    for command in ("run", "steady"):
+        out = tmp_path / command
+        assert main([command, *argv, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            f"error: walk validation failed: node {worst!r} has residual "
+            f"{residuals[worst]:.3e} > tol 1e-300\n")
+    assert main(["validate", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out == f"{report}\n"
