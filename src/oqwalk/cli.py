@@ -16,14 +16,15 @@ stdin) with the scenario name, its parameters and the run settings,
 e.g. ``{"scenario": "line", "theta_cos": 0.8, "steps": 100}``. The
 ``--scenario``/``--set KEY=VALUE`` flags (VALUE parsed as JSON, else
 kept as a string) build the same document from the command line;
-``--set`` also overrides keys of a config file. The
-environment variable OQW_TOL overrides the default tolerance 1e-10.
+``--set`` also overrides keys of a config file; ``tol`` (default
+1e-10) comes only from the configuration, like every other setting.
 
 Each ``SCENARIOS`` entry holds a scenario's parameters (spellings,
 typed parsers, defaults) and an adapter that calls its builder, which
-owns the range checks. Bad input raises ``ConfigError``. It, a usage
-error and a walk that ``run`` or ``steady`` rejects each print one
-``error:`` line with exit status 1.
+owns the range checks. Bad input and usage errors raise
+``ConfigError``. It and a walk that ``run`` or ``steady`` rejects each
+print one ``error:`` line with exit status 1. ``main(argv)`` returns
+every exit status; only ``-h`` leaves through ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -72,7 +72,6 @@ from .linalg import (
 )
 from .scenarios import (
     BELL_NODE_STATES,
-    SCENARIO_NAMES,
     build_bell_grid,
     build_dqc_chain,
     build_gate_walk,
@@ -237,16 +236,11 @@ def parse_config(doc) -> RunConfig:
     """Validate a JSON document (text or parsed dict) into a RunConfig."""
     doc = _decode(doc)
     scenario = doc.get("scenario")
-    if scenario not in SCENARIO_NAMES:
+    # check the type first: a list is unhashable
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario {scenario!r}; valid scenarios: "
-            + ", ".join(SCENARIO_NAMES))
-    if "tol" not in doc and "OQW_TOL" in os.environ:
-        raw = os.environ["OQW_TOL"]
-        try:
-            doc = {**doc, "tol": float(raw)}
-        except ValueError:
-            raise ConfigError(f"OQW_TOL must be a number, got {raw!r}") from None
+            + ", ".join(SCENARIOS))
     settings = {"fmt" if key == "format" else key: parse(key, doc[key])
                 for key, parse in _SETTINGS.items() if key in doc}
     params = {k: v for k, v in doc.items()
@@ -348,9 +342,8 @@ def _bell(values: dict, cfg: RunConfig) -> ScenarioPlan:
     return ScenarioPlan(
         build_bell_grid(), mixed_state(values["start_node"], 4),
         lambda state: {"bell_fidelities": {
-            node: analysis.node_fidelity(state, node, bell)
-            for node, bell in BELL_NODE_STATES.items()
-            if analysis.readout_probability(state, node) > 1e-12}})
+            node: fid for node, bell in BELL_NODE_STATES.items()
+            for fid in _fidelity(state, node, node, bell).values()}})
 
 
 def _transport(values: dict, cfg: RunConfig) -> ScenarioPlan:
@@ -505,7 +498,7 @@ def _fail(message) -> int:
 class _Parser(argparse.ArgumentParser):
     # a usage error is a configuration error: exit 1, not argparse's 2
     def error(self, message):
-        raise SystemExit(_fail(message))
+        raise ConfigError(message)
 
 
 def _document_from_args(args) -> dict:
@@ -562,16 +555,14 @@ def main(argv=None) -> int:
             sub.add_argument("--format", choices=("csv", "json"), default=None)
     subs.add_parser("scenarios", help="list scenarios and parameters")
 
-    args = parser.parse_args(argv)
-
-    if args.command == "scenarios":
-        for name, (params, _) in SCENARIOS.items():
-            print(f"{name}: " + "; ".join(map(_describe, params)))
-        print("named gates: " + ", ".join(NAMED_GATES))
-        print("named states: " + ", ".join(NAMED_KETS))
-        return EXIT_OK
-
     try:
+        args = parser.parse_args(argv)
+        if args.command == "scenarios":
+            for name, (params, _) in SCENARIOS.items():
+                print(f"{name}: " + "; ".join(map(_describe, params)))
+            print("named gates: " + ", ".join(NAMED_GATES))
+            print("named states: " + ", ".join(NAMED_KETS))
+            return EXIT_OK
         doc = _document_from_args(args)
         if args.command in ("run", "steady"):
             doc["mode"] = args.command

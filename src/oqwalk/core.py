@@ -567,7 +567,7 @@ def find_steady_state(spec: WalkSpec, initial: WalkerState,
     distance is computed, so ``residual`` is always state_trace_distance
     of the last two states.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too: no residual would ever be <= it
         raise ValueError("tol must be positive")
     skip_above = tol * (1 + _BOUND_MARGIN)
     state = initial

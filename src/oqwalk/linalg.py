@@ -70,7 +70,7 @@ def as_ket(psi: Sequence[complex], tol: float = 1e-12) -> np.ndarray:
     if v.size < 1:
         raise ValueError("empty state vector")
     norm_sq = float(np.vdot(v, v).real)
-    if abs(norm_sq - 1.0) > tol:
+    if not abs(norm_sq - 1.0) <= tol:  # a NaN norm fails too
         raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq}")
     return v
 

@@ -11,9 +11,10 @@ Six walks are provided:
 * a chain of time registers realizing dissipative computation with a
   tunable forward bias.
 
-Every builder returns a spec whose per-node operator families satisfy
-the completeness relation exactly (up to float rounding), so they pass
-``validate_walk`` at tolerance 1e-12.
+Every builder raises ValueError or TypeError on bad input, or returns a
+spec whose per-node operator families satisfy the completeness relation
+exactly (up to float rounding), so they pass ``validate_walk`` at
+tolerance 1e-12.
 """
 
 from __future__ import annotations
@@ -42,13 +43,33 @@ from .linalg import (
 
 SCENARIO_NAMES = ("line", "gate", "state_prep", "bell", "transport", "dqc")
 
+# Per-entry deviation from I allowed in U^dag U and U U^dag of a gate, and
+# in the Gram matrix of transport's psi1 and psi2. A completeness residual
+# is at most about twice that, so every walk built passes at 1e-12.
+_INPUT_TOL = 2e-13
+
+
+def _real(x, name: str) -> float:
+    """x as a finite float. A complex, string or array value raises
+    TypeError: float() would drop a numpy complex's imaginary part."""
+    if np.ndim(x) or np.iscomplexobj(x) or isinstance(x, (str, bytes)):
+        raise TypeError(f"{name} must be a real number, got {x!r}")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _is_unitary(u: np.ndarray) -> bool:
+    return is_unitary(u, _INPUT_TOL) and is_unitary(u.conj().T, _INPUT_TOL)
+
 
 def _check_probability(p: float, name: str = "p",
                        open_interval: bool = False) -> float:
-    p = float(p)
+    p = _real(p, name)
     lo, hi = (0.0, 1.0)
     bad = not (lo < p < hi) if open_interval else not (lo <= p <= hi)
-    if bad or not math.isfinite(p):
+    if bad:
         kind = "(0, 1)" if open_interval else "[0, 1]"
         raise ValueError(f"{name} must lie in {kind}, got {p}")
     return p
@@ -80,7 +101,7 @@ def build_line_walk(theta: float, window: int) -> tuple[WalkSpec, WalkerState]:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    right, left = line_hop_operators(theta)
+    right, left = line_hop_operators(_real(theta, "theta"))
     sites = list(range(-window, window + 1))
     n = len(sites)
     transitions = {}
@@ -104,7 +125,7 @@ def build_gate_walk(gate: np.ndarray, p: float) -> WalkSpec:
     so reading out node 2 yields the gated state with probability p.
     """
     u = as_operator(gate)
-    if not is_unitary(u):
+    if not _is_unitary(u):
         raise ValueError("gate must be unitary")
     p = _check_probability(p)
     q = 1.0 - p
@@ -142,7 +163,8 @@ def build_state_prep(alpha: float, beta: float, p: float) -> WalkSpec:
     """
     p = _check_probability(p, open_interval=True)
     q = 1.0 - p
-    target, complement = state_prep_targets(alpha, beta)
+    target, complement = state_prep_targets(_real(alpha, "alpha"),
+                                            _real(beta, "beta"))
     half = np.eye(2, dtype=complex) / math.sqrt(2)
     transitions = {
         (1, 2): half,
@@ -220,7 +242,7 @@ def build_transport_chain(
     psi2 with amplitude sqrt(q), while the stay operator converts psi2
     into psi1 with amplitude sqrt(p); psi1 therefore travels at speed
     one. Node N is absorbing (identity self-loop). The kets psi1, psi2
-    must be orthonormal.
+    must be an orthonormal basis of C^2.
 
     Returns the spec and the canonical initial state: maximally mixed
     at node 1.
@@ -231,10 +253,12 @@ def build_transport_chain(
     q = 1.0 - p
     psi1 = KET_PLUS if psi1 is None else as_ket(psi1)
     psi2 = KET_MINUS if psi2 is None else as_ket(psi2)
-    if psi1.size != psi2.size:
-        raise ValueError("psi1 and psi2 must share one dimension")
-    if abs(np.vdot(psi1, psi2)) > 1e-10:
-        raise ValueError("psi1 and psi2 must be orthogonal")
+    if psi1.size != 2 or psi2.size != 2:
+        # the hops act on their span only: in more dimensions weight leaks
+        raise ValueError("psi1 and psi2 must be 2-dimensional")
+    kets = np.array([psi1, psi2])
+    if not np.abs(kets.conj() @ kets.T - np.eye(2)).max() <= _INPUT_TOL:
+        raise ValueError("psi1 and psi2 must be orthonormal")
     d = psi1.size
     # built before the edges, so a count too large to build fails at once
     # with MemoryError or OverflowError instead of filling memory
@@ -278,7 +302,7 @@ def build_dqc_chain(
     for k, u in enumerate(mats):
         if u.shape[0] != d:
             raise ValueError("unitaries must share one dimension")
-        if not is_unitary(u):
+        if not _is_unitary(u):
             raise ValueError(f"operator {k + 1} is not unitary")
     omega = _check_probability(omega, "omega", open_interval=True)
     lam = 1.0 - omega

@@ -373,13 +373,16 @@ def test_main_stdin_config(tmp_path, capsys, monkeypatch):
     assert all(abs(f - 1.0) <= 1e-9 for f in fids.values())
 
 
-def test_env_tolerance_override(monkeypatch):
-    monkeypatch.setenv("OQW_TOL", "1e-6")
-    cfg = parse_config({"scenario": "line", "theta_cos": 0.8})
-    assert cfg.tol == 1e-6
-    monkeypatch.delenv("OQW_TOL")
-    cfg = parse_config({"scenario": "line", "theta_cos": 0.8})
-    assert cfg.tol == 1e-10
+@pytest.mark.parametrize("value", [None, "1e-4", "abc", "0"])
+def test_main_reads_no_environment_tolerance(capsys, monkeypatch, value):
+    # tol comes only from the configuration: OQW_TOL changes nothing
+    if value is not None:
+        monkeypatch.setenv("OQW_TOL", value)
+    assert parse_config({"scenario": "line", "theta_cos": 0.8}).tol == 1e-10
+    assert main(["steady", "--scenario", "dqc", "--set", "omega=0.5",
+                 "--set", "T=6"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["iterations"] == 210
 
 
 BASE_DOCS = {
@@ -416,18 +419,6 @@ def test_main_rejects_boolean_counts(tmp_path, capsys, key):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_main_rejects_bad_env_tolerance(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("OQW_TOL", value)
-    path = write_config(tmp_path, {"scenario": "line", "theta_cos": 0.8,
-                                   "steps": 1})
-    assert main(["run", path]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "tol" in captured.err.lower()
 
 
 # non-boolean values that must be rejected, each added as raw JSON text
@@ -578,14 +569,6 @@ def test_main_steps_flag_overrides_invalid_config_steps(tmp_path):
     assert "2,2,0.564800000000" in out.read_text()
 
 
-def exit_status(argv) -> int:
-    """main's exit status, also when argparse exits through SystemExit."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 @pytest.mark.parametrize("flag", [["--steps", "5"], ["--record-every", "2"],
                                   ["--format", "csv"]])
 def test_main_run_only_flags(tmp_path, capsys, flag):
@@ -593,7 +576,7 @@ def test_main_run_only_flags(tmp_path, capsys, flag):
     argv = ["--scenario", "gate", "--set", "gate=X", "--set", "p=0.5", *flag]
     out = tmp_path / "out"
     for command in ("validate", "steady"):
-        assert exit_status([command, *argv, "-o", str(out)]) == 1
+        assert main([command, *argv, "-o", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: unrecognized arguments: ")
@@ -609,13 +592,24 @@ def test_main_run_only_flags(tmp_path, capsys, flag):
     ["run", "--scenario", "line", "--set", "theta_cos=0.8", "--bogus\nflag"],
     ["run", "--scenario", "line", "--set", "theta_cos=0.8", "--set", "a\nb=1"],
     ["walk"],
+    ["scenarios", "--bogus"],
     [],
 ])
 def test_main_usage_and_config_errors_print_one_line(capsys, argv):
-    assert exit_status(argv) == 1
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["run", "-h"], ["steady", "--help"]])
+def test_main_help_exits_zero(capsys, argv):
+    # -h is the one outcome that leaves main through SystemExit
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: oqw") and captured.err == ""
 
 
 @pytest.mark.parametrize("doc", [

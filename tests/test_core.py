@@ -888,6 +888,15 @@ def test_find_steady_state_tol_validation():
         find_steady_state(spec, mixed_state(1, 2), tol=0.0)
 
 
+def test_find_steady_state_rejects_nan_tol():
+    # nan <= 0 is False, and no residual is ever <= nan: all max_iter
+    # steps would run without converging
+    spec = build_gate_walk(PAULI_X, 0.5)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        find_steady_state(spec, mixed_state(1, 2), tol=float("nan"),
+                          max_iter=10)
+
+
 def test_state_trace_distance_missing_blocks():
     a = WalkerState({1: np.eye(2) / 2})
     b = WalkerState({2: np.eye(2) / 2})

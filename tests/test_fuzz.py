@@ -1,4 +1,5 @@
-"""Seeded fuzz of the ``oqw`` exit contract and of the io parsers.
+"""Seeded fuzz of the ``oqw`` exit contract, the library builders and
+the io parsers.
 
 Each case mutates a scenario's valid base document and flag list and
 runs ``main`` in process. Every invocation must exit 0, 1 or 2. On exit
@@ -12,6 +13,10 @@ Values are raw JSON texts, so NaN, Infinity and 1e400 reach the parser
 as written. ``N``, ``T`` and ``window`` stay at most 60 (or far past
 the index range, which fails before allocating), ``steps`` at most 50
 and ``max_iter`` at most 2000, so that no case runs long.
+
+Each ``build_*`` call with odd Python and numpy inputs must raise
+``ValueError`` or ``TypeError``, or return a walk that passes
+``validate_walk`` at 1e-12 and a finite start state of trace 1.
 """
 
 import contextlib
@@ -23,11 +28,21 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from oqwalk.cli import main
-from oqwalk.core import mixed_state, pure_state
+from oqwalk.core import mixed_state, pure_state, validate_walk
 from oqwalk.io import spec_from_dict, spec_to_dict, state_from_dict, state_to_dict
-from oqwalk.linalg import HADAMARD, KET_PLUS
-from oqwalk.scenarios import build_bell_grid, build_gate_walk
+from oqwalk.linalg import CNOT, HADAMARD, KET_MINUS, KET_PLUS, PAULI_X
+from oqwalk.scenarios import (
+    build_bell_grid,
+    build_dqc_chain,
+    build_gate_walk,
+    build_line_walk,
+    build_state_prep,
+    build_transport_chain,
+)
 
 CASES = 300
 
@@ -157,10 +172,7 @@ def _run(argv, stdin, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            status = main(argv)
-        except SystemExit as exc:
-            status = exc.code
+        status = main(argv)
     assert not out.closed  # main never closes the process's stdout
     return status, out.getvalue(), err.getvalue()
 
@@ -187,7 +199,6 @@ def _violation(argv, status, stdout, stderr, outputs):
 
 
 def test_cli_exit_contract(tmp_path, monkeypatch):
-    monkeypatch.delenv("OQW_TOL", raising=False)
     rng = random.Random(20140113)
     failures, seen = [], set()
     for k in range(CASES):
@@ -257,3 +268,86 @@ def test_io_parsers_raise_only_value_error():
         except ValueError:
             outcomes.add("rejected")
     assert outcomes == {"parsed", "rejected"}
+
+
+# odd library inputs: angles and probabilities, counts (at most 60),
+# kets and gates
+NAN, INF = float("nan"), float("inf")
+REALS = [0.3, 0.0, 1.0, 0.5, -0.25, 1.5, NAN, INF, -INF, 10 ** 30,
+         np.float64(0.7), np.float32(0.2), np.array(0.4), True, False,
+         0.5 + 0.5j, np.complex128(0.5), np.array(0.5 + 0j), [0.5],
+         np.array([0.5]), "0.5", None]
+COUNTS = [1, 2, 5, 60, 0, -1, True, np.int64(4), np.array(3), 2.5, NAN,
+          "3", None]
+KETS = [None, KET_PLUS, KET_MINUS, [1, 0], [0, 1], [1j, 0], np.array([[0, 1]]),
+        [NAN, 0], [NAN, 1], [INF, 0], [1, 1], [0, 0], [], [1, 0, 0],
+        [0, 1, 0], [1, 1e-11], [1e-11, 1], [1, 0.0 + 1e-13j], "0", [[1, 0], [0, 1]],
+        np.array(1.0), np.float64(1.0)]
+GATES = [HADAMARD, PAULI_X, CNOT, np.eye(3), np.eye(1), [[NAN, 0], [0, 1]],
+         [[INF, 0], [0, 1]], [[1, 0], [0, 2]], np.ones((2, 2)), [[1, 0]],
+         [1, 0], np.array(1.0), HADAMARD * (1 + 1e-11),
+         HADAMARD * (1 + 1e-14), [[1, 0], [0, 1j]],
+         [[True, False], [False, True]], "H", None]
+
+
+# the unitaries of a dqc chain: one gate, a valid gate then another,
+# or an odd container
+UNITARIES = ([[gate] for gate in GATES] + [[HADAMARD, gate] for gate in GATES]
+             + [[], "H", HADAMARD, None, np.array([HADAMARD, PAULI_X])])
+
+# builder -> (valid arguments, the odd values of each argument)
+BUILDERS = {
+    "line": (build_line_walk, (0.6, 5), (REALS, COUNTS)),
+    "gate": (build_gate_walk, (HADAMARD, 0.5), (GATES, REALS)),
+    "state_prep": (build_state_prep, (0.4, 1.9, 0.3), (REALS, REALS, REALS)),
+    "bell": (build_bell_grid, (), ()),
+    "transport": (build_transport_chain, (6, 0.5, [1, 0], [0, 1]),
+                  (COUNTS, REALS, KETS, KETS)),
+    "dqc": (build_dqc_chain, ([HADAMARD, PAULI_X], 0.5, None),
+            (UNITARIES, REALS, KETS)),
+}
+
+
+def _calls(rng: random.Random, good: tuple, pools: tuple):
+    """Each odd value in place of one valid argument, then random mixes
+    in which each argument is valid half of the time."""
+    for k, pool in enumerate(pools):
+        for value in pool:
+            yield good[:k] + (value,) + good[k + 1:]
+    for _ in range(CASES // 5):
+        yield tuple(arg if rng.random() < 0.5 else rng.choice(pool)
+                    for arg, pool in zip(good, pools))
+
+
+def _built_problem(built):
+    """What a returned walk breaks of the builders' promise, or None."""
+    spec, initial = built if isinstance(built, tuple) else (built, None)
+    report = validate_walk(spec, tol=1e-12)
+    if not report.ok:  # np.max, unlike max(), keeps a NaN
+        return f"residual {np.max(list(report.residuals.values())):.3e}"
+    if initial is not None:
+        blocks = np.array(list(initial.blocks.values()))
+        trace = np.trace(blocks, axis1=1, axis2=2).real.sum()
+        if not (np.isfinite(blocks).all() and abs(trace - 1) <= 1e-12):
+            return f"start state of trace {trace!r}"
+    return None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN arithmetic
+def test_builders_raise_or_keep_their_promise():
+    rng = random.Random(1401)
+    failures, outcomes = [], {}
+    for name, (build, good, pools) in BUILDERS.items():
+        for args in _calls(rng, good, pools):
+            try:
+                built = build(*args)
+            except (ValueError, TypeError):
+                outcomes.setdefault(name, set()).add("rejected")
+                continue
+            outcomes.setdefault(name, set()).add("built")
+            problem = _built_problem(built)
+            if problem is not None:
+                failures.append((name, args, problem))
+    assert not failures, failures[:5]
+    assert outcomes == {name: {"built"} if name == "bell"
+                        else {"built", "rejected"} for name in BUILDERS}

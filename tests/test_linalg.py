@@ -158,6 +158,13 @@ def test_as_ket_norm_check():
         as_ket([1, 1])
 
 
+@pytest.mark.parametrize("psi", [[np.nan, 0], [np.nan, 1], [1, np.inf]])
+def test_as_ket_rejects_non_finite(psi):
+    # abs(nan - 1) > tol is False: the norm check must not read it as a pass
+    with pytest.raises(ValueError, match="not normalized"):
+        as_ket(psi)
+
+
 def test_random_unitary_helper_is_unitary():
     from oracles import random_unitary
 

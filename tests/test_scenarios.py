@@ -14,6 +14,7 @@ from oqwalk.core import (
 )
 from oqwalk.linalg import (
     CNOT,
+    HADAMARD,
     KET_PLUS,
     PAULI_X,
     basis_ket,
@@ -64,6 +65,52 @@ def test_gate_walk_rejects_non_unitary():
 def test_transport_rejects_non_orthogonal_kets():
     with pytest.raises(ValueError):
         build_transport_chain(5, 0.5, KET_PLUS, KET_PLUS)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_transport_orthonormality_limit_keeps_1e12_promise(p):
+    # the residual reaches ~2x the overlap (at p = 0): 1.9e-13 still
+    # passes validate_walk at 1e-12, 2.1e-13 and 1e-11 are refused
+    spec, _ = build_transport_chain(4, p, [1, 0], [1.9e-13, 1])
+    assert validate_walk(spec, tol=1e-12).ok
+    for overlap in (2.1e-13, 1e-11):
+        with pytest.raises(ValueError, match="orthonormal"):
+            build_transport_chain(4, p, [1, 0], [overlap, 1])
+
+
+def test_transport_rejects_kets_beyond_two_dimensions():
+    # the hops act on span(psi1, psi2) only: a third direction would
+    # lose its weight
+    with pytest.raises(ValueError, match="2-dimensional"):
+        build_transport_chain(4, 0.5, [1, 0, 0], [0, 1, 0])
+
+
+def test_gate_unitarity_limit_keeps_1e12_promise():
+    # U^dag U - I has diagonal entries ~2 * scale: 0.9e-13 passes
+    # validate_walk at 1e-12, 1.1e-13 and 1e-11 are refused
+    near = HADAMARD * (1 + 0.9e-13)
+    assert validate_walk(build_gate_walk(near, 0.5), tol=1e-12).ok
+    assert validate_walk(build_dqc_chain([near] * 3, 0.5)[0], tol=1e-12).ok
+    for scale in (1.1e-13, 1e-11):
+        far = HADAMARD * (1 + scale)
+        with pytest.raises(ValueError, match="unitary"):
+            build_gate_walk(far, 0.5)
+        with pytest.raises(ValueError, match="unitary"):
+            build_dqc_chain([HADAMARD, far], 0.5)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: build_line_walk(float("nan"), 3), ValueError),
+    (lambda: build_line_walk(np.inf, 3), ValueError),
+    (lambda: build_state_prep(float("nan"), 0.0, 0.5), ValueError),
+    (lambda: build_state_prep(0.0, np.inf, 0.5), ValueError),
+    (lambda: build_state_prep(0.0, 0.0, np.complex128(0.5 + 0.5j)), TypeError),
+    (lambda: build_gate_walk(PAULI_X, np.array([0.5])), TypeError),
+    (lambda: build_dqc_chain([HADAMARD], "0.5"), TypeError),
+])
+def test_builders_reject_non_finite_and_non_real_parameters(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_dqc_rejects_non_unitary():
