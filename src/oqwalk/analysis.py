@@ -3,8 +3,9 @@
 Occupation probabilities, position moments, read-out probabilities and
 conditional fidelities are extracted directly from the unnormalized
 blocks. The closed-form predictions (biased-chain read-out for the
-computation chain, the success estimate for state preparation) exist so
-that simulations can be checked against them.
+computation chain, arrival at the end of the transport chain, the
+success estimate for state preparation) exist so that simulations can
+be checked against them.
 """
 
 from __future__ import annotations
@@ -29,12 +30,21 @@ def position_moments(dist: dict) -> tuple[float, float]:
     for node in dist:
         if not isinstance(node, (int, np.integer)):
             raise TypeError(f"non-integer node label {node!r}")
-    total = float(sum(dist.values()))
+    total = _sum(dist.values())
     if total <= 0:
         raise ValueError("empty distribution")
-    mean = sum(n * w for n, w in dist.items()) / total
-    var = sum((n - mean) ** 2 * w for n, w in dist.items()) / total
+    mean = _sum(n * w for n, w in dist.items()) / total
+    var = _sum((n - mean) ** 2 * w for n, w in dist.items()) / total
     return mean, var
+
+
+def _sum(values) -> float:
+    """Float sum added left to right. Python 3.12's builtin sum()
+    compensates, so it would change the last bit of printed values."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def readout_probability(state: WalkerState, node, nodes=None) -> float:
@@ -86,7 +96,7 @@ def dqc_predicted_readout(omega: float, t_final: int) -> float:
         raise ValueError("need at least one register transition (T >= 1)")
     r = omega / (1.0 - omega)
     # sum_{s=0..T} r^{-s}, stable for either bias direction
-    denom = sum((1.0 / r) ** s for s in range(t_final + 1))
+    denom = _sum((1.0 / r) ** s for s in range(t_final + 1))
     return 1.0 / denom
 
 
@@ -142,6 +152,27 @@ def transport_arrival_step(
         if readout_probability(state, node) >= threshold:
             return k
     return None
+
+
+def transport_predicted_arrival(n_nodes: int, p: float, step: int) -> float:
+    """Occupation of the last node of build_transport_chain(n_nodes, p)
+    after ``step`` steps from the maximally mixed state at node 1.
+
+    The psi1 half moves one node a step and arrives at step N - 1. The
+    psi2 half stays psi2 while it hops forward (weight q = 1 - p a
+    step); once converted at rest, it moves on as psi1 one step behind.
+    So node N holds 0 before step N - 1, (1 + q^(N-1)) / 2 at step
+    N - 1, and 1 from step N on, for any orthonormal psi1, psi2.
+    """
+    if n_nodes < 2:
+        raise ValueError("the chain needs at least 2 nodes")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if step < n_nodes - 1:
+        return 0.0
+    if step == n_nodes - 1:
+        return (1.0 + (1.0 - p) ** (n_nodes - 1)) / 2.0
+    return 1.0
 
 
 def line_sector_drift(state: WalkerState, sector: np.ndarray,

@@ -55,13 +55,13 @@ brute-force cross-check of the block evolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterator
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_operator
+from .linalg import DEFAULT_TOL, as_operator, outer
 
 Node = Hashable
 
@@ -108,7 +108,7 @@ _TRACE_SLACK = 8
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkSpec:
     """A walk graph with one transition operator per directed edge.
 
@@ -118,19 +118,13 @@ class WalkSpec:
     transitions (source, target) -> dim x dim complex matrix; absent
                 edges are implicit zero operators. After construction
                 the values are read-only views into the operator stack.
+
+    Specs compare and hash by identity.
     """
 
     nodes: tuple
     dim: int
     transitions: dict
-    _index: dict = field(init=False, repr=False, compare=False)
-    _src: np.ndarray = field(init=False, repr=False, compare=False)
-    _ops: np.ndarray = field(init=False, repr=False, compare=False)
-    _levels: np.ndarray = field(init=False, repr=False, compare=False)
-    _run: np.ndarray = field(init=False, repr=False, compare=False)
-    _slot: np.ndarray = field(init=False, repr=False, compare=False)
-    _targets: np.ndarray = field(init=False, repr=False, compare=False)
-    _out: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
@@ -279,6 +273,10 @@ class WalkerState:
         if len(dims) > 1:
             raise ValueError(f"blocks have mixed dimensions {sorted(dims)}")
         rho = np.array(mats) if mats else np.empty((0, 0, 0), dtype=complex)
+        finite = np.isfinite(rho).all(axis=(1, 2))
+        if not finite.all():
+            node = list(blocks)[int(np.argmin(finite))]
+            raise ValueError(f"block at node {node!r} is not finite")
         self._set(tuple(blocks), np.arange(len(mats)), rho,
                   np.trace(rho, axis1=1, axis2=2).real)
 
@@ -333,8 +331,7 @@ class WalkerState:
 
 def pure_state(node: Node, psi: np.ndarray) -> WalkerState:
     """Walker localized at one node with a pure internal state."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    return WalkerState({node: np.outer(psi, psi.conj())})
+    return WalkerState({node: outer(psi)})
 
 
 def mixed_state(node: Node, dim: int) -> WalkerState:

@@ -56,9 +56,18 @@ for _a in (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, HADAMARD, S_GATE, T_GATE,
 del _a
 
 
+def _complex(a) -> np.ndarray:
+    """np.asarray(a, dtype=complex), with ValueError for an int past the
+    float range."""
+    try:
+        return np.asarray(a, dtype=complex)
+    except OverflowError:
+        raise ValueError("entries must be finite: an int is past the float range") from None
+
+
 def as_operator(a: np.ndarray) -> np.ndarray:
     """Coerce to a square complex128 matrix, rejecting anything else."""
-    m = np.asarray(a, dtype=complex)
+    m = _complex(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -66,7 +75,7 @@ def as_operator(a: np.ndarray) -> np.ndarray:
 
 def as_ket(psi: Sequence[complex], tol: float = 1e-12) -> np.ndarray:
     """Coerce to a complex unit vector; raises if the norm is off by > tol."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
+    v = _complex(psi).reshape(-1)
     if v.size < 1:
         raise ValueError("empty state vector")
     norm_sq = float(np.vdot(v, v).real)
@@ -76,10 +85,13 @@ def as_ket(psi: Sequence[complex], tol: float = 1e-12) -> np.ndarray:
 
 
 def normalized(psi: Sequence[complex]) -> np.ndarray:
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    n = np.linalg.norm(v)
+    v = _complex(psi).reshape(-1)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
     if n == 0:
         raise ValueError("cannot normalize the zero vector")
+    if not np.isfinite(n):  # a NaN or inf entry, or a norm past the float range
+        raise ValueError(f"cannot normalize a vector of norm {n}")
     return v / n
 
 
@@ -101,8 +113,8 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 def outer(psi: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
     """|psi><phi| (|psi><psi| when phi is omitted)."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    phi = psi if phi is None else np.asarray(phi, dtype=complex).reshape(-1)
+    psi = _complex(psi).reshape(-1)
+    phi = psi if phi is None else _complex(phi).reshape(-1)
     return np.outer(psi, phi.conj())
 
 

@@ -14,7 +14,8 @@ Six walks are provided:
 Every builder raises ValueError or TypeError on bad input, or returns a
 spec whose per-node operator families satisfy the completeness relation
 exactly (up to float rounding), so they pass ``validate_walk`` at
-tolerance 1e-12.
+tolerance 1e-12. A size too large to build (a line window, a chain
+length) raises OverflowError or MemoryError instead.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .linalg import (
     PAULI_Z,
     as_ket,
     as_operator,
+    basis_ket,
     is_unitary,
     kron,
     outer,
@@ -54,7 +56,10 @@ def _real(x, name: str) -> float:
     TypeError: float() would drop a numpy complex's imaginary part."""
     if np.ndim(x) or np.iscomplexobj(x) or isinstance(x, (str, bytes)):
         raise TypeError(f"{name} must be a real number, got {x!r}")
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:  # an int past the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x}")
     return x
@@ -67,12 +72,27 @@ def _is_unitary(u: np.ndarray) -> bool:
 def _check_probability(p: float, name: str = "p",
                        open_interval: bool = False) -> float:
     p = _real(p, name)
-    lo, hi = (0.0, 1.0)
-    bad = not (lo < p < hi) if open_interval else not (lo <= p <= hi)
-    if bad:
+    if not (0.0 < p < 1.0 if open_interval else 0.0 <= p <= 1.0):
         kind = "(0, 1)" if open_interval else "[0, 1]"
         raise ValueError(f"{name} must lie in {kind}, got {p}")
     return p
+
+
+def _chain(mats: list, forward: float, nodes) -> WalkSpec:
+    """Register chain: hop k -> k+1 applies sqrt(forward) * mats[k], the
+    hop back undoes it with sqrt(1 - forward) * mats[k]^dag, and scaled
+    identities keep the leftover weight at both ends."""
+    nodes = tuple(nodes)
+    back = 1.0 - forward
+    eye = np.eye(mats[0].shape[0], dtype=complex)
+    transitions = {}
+    for k, u in enumerate(mats):
+        transitions[(nodes[k], nodes[k + 1])] = math.sqrt(forward) * u
+    for k, u in enumerate(mats):
+        transitions[(nodes[k + 1], nodes[k])] = math.sqrt(back) * u.conj().T
+    transitions[(nodes[0], nodes[0])] = math.sqrt(back) * eye
+    transitions[(nodes[-1], nodes[-1])] = math.sqrt(forward) * eye
+    return WalkSpec(nodes=nodes, dim=eye.shape[0], transitions=transitions)
 
 
 def line_hop_operators(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -115,10 +135,11 @@ def build_line_walk(theta: float, window: int) -> tuple[WalkSpec, WalkerState]:
 def build_gate_walk(gate: np.ndarray, p: float) -> WalkSpec:
     """Two-node walk that applies a unitary gate with probability p.
 
-    Node 1 holds the input; node 2 holds the result. The forward hop
-    applies sqrt(p) * gate, the return hop undoes it with
-    sqrt(q) * gate^dag (q = 1 - p), and the stay operators are scaled
-    identities. From an input |psi> at node 1 the walk settles into
+    The one-gate computation chain on nodes 1 (input) and 2 (result),
+    p = 0 and 1 allowed: the forward hop applies sqrt(p) * gate, the
+    return hop undoes it with sqrt(q) * gate^dag (q = 1 - p), and the
+    stay operators are scaled identities. From an input |psi> at node 1
+    the walk settles into
 
         q |psi><psi| at node 1  +  p U|psi><psi|U^dag at node 2,
 
@@ -127,17 +148,7 @@ def build_gate_walk(gate: np.ndarray, p: float) -> WalkSpec:
     u = as_operator(gate)
     if not _is_unitary(u):
         raise ValueError("gate must be unitary")
-    p = _check_probability(p)
-    q = 1.0 - p
-    d = u.shape[0]
-    eye = np.eye(d, dtype=complex)
-    transitions = {
-        (1, 2): math.sqrt(p) * u,
-        (1, 1): math.sqrt(q) * eye,
-        (2, 1): math.sqrt(q) * u.conj().T,
-        (2, 2): math.sqrt(p) * eye,
-    }
-    return WalkSpec(nodes=(1, 2), dim=d, transitions=transitions)
+    return _chain([u], _check_probability(p), (1, 2))
 
 
 def state_prep_targets(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -200,33 +211,17 @@ def build_bell_grid() -> WalkSpec:
     zz = kron(PAULI_Z, PAULI_Z)
     xx = kron(PAULI_X, PAULI_X)
     eye = np.eye(4, dtype=complex)
-    z_odd = (eye - zz) / 2   # stays on the L side
-    z_even = (eye + zz) / 2  # stays on the R side
-    x_odd = (eye - xx) / 2   # stays on the U side
-    x_even = (eye + xx) / 2  # stays on the D side
-
-    def stay_h(side):
-        return z_odd if side == "L" else z_even
-
-    def stay_v(side):
-        return x_odd if side == "U" else x_even
-
-    def flip_h(side):
-        return "R" if side == "L" else "L"
-
-    def flip_v(side):
-        return "D" if side == "U" else "U"
-
+    # side -> (the opposite side, projector on the parity kept at this side)
+    sides = {"L": ("R", (eye - zz) / 2), "R": ("L", (eye + zz) / 2),
+             "U": ("D", (eye - xx) / 2), "D": ("U", (eye + xx) / 2)}
     nodes = ("UL", "UR", "DL", "DR")
     transitions = {}
     for node in nodes:
-        v, h = node[0], node[1]
-        hop_h = eye - stay_h(h)   # complement projector: hops horizontally
-        hop_v = eye - stay_v(v)
-        transitions[(node, node)] = stay_v(v) @ stay_h(h)
-        transitions[(node, v + flip_h(h))] = stay_v(v) @ hop_h
-        transitions[(node, flip_v(v) + h)] = hop_v @ stay_h(h)
-        transitions[(node, flip_v(v) + flip_h(h))] = hop_v @ hop_h
+        (v_far, v_keep), (h_far, h_keep) = sides[node[0]], sides[node[1]]
+        # stay, then hop along the complement I - P; vertical @ horizontal
+        for v, mv in ((node[0], v_keep), (v_far, eye - v_keep)):
+            for h, mh in ((node[1], h_keep), (h_far, eye - h_keep)):
+                transitions[(node, v + h)] = mv @ mh
     return WalkSpec(nodes=nodes, dim=4, transitions=transitions)
 
 
@@ -305,23 +300,8 @@ def build_dqc_chain(
         if not _is_unitary(u):
             raise ValueError(f"operator {k + 1} is not unitary")
     omega = _check_probability(omega, "omega", open_interval=True)
-    lam = 1.0 - omega
-    t_final = len(mats)
-    eye = np.eye(d, dtype=complex)
-    transitions = {}
-    for t in range(t_final):
-        transitions[(t, t + 1)] = math.sqrt(omega) * mats[t]
-    for t in range(1, t_final + 1):
-        transitions[(t, t - 1)] = math.sqrt(lam) * mats[t - 1].conj().T
-    transitions[(0, 0)] = math.sqrt(lam) * eye
-    transitions[(t_final, t_final)] = math.sqrt(omega) * eye
-    spec = WalkSpec(nodes=tuple(range(t_final + 1)), dim=d,
-                    transitions=transitions)
-    if psi0 is None:
-        psi0 = np.zeros(d, dtype=complex)
-        psi0[0] = 1.0
-    else:
-        psi0 = as_ket(psi0)
-        if psi0.size != d:
-            raise ValueError("psi0 dimension does not match the unitaries")
-    return spec, pure_state(0, psi0)
+    psi0 = basis_ket(d, 0) if psi0 is None else as_ket(psi0)
+    if psi0.size != d:
+        raise ValueError("psi0 dimension does not match the unitaries")
+    return _chain(mats, omega, range(len(mats) + 1)), pure_state(0, psi0)
+

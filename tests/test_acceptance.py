@@ -19,6 +19,7 @@ from oqwalk.analysis import (
     readout_probability,
     state_prep_elements,
     state_prep_predicted_pss,
+    transport_predicted_arrival,
 )
 from oqwalk.core import (
     WalkerState,
@@ -381,21 +382,29 @@ def test_criterion_6_bell_grid():
 
 
 # ---------------------------------------------------------------------
-# Criterion 7: transport across a 100-node chain: mixed input has
-# arrived (>= 0.999) by step 102; a pure fast-sector input arrives with
+# Criterion 7: transport across a 100-node chain: from mixed input the
+# last node's occupation equals the closed form to 1e-13 at every step
+# through step 102 (0 before step 99, (1 + q^99) / 2 at step 99, then 1),
+# also on three more chains; a pure fast-sector input arrives with
 # probability one in exactly 99 steps.
 # ---------------------------------------------------------------------
 
 
 def test_criterion_7_transport():
     failures = []
+    for n, p in ((100, (4 / 5) ** 2), (100, 0.36), (50, 0.9), (20, 0.5)):
+        spec, mixed_initial = build_transport_chain(n, p)
+        trajectory = run(spec, mixed_initial, n + 2)
+        _track(f"transport mixed N={n} p={p}", trajectory)
+        for k, state in trajectory:
+            arrived = readout_probability(state, n)
+            exact = transport_predicted_arrival(n, p, k)
+            if not abs(arrived - exact) <= 1e-13:
+                failures.append(f"mixed input N={n} p={p}: occupation "
+                                f"{arrived} at step {k}, exact {exact}")
+
     n = 100
-    spec, mixed_initial = build_transport_chain(n, (4 / 5) ** 2)
-    trajectory = run(spec, mixed_initial, n + 2)
-    _track("transport mixed", trajectory)
-    arrived = readout_probability(trajectory[-1][1], n)
-    if arrived < 0.999:
-        failures.append(f"mixed input: occupation {arrived} at step {n + 2}")
+    spec, _ = build_transport_chain(n, (4 / 5) ** 2)
 
     pure_traj = run(spec, pure_state(1, KET_PLUS), n - 1)
     _track("transport pure", pure_traj)

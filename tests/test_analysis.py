@@ -12,6 +12,7 @@ from oqwalk.analysis import (
     state_prep_elements,
     state_prep_predicted_pss,
     transport_arrival_step,
+    transport_predicted_arrival,
 )
 from oqwalk.core import WalkerState, find_steady_state, mixed_state, pure_state, run
 from oqwalk.linalg import KET_MINUS, KET_PLUS, outer
@@ -105,6 +106,31 @@ def test_dqc_predicted_readout_values():
         dqc_predicted_readout(0.5, 0)
 
 
+def _left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def test_closed_forms_add_left_to_right():
+    # Python 3.12's sum() compensates and so changes printed last bits
+    # (0.5714797698089811 here); the CLI prints these values in full
+    assert dqc_predicted_readout(0.7, 10) == 0.571479769808981
+    for omega in [k / 50 for k in range(1, 50)] + [0.7, 0.05, 0.95]:
+        r = omega / (1.0 - omega)
+        for t_final in range(1, 41):
+            denom = _left_to_right((1.0 / r) ** s for s in range(t_final + 1))
+            assert dqc_predicted_readout(omega, t_final) == 1.0 / denom
+    rng = np.random.default_rng(3)
+    for size in (2, 7, 40, 301):
+        dist = dict(zip(range(-size // 2, size), rng.random(size).tolist()))
+        total = _left_to_right(dist.values())
+        mean = _left_to_right(n * w for n, w in dist.items()) / total
+        var = _left_to_right((n - mean) ** 2 * w for n, w in dist.items()) / total
+        assert position_moments(dist) == (mean, var)
+
+
 def test_dqc_prediction_matches_simulation():
     rng = np.random.default_rng(14)
     gates = [random_unitary(2, rng) for _ in range(3)]
@@ -158,3 +184,24 @@ def test_transport_arrival_step():
     arrival = transport_arrival_step(traj, 8)
     assert arrival is not None and arrival <= 10
     assert transport_arrival_step(traj, 8, threshold=2.0) is None
+
+
+# acceptance criterion 7 checks four longer chains
+@pytest.mark.parametrize("n, p", [(2, 0.3), (3, 1.0), (5, 0.0), (9, 0.25)])
+def test_transport_predicted_arrival_matches_run(n, p):
+    spec, init = build_transport_chain(n, p)
+    for k, state in run(spec, init, n + 2):
+        exact = transport_predicted_arrival(n, p, k)
+        assert abs(readout_probability(state, n) - exact) <= 1e-13
+    assert transport_predicted_arrival(n, p, n - 2) == 0.0
+    assert transport_predicted_arrival(n, p, n) == 1.0
+
+
+def test_transport_predicted_arrival_values():
+    assert transport_predicted_arrival(3, 0.5, 2) == 0.625
+    assert transport_predicted_arrival(2, 1.0, 1) == 0.5
+    assert transport_predicted_arrival(2, 0.0, 1) == 1.0
+    with pytest.raises(ValueError):
+        transport_predicted_arrival(1, 0.5, 3)
+    with pytest.raises(ValueError):
+        transport_predicted_arrival(4, 1.5, 3)

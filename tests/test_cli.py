@@ -431,6 +431,7 @@ REJECTED = [
     ("unitaries", "[[[1, 0], [0]]]"), ("tol", "1e400"),
     ("output", "true"), ("output", "1"), ("output", '["a"]'),
     ("psi0", "[true, false]"), ("psi0", '["1", "0"]'), ("psi0", "[NaN, 1]"),
+    ("psi0", "[1e300, 1e300]"),
     ("gate", '[[0, 1], ["1", 0]]'), ("gate", "[[0, [true, false]], [1, 0]]"),
 ]
 

@@ -51,6 +51,14 @@ def random_two_node(rng, dim=2):
 # ---------------------------------------------------------------- spec
 
 
+def test_spec_equality_and_hash_go_by_identity():
+    a, b = build_gate_walk(PAULI_X, 0.5), build_gate_walk(PAULI_X, 0.5)
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a) and hash(a) != hash(b)
+    assert a in {a} and b not in {a}
+    assert len({a, b, a}) == 2 and {a: 1}[a] == 1
+
+
 def test_spec_rejects_unknown_nodes_and_bad_dims():
     with pytest.raises(ValueError):
         WalkSpec(nodes=(1,), dim=2, transitions={(1, 2): np.eye(2)})
@@ -1008,6 +1016,19 @@ def test_trace_bound_never_exceeds_trace_distance(dim):
 def test_walker_state_rejects_mixed_dimensions():
     with pytest.raises(ValueError, match="mixed dimensions"):
         WalkerState({1: np.eye(2) / 2, 2: np.eye(3) / 3})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN arithmetic
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_walker_state_rejects_non_finite_blocks(bad):
+    block = np.eye(2, dtype=complex) / 2
+    block[0, 1] = bad
+    with pytest.raises(ValueError, match="node 'b' is not finite"):
+        WalkerState({"a": np.eye(2) / 2, "b": block})
+    with pytest.raises(ValueError, match="not finite"):
+        pure_state(1, [bad, 0])
+    with pytest.raises(ValueError, match="not finite"):
+        pure_state(1, [1e200, 0])  # |psi><psi| overflows
 
 
 def test_walker_state_traces_equal_per_block_traces():

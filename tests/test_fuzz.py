@@ -16,7 +16,9 @@ and ``max_iter`` at most 2000, so that no case runs long.
 
 Each ``build_*`` call with odd Python and numpy inputs must raise
 ``ValueError`` or ``TypeError``, or return a walk that passes
-``validate_walk`` at 1e-12 and a finite start state of trace 1.
+``validate_walk`` at 1e-12 and a finite start state of trace 1. Each
+``WalkerState``, ``pure_state`` and ``mixed_state`` call must raise
+``ValueError`` or ``TypeError``, or return a state of finite blocks.
 """
 
 import contextlib
@@ -32,7 +34,7 @@ import numpy as np
 import pytest
 
 from oqwalk.cli import main
-from oqwalk.core import mixed_state, pure_state, validate_walk
+from oqwalk.core import WalkerState, mixed_state, pure_state, validate_walk
 from oqwalk.io import spec_from_dict, spec_to_dict, state_from_dict, state_to_dict
 from oqwalk.linalg import CNOT, HADAMARD, KET_MINUS, KET_PLUS, PAULI_X
 from oqwalk.scenarios import (
@@ -274,6 +276,7 @@ def test_io_parsers_raise_only_value_error():
 # kets and gates
 NAN, INF = float("nan"), float("inf")
 REALS = [0.3, 0.0, 1.0, 0.5, -0.25, 1.5, NAN, INF, -INF, 10 ** 30,
+         10 ** 400, -10 ** 400,
          np.float64(0.7), np.float32(0.2), np.array(0.4), True, False,
          0.5 + 0.5j, np.complex128(0.5), np.array(0.5 + 0j), [0.5],
          np.array([0.5]), "0.5", None]
@@ -351,3 +354,65 @@ def test_builders_raise_or_keep_their_promise():
     assert not failures, failures[:5]
     assert outcomes == {name: {"built"} if name == "bell"
                         else {"built", "rejected"} for name in BUILDERS}
+
+
+# odd entries of a block, a ket or a dimension, and odd whole blocks
+ENTRIES = [0, 1, 0.5, -1j, NAN, INF, -INF, complex(0, NAN), 1e200, 1e-320,
+           True, np.float32(0.5), None, "1", "x", [1], 10 ** 400]
+BLOCKS = [np.eye(2) / 2, np.eye(3) / 3, np.eye(1), [[1]], [[0, 1], [1, 0]],
+          [], [[]], [1, 0], [[1, 0]], np.ones((2, 2, 2)), np.array(0.5),
+          [[1, 0], [0]], "abc", None, {}, [[NAN]], [[INF, 0], [0, 0]]]
+DIMS = [1, 2, 3, 0, -1, True, np.int64(2), np.array(3), 2.5, NAN, "3", None]
+NODES = [0, 1, "a", (1, 2), None, -3, 2.5, np.int64(4)]
+
+
+def _odd_block(rng: random.Random):
+    if rng.random() < 0.5:
+        return rng.choice(BLOCKS)
+    dim = rng.choice((1, 2, 3))
+    block = [[rng.choice((0.0, 0.25, 1j)) for _ in range(dim)] for _ in range(dim)]
+    block[rng.randrange(dim)][rng.randrange(dim)] = rng.choice(ENTRIES)
+    return block
+
+
+def _state_calls(rng: random.Random):
+    """(constructor, arguments) cases: every odd value once, then mixes."""
+    for entry in ENTRIES:
+        yield pure_state, (1, [entry, 0])
+        yield WalkerState, ({0: np.eye(2) / 2, 1: [[entry, 0], [0, 0.5]]},)
+    for block in BLOCKS:
+        yield WalkerState, ({1: block},)
+        yield pure_state, (1, block)
+    for dim in DIMS:
+        yield mixed_state, (0, dim)
+    for _ in range(CASES):
+        kind = rng.randrange(3)
+        if kind == 0:
+            nodes = rng.sample(NODES, rng.randrange(4))
+            yield WalkerState, ({n: _odd_block(rng) for n in nodes},)
+        elif kind == 1:
+            yield pure_state, (rng.choice(NODES),
+                               [rng.choice(ENTRIES) for _ in range(rng.randrange(4))])
+        else:
+            yield mixed_state, (rng.choice(NODES), rng.choice(DIMS))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN arithmetic
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+def test_states_raise_or_hold_finite_blocks():
+    rng = random.Random(1402)
+    failures, outcomes = [], set()
+    for make, args in _state_calls(rng):
+        try:
+            state = make(*args)
+        except (ValueError, TypeError):
+            outcomes.add("rejected")
+            continue
+        outcomes.add("built")
+        blocks = list(state.blocks.values())
+        finite = all(np.isfinite(b).all() and b.ndim == 2
+                     and b.shape[0] == b.shape[1] >= 1 for b in blocks)
+        if not (finite and np.isfinite(state.total_trace())):
+            failures.append((make.__name__, args))
+    assert not failures, failures[:5]
+    assert outcomes == {"built", "rejected"}

@@ -15,6 +15,7 @@ from oqwalk.linalg import (
     is_psd,
     is_unitary,
     kron,
+    normalized,
     outer,
     pure_fidelity,
     trace_distance,
@@ -163,6 +164,20 @@ def test_as_ket_rejects_non_finite(psi):
     # abs(nan - 1) > tol is False: the norm check must not read it as a pass
     with pytest.raises(ValueError, match="not normalized"):
         as_ket(psi)
+
+
+@pytest.mark.parametrize("psi", [[np.inf, 0], [np.nan, 0], [-np.inf, 1j],
+                                 [1e300, 1e300]])
+def test_normalized_rejects_non_finite(psi):
+    # v / inf would be [nan, 0]; an overflowing norm would give zeros
+    with pytest.raises(ValueError, match="cannot normalize"):
+        normalized(psi)
+
+
+def test_normalized_unit_vector():
+    assert np.allclose(normalized([3, 4j]), [0.6, 0.8j], rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="zero vector"):
+        normalized([0, 0])
 
 
 def test_random_unitary_helper_is_unitary():

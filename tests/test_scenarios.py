@@ -107,10 +107,29 @@ def test_gate_unitarity_limit_keeps_1e12_promise():
     (lambda: build_state_prep(0.0, 0.0, np.complex128(0.5 + 0.5j)), TypeError),
     (lambda: build_gate_walk(PAULI_X, np.array([0.5])), TypeError),
     (lambda: build_dqc_chain([HADAMARD], "0.5"), TypeError),
+    # ints past the float range are not finite reals
+    (lambda: build_gate_walk(PAULI_X, 10 ** 400), ValueError),
+    (lambda: build_line_walk(-10 ** 400, 3), ValueError),
+    (lambda: build_state_prep(10 ** 400, 0.0, 0.5), ValueError),
+    (lambda: build_state_prep(0.0, -10 ** 400, 0.5), ValueError),
+    (lambda: build_dqc_chain([HADAMARD], 10 ** 400), ValueError),
+    (lambda: build_transport_chain(4, 0.5, [10 ** 400, 0]), ValueError),
 ])
 def test_builders_reject_non_finite_and_non_real_parameters(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.75, 0.9, 1e-16])
+def test_gate_walk_is_the_one_gate_dqc_chain(p):
+    rng = np.random.default_rng(13)
+    for gate in (HADAMARD, CNOT, PAULI_X, random_unitary(3, rng)):
+        gate_spec = build_gate_walk(gate, p)
+        chain, _ = build_dqc_chain([gate], p)
+        assert gate_spec.nodes == (1, 2) and chain.nodes == (0, 1)
+        assert gate_spec._ops.tobytes() == chain._ops.tobytes()
+        for name in ("_src", "_levels", "_run", "_slot", "_targets", "_out"):
+            assert np.array_equal(getattr(gate_spec, name), getattr(chain, name))
 
 
 def test_dqc_rejects_non_unitary():
@@ -235,6 +254,27 @@ def test_bell_grid_uniform_mixture_from_any_start():
         for node, bell in BELL_NODE_STATES.items():
             assert abs(occ[node] - 0.25) <= 1e-12
             assert node_fidelity(result.state, node, bell) >= 1 - 1e-9
+
+
+def test_bell_grid_edges_are_parity_projector_products():
+    eye = np.eye(4)
+    zz, xx = np.diag([1.0, -1, -1, 1]), np.fliplr(eye)
+    keep = {"L": (eye - zz) / 2, "R": (eye + zz) / 2,
+            "U": (eye - xx) / 2, "D": (eye + xx) / 2}
+    flip = {"L": "R", "R": "L", "U": "D", "D": "U"}
+    spec = build_bell_grid()
+    expected = []
+    for node in ("UL", "UR", "DL", "DR"):
+        v, h = node
+        for v2, mv in ((v, keep[v]), (flip[v], eye - keep[v])):
+            for h2, mh in ((h, keep[h]), (flip[h], eye - keep[h])):
+                expected.append(((node, v2 + h2), mv @ mh))
+    assert list(spec.transitions) == [edge for edge, _ in expected]
+    for edge, op in expected:
+        assert np.array_equal(spec.transitions[edge], op)
+        # every entry is a multiple of 1/4, so the products are exact
+        assert np.array_equal(spec.transitions[edge] * 4,
+                              np.round(spec.transitions[edge].real * 4))
 
 
 def test_bell_grid_eigenstate_is_immediate_fixed_point():
