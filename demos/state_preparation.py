@@ -3,7 +3,7 @@
 The two-node preparation walk has a unique fixed point: the target
 state parked at node 2. This script shows convergence from several
 initial states and compares the simulated success probability after
-2m steps with its closed-form estimate.
+2m steps with its closed form, a scalar recurrence on four weights.
 """
 
 import numpy as np
@@ -38,13 +38,12 @@ for label, initial in [
     print(f"  {label:22s}: {result.iterations:3d} steps, fidelity {fid:.12f}")
 
 print()
-print("success probability after 2m steps vs closed-form estimate")
+print("success probability after 2m steps vs its closed form")
 initial = mixed_state(1, 2)
 elements = state_prep_elements(initial, target, complement)
-print("   m   simulated   estimate   rel.diff")
+print("   m   simulated   closed form   |difference|")
 for m in range(3, 11):
     final = run(spec, initial, 2 * m)[-1][1]
     simulated = pure_fidelity(final.blocks[2], target)
     predicted = state_prep_predicted_pss(elements, 1.0 - p, m)
-    rel = abs(simulated - predicted) / simulated
-    print(f"  {m:2d}   {simulated:.6f}   {predicted:.6f}   {100 * rel:5.2f}%")
+    print(f"  {m:2d}   {simulated:.6f}   {predicted:.6f}      {abs(simulated - predicted):.1e}")

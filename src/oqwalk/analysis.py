@@ -4,16 +4,22 @@ Occupation probabilities, position moments, read-out probabilities and
 conditional fidelities are extracted directly from the unnormalized
 blocks. The closed-form predictions (biased-chain read-out for the
 computation chain, arrival at the end of the transport chain, the
-success estimate for state preparation) exist so that simulations can
-be checked against them.
+success probability of state preparation) exist so that simulations
+can be checked against them. Each raises ValueError or TypeError on
+input it cannot give a finite value for.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Mapping
+
 import numpy as np
 
 from .core import WalkerState
-from .linalg import pure_fidelity
+from .linalg import pure_fidelity, sum_left_to_right
+from .scenarios import _check_probability, _real
 
 
 def occupation(state: WalkerState, nodes: tuple | None = None) -> dict:
@@ -26,25 +32,25 @@ def occupation(state: WalkerState, nodes: tuple | None = None) -> dict:
 
 
 def position_moments(dist: dict) -> tuple[float, float]:
-    """Mean and variance of an occupation distribution on integer sites."""
+    """Mean and variance of an occupation distribution on integer sites,
+    from finite real weights with a positive total."""
+    if not isinstance(dist, Mapping):
+        raise TypeError(f"expected a node -> weight mapping, got {type(dist).__name__}")
     for node in dist:
         if not isinstance(node, (int, np.integer)):
             raise TypeError(f"non-integer node label {node!r}")
-    total = _sum(dist.values())
+    weights = [_real(w, f"weight of node {n}") for n, w in dist.items()]
+    total = sum_left_to_right(weights)
     if total <= 0:
         raise ValueError("empty distribution")
-    mean = _sum(n * w for n, w in dist.items()) / total
-    var = _sum((n - mean) ** 2 * w for n, w in dist.items()) / total
+    try:
+        mean = sum_left_to_right(n * w for n, w in zip(dist, weights)) / total
+        var = sum_left_to_right((n - mean) ** 2 * w for n, w in zip(dist, weights)) / total
+    except OverflowError:  # a site past the float range, or its square
+        mean = var = math.inf
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise ValueError("the moments are past the float range")
     return mean, var
-
-
-def _sum(values) -> float:
-    """Float sum added left to right. Python 3.12's builtin sum()
-    compensates, so it would change the last bit of printed values."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def readout_probability(state: WalkerState, node, nodes=None) -> float:
@@ -90,13 +96,14 @@ def dqc_predicted_readout(omega: float, t_final: int) -> float:
     t_final + 1 registers holds r^T / sum_{t=0..T} r^t with
     r = omega / (1 - omega). At omega = 1/2 this is 1 / (T + 1).
     """
-    if not 0.0 < omega < 1.0:
-        raise ValueError("omega must lie strictly between 0 and 1")
+    omega = _check_probability(omega, "omega", open_interval=True)
     if t_final < 1:
         raise ValueError("need at least one register transition (T >= 1)")
     r = omega / (1.0 - omega)
-    # sum_{s=0..T} r^{-s}, stable for either bias direction
-    denom = _sum((1.0 / r) ** s for s in range(t_final + 1))
+    try:  # sum_{s=0..T} r^{-s}, stable for either bias direction
+        denom = sum_left_to_right((1.0 / r) ** s for s in range(t_final + 1))
+    except OverflowError:  # a term past the float range: r^T / sum underflows
+        return 0.0
     return 1.0 / denom
 
 
@@ -105,23 +112,26 @@ def state_prep_predicted_pss(
     q: float,
     m: int,
 ) -> float:
-    """Estimated probability of having reached the prepared state.
+    """Probability of the target state at node 2 after 2m steps of
+    build_state_prep(alpha, beta, 1 - q), from the initial weights
+    rho0_elements = (a1, b1, a2, b2): node 1/target, node 1/complement,
+    node 2/target, node 2/complement, in the (target, complement) basis.
 
-    After 2m steps the probability of finding the walker in the target
-    state at node 2 is approximately
+    A step maps these weights exactly by x' = M x with p = 1 - q
+    (coherences never feed them), so this is a2 after 2m scalar steps:
 
-        1 - e12 / 4^m - (e11 + e21) * min(1/4, q)^m
-
-    where rho0_elements = (e11, e12, e21, e22) are the initial weights
-    <node i, basis j| rho(0) |node i, basis j> in the (target,
-    complement) internal basis: e11 = node 1/target, e12 = node 1/
-    complement, e21 = node 2/target, e22 = node 2/complement.
+        M = [[1/2, 0, 0, p], [0, 1/2, 0, 0], [1/2, 0, 1, 0], [0, 1/2, 0, q]]
     """
+    q = _check_probability(q, "q")
     if m < 1:
         raise ValueError("m must be >= 1")
-    e11, e12, e21, _e22 = (float(x) for x in rho0_elements)
-    rate = min(0.25, float(q))
-    return 1.0 - e12 / 4.0 ** m - (e11 + e21) * rate ** m
+    p = 1.0 - q
+    a1, b1, a2, b2 = (_real(x, "rho0_elements entry") for x in rho0_elements)
+    for _ in range(2 * m):
+        a1, b1, a2, b2 = a1 / 2 + p * b2, b1 / 2, a1 / 2 + a2, b1 / 2 + q * b2
+    if not math.isfinite(a2):
+        raise ValueError("the weights are past the float range")
+    return a2
 
 
 def state_prep_elements(
@@ -134,24 +144,9 @@ def state_prep_elements(
     Order: (node 1/target, node 1/complement, node 2/target,
     node 2/complement); absent blocks contribute zeros.
     """
-    out = []
-    for node in (1, 2):
-        block = state.blocks.get(node)
-        for basis in (target, complement):
-            out.append(0.0 if block is None else pure_fidelity(block, basis))
-    return tuple(out)
-
-
-def transport_arrival_step(
-    trajectory: list[tuple[int, WalkerState]],
-    node,
-    threshold: float = 0.999,
-) -> int | None:
-    """First recorded step at which a node's occupation reaches threshold."""
-    for k, state in trajectory:
-        if readout_probability(state, node) >= threshold:
-            return k
-    return None
+    blocks = [state.blocks.get(node) for node in (1, 2)]
+    return tuple(0.0 if block is None else pure_fidelity(block, basis)
+                 for block in blocks for basis in (target, complement))
 
 
 def transport_predicted_arrival(n_nodes: int, p: float, step: int) -> float:
@@ -164,22 +159,13 @@ def transport_predicted_arrival(n_nodes: int, p: float, step: int) -> float:
     So node N holds 0 before step N - 1, (1 + q^(N-1)) / 2 at step
     N - 1, and 1 from step N on, for any orthonormal psi1, psi2.
     """
+    n_nodes, step = operator.index(n_nodes), operator.index(step)  # TypeError for 2.5
     if n_nodes < 2:
         raise ValueError("the chain needs at least 2 nodes")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    p = _check_probability(p)
     if step < n_nodes - 1:
         return 0.0
-    if step == n_nodes - 1:
-        return (1.0 + (1.0 - p) ** (n_nodes - 1)) / 2.0
+    if step == n_nodes - 1:  # q^(N-1) is 0 or 1 long before N leaves the float range
+        return (1.0 + (1.0 - p) ** min(n_nodes - 1, 2 ** 1023)) / 2.0
     return 1.0
 
-
-def line_sector_drift(state: WalkerState, sector: np.ndarray,
-                      n_steps: int) -> float:
-    """Per-step mean displacement of one internal sector of a line walk."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    weights = internal_sector_occupation(state, sector)
-    mean, _ = position_moments(weights)
-    return mean / n_steps

@@ -55,13 +55,15 @@ brute-force cross-check of the block evolution.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterator
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_operator, outer
+from .linalg import (DEFAULT_TOL, as_ket, as_operator, half_trace_norms, outer,
+                     sum_left_to_right)
 
 Node = Hashable
 
@@ -268,6 +270,8 @@ class WalkerState:
     __slots__ = ("_blocks", "_nodes", "_pos", "_rho", "_tr")
 
     def __init__(self, blocks: dict):
+        if not isinstance(blocks, Mapping):
+            raise TypeError(f"blocks must be a mapping, got {type(blocks).__name__}")
         mats = [as_operator(m) for m in blocks.values()]
         dims = {m.shape[0] for m in mats}
         if len(dims) > 1:
@@ -320,18 +324,18 @@ class WalkerState:
         return {n: occ[n] for n in nodes if n in occ}
 
     def total_trace(self) -> float:
+        # builtin sum(): it feeds only _trace_bound's slack, twice per steady iteration
         return float(sum(self._tr.tolist()))
-
-    def block(self, node: Node) -> np.ndarray | None:
-        return self.blocks.get(node)
 
     def __repr__(self) -> str:
         return f"WalkerState({self.blocks!r})"
 
 
 def pure_state(node: Node, psi: np.ndarray) -> WalkerState:
-    """Walker localized at one node with a pure internal state."""
-    return WalkerState({node: outer(psi)})
+    """Walker at one node in the pure state psi: finite, then unit to 1e-12."""
+    state = WalkerState({node: outer(psi)})
+    as_ket(psi)
+    return state
 
 
 def mixed_state(node: Node, dim: int) -> WalkerState:
@@ -339,29 +343,18 @@ def mixed_state(node: Node, dim: int) -> WalkerState:
     return WalkerState({node: np.eye(dim, dtype=complex) / dim})
 
 
-def _aligned(a: WalkerState, b: WalkerState) -> tuple[np.ndarray, np.ndarray]:
-    """The positions of a's and b's rows in one shared node order.
-
-    States over one node tuple (successive steps) keep their positions;
-    otherwise a's nodes come first, in a's order, then the nodes only b
-    occupies.
-    """
-    if a._nodes is b._nodes:
-        return a._pos, b._pos
-    shared = {n: k for k, n in enumerate(dict.fromkeys(
-        [*a._labels(), *b._labels()]))}
-    return np.arange(a._pos.size), np.fromiter(
-        map(shared.__getitem__, b._labels()), dtype=np.intp, count=b._pos.size)
-
-
-def _difference(pa: np.ndarray, pb: np.ndarray, x: np.ndarray,
+def _difference(a: WalkerState, b: WalkerState, x: np.ndarray,
                 y: np.ndarray) -> np.ndarray:
-    """x - y row by row over the union of the positions pa (x's rows) and
-    pb (y's rows), in position order; a missing row counts as zero.
-
-    Equal positions subtract the stacks directly, which has the bits of
-    the zero-fill path below.
-    """
+    """x - y, with a row of x per node a occupies and one of y per node b
+    occupies, a missing row counting as zero, in position order over one
+    node tuple (successive steps), else a's nodes then those only b
+    occupies. Equal positions subtract directly: the zero-fill bits."""
+    pa, pb = a._pos, b._pos
+    if a._nodes is not b._nodes:
+        shared = {n: k for k, n in enumerate(dict.fromkeys(
+            [*a._labels(), *b._labels()]))}
+        pa, pb = np.arange(pa.size), np.fromiter(
+            map(shared.__getitem__, b._labels()), dtype=np.intp, count=pb.size)
     if pa is pb or np.array_equal(pa, pb):
         return x - y
     union = np.union1d(pa, pb)
@@ -371,26 +364,6 @@ def _difference(pa: np.ndarray, pb: np.ndarray, x: np.ndarray,
     return diff
 
 
-def _hermitian_diff(a: WalkerState, b: WalkerState) -> np.ndarray:
-    """The per-node Hermitian parts (D + D^dag)/2 of a - b, stacked in the
-    order state_trace_distance adds them; missing blocks count as zero."""
-    d = max(a._rho.shape[1], b._rho.shape[1])
-    diff = _difference(*_aligned(a, b), a._stack(d), b._stack(d))
-    # blocks are Hermitian by contract; step() leaves rounding-level
-    # anti-Hermitian parts, which the distance ignores
-    return (diff + diff.conj().transpose(0, 2, 1)) / 2
-
-
-def _trace_norm_sum(herm: np.ndarray) -> float:
-    """Sum over the stack of half the trace norms of Hermitian blocks,
-    added one by one in stack order."""
-    per_node = 0.5 * np.abs(np.linalg.eigvalsh(herm)).sum(axis=1)
-    total = 0.0
-    for dist in per_node.tolist():
-        total += dist
-    return total
-
-
 def _trace_bound(a: WalkerState, b: WalkerState, dim: int) -> float:
     """A lower bound on state_trace_distance(a, b) from the stored traces.
 
@@ -398,7 +371,7 @@ def _trace_bound(a: WalkerState, b: WalkerState, dim: int) -> float:
     occupies, less the rounding slack _TRACE_SLACK * dim * eps *
     (sum tr a + sum tr b); holds for positive blocks of dimension dim.
     """
-    gap = _difference(*_aligned(a, b), a._tr, b._tr)
+    gap = _difference(a, b, a._tr, b._tr)
     slack = _TRACE_SLACK * dim * _EPS * (a.total_trace() + b.total_trace())
     return 0.5 * float(np.abs(gap).sum()) - slack
 
@@ -411,7 +384,9 @@ def state_trace_distance(a: WalkerState, b: WalkerState) -> float:
     one, in spec order when both states came from step() on one spec,
     else over a's nodes and then the nodes only b occupies.
     """
-    return _trace_norm_sum(_hermitian_diff(a, b))
+    d = max(a._rho.shape[1], b._rho.shape[1])
+    diff = _difference(a, b, a._stack(d), b._stack(d))
+    return sum_left_to_right(half_trace_norms(diff).tolist())
 
 
 def _rows(spec: WalkSpec, state: WalkerState) -> tuple[np.ndarray, np.ndarray]:

@@ -162,6 +162,22 @@ def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
 
 
+def sum_left_to_right(values) -> float:
+    """Float sum added left to right. Python 3.12's builtin sum()
+    compensates, so it would change the last bit of printed values."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def half_trace_norms(diff: np.ndarray) -> np.ndarray:
+    """Half the summed |eigenvalues| of each (D + D^dag)/2 in a (..., d, d)
+    stack, which drops the rounding-level anti-Hermitian part of D."""
+    herm = (diff + np.swapaxes(diff.conj(), -1, -2)) / 2
+    return 0.5 * np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
+
+
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of rho - sigma (both Hermitian, same dim)."""
     rho = as_operator(rho)
@@ -169,9 +185,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     if rho.shape != sigma.shape:
         raise ValueError(
             f"dimension mismatch: {rho.shape[0]} vs {sigma.shape[0]}")
-    diff = rho - sigma
-    # Eigenvalues of the Hermitian part; inputs are Hermitian by contract.
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2))))
+    return float(half_trace_norms(rho - sigma))
 
 
 def pure_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:

@@ -4,14 +4,12 @@ import pytest
 from oqwalk.analysis import (
     dqc_predicted_readout,
     internal_sector_occupation,
-    line_sector_drift,
     node_fidelity,
     occupation,
     position_moments,
     readout_probability,
     state_prep_elements,
     state_prep_predicted_pss,
-    transport_arrival_step,
     transport_predicted_arrival,
 )
 from oqwalk.core import WalkerState, find_steady_state, mixed_state, pure_state, run
@@ -90,7 +88,7 @@ def test_line_sector_drift_matches_binomial_oracle():
     oracle = biased_coin_distribution(n, p_right=(3 / 5) ** 2)
     for site, weight in oracle.items():
         assert abs(minus.get(site, 0.0) - 0.5 * weight) < 1e-12
-    drift = line_sector_drift(state, KET_MINUS, n)
+    drift = position_moments(minus)[0] / n
     assert abs(drift - (-7 / 25)) < 1e-12
 
 
@@ -131,6 +129,33 @@ def test_closed_forms_add_left_to_right():
         assert position_moments(dist) == (mean, var)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN arithmetic
+def test_closed_forms_reject_what_they_cannot_evaluate():
+    nan = float("nan")
+    for args in ((nan, 0.5, 3), (2.5, 0.5, 3), (4, 0.5, 2.5), (4, nan, 3),
+                 (4, 0.5j, 3), ("4", 0.5, 3)):
+        with pytest.raises((ValueError, TypeError)):
+            transport_predicted_arrival(*args)
+    for args in (((1, 0, 0, 0), nan, 3), ((1, 0, 0, 0), 1.5, 3),
+                 ((1, 0, 0, 0), 0.5, 2.5), ((1, 0, 0, 0), 0.5, nan),
+                 ((nan, 0, 0, 0), 0.5, 3), ((1, 0, 0), 0.5, 3),
+                 ((1j, 0, 0, 0), 0.5, 3), ((1e308,) * 4, 0.5, 3)):
+        with pytest.raises((ValueError, TypeError)):
+            state_prep_predicted_pss(*args)
+    for dist in ({0: nan}, {0: float("inf")}, {0: 1j}, {10 ** 400: 1.0},
+                 {10 ** 200: 1.0, -10 ** 200: 1.0}, [1], None, "ab"):
+        with pytest.raises((ValueError, TypeError)):
+            position_moments(dist)
+    for args in ((nan, 3), (0.5, 2.5), (0.5, nan), ("0.5", 3)):
+        with pytest.raises((ValueError, TypeError)):
+            dqc_predicted_readout(*args)
+    # r^-T past the float range: the read-out is below it
+    assert dqc_predicted_readout(1e-10, 40) == 0.0
+    # q^(N-1) for a node count past the float range
+    assert transport_predicted_arrival(10 ** 400, 0.5, 10 ** 400 - 1) == 0.5
+    assert transport_predicted_arrival(10 ** 400, 0.0, 10 ** 400 - 1) == 1.0
+
+
 def test_dqc_prediction_matches_simulation():
     rng = np.random.default_rng(14)
     gates = [random_unitary(2, rng) for _ in range(3)]
@@ -142,11 +167,12 @@ def test_dqc_prediction_matches_simulation():
 
 
 def test_state_prep_predicted_pss_values():
-    # already at the steady state: estimate is exactly 1
-    assert state_prep_predicted_pss((0, 0, 0, 0), 0.5, 4) == 1.0
+    # no weight anywhere: none reaches the target
+    assert state_prep_predicted_pss((0, 0, 0, 0), 0.5, 4) == 0.0
     # walker at node 1 in the target state, q = 1/2, m = 3
     assert abs(state_prep_predicted_pss((1, 0, 0, 0), 0.5, 3) - 63 / 64) < 1e-15
-    assert state_prep_predicted_pss((1, 1, 1, 1), 0.5, 200) == pytest.approx(1.0)
+    # the weight is conserved, and all of it ends in the target at node 2
+    assert state_prep_predicted_pss((1, 1, 1, 1), 0.5, 200) == 4.0
     with pytest.raises(ValueError):
         state_prep_predicted_pss((0, 0, 0, 0), 0.5, 0)
 
@@ -176,14 +202,6 @@ def test_state_prep_estimate_tracks_simulation(m):
     if m == 10:
         # estimate and simulation both approach certainty
         assert simulated > 0.999 and predicted > 0.999
-
-
-def test_transport_arrival_step():
-    spec, init = build_transport_chain(8, 16 / 25)
-    traj = run(spec, init, 12)
-    arrival = transport_arrival_step(traj, 8)
-    assert arrival is not None and arrival <= 10
-    assert transport_arrival_step(traj, 8, threshold=2.0) is None
 
 
 # acceptance criterion 7 checks four longer chains

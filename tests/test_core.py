@@ -882,12 +882,12 @@ def test_find_steady_state_computes_exact_residual_once(monkeypatch):
     rng = np.random.default_rng(3)
     spec, initial = build_dqc_chain([random_unitary(2, rng) for _ in range(20)], 0.5)
     calls = []
-    exact = core._trace_norm_sum
-    monkeypatch.setattr(core, "_trace_norm_sum", lambda herm: calls.append(
-        herm.shape) or exact(herm))
+    exact = core.state_trace_distance
+    monkeypatch.setattr(core, "state_trace_distance", lambda a, b: calls.append(
+        len(a.blocks)) or exact(a, b))
     result = find_steady_state(spec, initial)
     assert result.converged and result.iterations > 1000
-    assert calls == [(21, 2, 2)]
+    assert calls == [21]
 
 
 def test_find_steady_state_tol_validation():
@@ -1002,8 +1002,7 @@ def test_trace_bound_never_exceeds_trace_distance(dim):
         diff = np.zeros((union.size, dim, dim), dtype=complex)
         diff[np.searchsorted(union, a._pos)] = a._rho
         diff[np.searchsorted(union, b._pos)] -= b._rho
-        herm = (diff + diff.conj().transpose(0, 2, 1)) / 2
-        assert core._hermitian_diff(a, b).tobytes() == herm.tobytes()
+        assert core._difference(a, b, a._rho, b._rho).tobytes() == diff.tobytes()
         if kind > 1:  # b under a copy of the node tuple
             copy = rows_state(tuple(list(nodes)), b._pos, b._rho)
             assert copy._nodes is not a._nodes
@@ -1029,6 +1028,24 @@ def test_walker_state_rejects_non_finite_blocks(bad):
         pure_state(1, [bad, 0])
     with pytest.raises(ValueError, match="not finite"):
         pure_state(1, [1e200, 0])  # |psi><psi| overflows
+
+
+def test_pure_state_rejects_unnormalized_kets():
+    # the norm rule is as_ket's: |psi|^2 within 1e-12 of 1
+    with pytest.raises(ValueError, match="not normalized"):
+        pure_state(1, [1, 1])
+    with pytest.raises(ValueError, match="not normalized"):
+        pure_state(1, [1 + 1e-11, 0])
+    with pytest.raises(ValueError, match="not normalized"):
+        pure_state(1, [0, 0])
+    assert pure_state(1, [1 + 1e-13, 0]).total_trace() == (1 + 1e-13) ** 2
+
+
+@pytest.mark.parametrize("blocks", [[1], [(1, np.eye(2) / 2)], (1,), None,
+                                    "ab", np.eye(2) / 2])
+def test_walker_state_rejects_non_mappings(blocks):
+    with pytest.raises(TypeError, match="must be a mapping"):
+        WalkerState(blocks)
 
 
 def test_walker_state_traces_equal_per_block_traces():

@@ -18,13 +18,17 @@ Each ``build_*`` call with odd Python and numpy inputs must raise
 ``ValueError`` or ``TypeError``, or return a walk that passes
 ``validate_walk`` at 1e-12 and a finite start state of trace 1. Each
 ``WalkerState``, ``pure_state`` and ``mixed_state`` call must raise
-``ValueError`` or ``TypeError``, or return a state of finite blocks.
+``ValueError`` or ``TypeError``, or return a state of finite blocks
+(of trace 1 to 1e-12 from ``pure_state``). Each call of the closed forms
+in ``oqwalk.analysis`` must raise ``ValueError`` or ``TypeError``, or
+return finite floats; counts that set a loop length stay at most 60.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -33,6 +37,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oqwalk.analysis import (
+    dqc_predicted_readout,
+    position_moments,
+    state_prep_predicted_pss,
+    transport_predicted_arrival,
+)
 from oqwalk.cli import main
 from oqwalk.core import WalkerState, mixed_state, pure_state, validate_walk
 from oqwalk.io import spec_from_dict, spec_to_dict, state_from_dict, state_to_dict
@@ -364,6 +374,11 @@ BLOCKS = [np.eye(2) / 2, np.eye(3) / 3, np.eye(1), [[1]], [[0, 1], [1, 0]],
           [[1, 0], [0]], "abc", None, {}, [[NAN]], [[INF, 0], [0, 0]]]
 DIMS = [1, 2, 3, 0, -1, True, np.int64(2), np.array(3), 2.5, NAN, "3", None]
 NODES = [0, 1, "a", (1, 2), None, -3, 2.5, np.int64(4)]
+# kets off unit norm by more than 1e-12, and arguments that map nothing
+UNNORMALIZED = [[1, 1], [0.5, 0], [2, 0, 0], [1, 2e-6], [1 + 1e-11, 0],
+                [1e-200, 0], [0, 0]]
+NOT_MAPPINGS = [[1], [(1, np.eye(2) / 2)], (1,), (), None, "ab",
+                np.eye(2) / 2, np.array([0.5])]
 
 
 def _odd_block(rng: random.Random):
@@ -385,6 +400,10 @@ def _state_calls(rng: random.Random):
         yield pure_state, (1, block)
     for dim in DIMS:
         yield mixed_state, (0, dim)
+    for ket in UNNORMALIZED:
+        yield pure_state, (1, ket)
+    for value in NOT_MAPPINGS:
+        yield WalkerState, (value,)
     for _ in range(CASES):
         kind = rng.randrange(3)
         if kind == 0:
@@ -414,5 +433,52 @@ def test_states_raise_or_hold_finite_blocks():
                      and b.shape[0] == b.shape[1] >= 1 for b in blocks)
         if not (finite and np.isfinite(state.total_trace())):
             failures.append((make.__name__, args))
+        elif make is pure_state and not abs(state.total_trace() - 1) <= 1e-12:
+            failures.append((make.__name__, args, state.total_trace()))
     assert not failures, failures[:5]
     assert outcomes == {"built", "rejected"}
+
+
+# odd weights and distributions for the closed forms; the transport
+# counts also go past the float range, which sets no loop length there
+WEIGHTS = [(1, 0, 0, 0), (0.25,) * 4, (0.5, 0, 0.5, -1e-17), [0, 1, 0, 0],
+           np.array([0.5, 0, 0.5, 0]), (1e308,) * 4, (1, 0, 0), (1, 0, 0, 0, 0),
+           (NAN, 0, 0, 0), (INF, 0, 0, 0), (1j, 0, 0, 0), ("1", 0, 0, 0),
+           (10 ** 400, 0, 0, 0), (-1, 2, 0, 0), 1.0, "abcd", None]
+DISTS = [{0: 1.0}, {1: 0.68, -1: 0.32}, {np.int64(3): 0.5, 4: 0.5},
+         {0: NAN}, {0: INF}, {0: 0.0}, {0: -1.0}, {0: 1j}, {0: "1"},
+         {0: 1e308, 1: 1e308}, {0: 5e-324}, {10 ** 400: 1.0},
+         {10 ** 200: 1.0, -10 ** 200: 1.0}, {2 ** 62: 1.0, -2 ** 62: 1.0},
+         {"a": 1.0}, {0.5: 1.0}, {True: 1.0}, {}, [1], [(0, 1.0)], (1, 2), None,
+         "ab", np.array([0.5, 0.5])]
+BIG = [10 ** 400, 10 ** 400 - 1, 10 ** 30]
+
+# closed form -> (valid arguments, the odd values of each argument)
+CLOSED_FORMS = {
+    "dqc_predicted_readout": (dqc_predicted_readout, (0.5, 9),
+                              (REALS + [1e-300, 1e-10, 1 - 1e-16], COUNTS)),
+    "transport_predicted_arrival": (transport_predicted_arrival, (6, 0.5, 5),
+                                    (COUNTS + BIG, REALS, COUNTS + BIG)),
+    "state_prep_predicted_pss": (state_prep_predicted_pss, ((0.25,) * 4, 0.5, 3),
+                                 (WEIGHTS, REALS, COUNTS)),
+    "position_moments": (position_moments, ({1: 0.5, -1: 0.5},), (DISTS,)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN arithmetic
+def test_closed_forms_raise_or_return_finite_values():
+    rng = random.Random(1403)
+    failures, outcomes = [], {}
+    for name, (form, good, pools) in CLOSED_FORMS.items():
+        for args in _calls(rng, good, pools):
+            try:
+                value = form(*args)
+            except (ValueError, TypeError):
+                outcomes.setdefault(name, set()).add("rejected")
+                continue
+            outcomes.setdefault(name, set()).add("returned")
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(isinstance(v, float) and math.isfinite(v) for v in values):
+                failures.append((name, args, value))
+    assert not failures, failures[:5]
+    assert outcomes == {name: {"returned", "rejected"} for name in CLOSED_FORMS}

@@ -11,6 +11,7 @@ from oqwalk.linalg import (
     apply_kraus,
     as_ket,
     basis_ket,
+    half_trace_norms,
     hermitian_eigenvalues,
     is_psd,
     is_unitary,
@@ -18,6 +19,7 @@ from oqwalk.linalg import (
     normalized,
     outer,
     pure_fidelity,
+    sum_left_to_right,
     trace_distance,
 )
 
@@ -143,6 +145,31 @@ def test_trace_distance_metric_properties():
         a, b, c = (random_density(3, rng) for _ in range(3))
         assert abs(trace_distance(a, b) - trace_distance(b, a)) < 1e-12
         assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-12
+
+
+def test_trace_distance_is_half_the_hermitian_parts_trace_norm_bit_for_bit():
+    # the one kernel behind the steady-state residual: half the summed
+    # |eigenvalues| of (D + D^dag)/2, for a single matrix and for a stack
+    rng = np.random.default_rng(1404)
+    for d in range(1, 34):
+        pairs = []
+        for _ in range(30):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho, sigma = random_density(d, rng), (a + a.conj().T) / 2
+            diff = rho - sigma
+            expected = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(
+                (diff + diff.conj().T) / 2))))
+            assert trace_distance(rho, sigma) == expected
+            pairs.append((diff, expected))
+        stack = np.array([diff for diff, _ in pairs])
+        assert half_trace_norms(stack).tolist() == [e for _, e in pairs]
+
+
+def test_sum_left_to_right_does_not_compensate():
+    # a compensated sum (math.fsum, Python 3.12's sum()) gives 1.0 here
+    assert sum_left_to_right([1e16, 1.0, -1e16]) == 0.0
+    assert sum_left_to_right(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert sum_left_to_right([]) == 0.0
 
 
 def test_pure_fidelity():
