@@ -28,17 +28,19 @@ s's out-operators [K_1; ...; K_D] by slot, zero rows padding nodes of
 smaller out-degree.
 A WalkerState has one form, compact rows: a node tuple, the ascending
 positions of the occupied nodes in it, one (k, d, d) block stack and
-the k traces. A step forms the K rho K^dag products of the occupied
-sources with matmuls, adds the levels in order onto a -0.0 seed and
-returns rows over the spec's node tuple. A step whose products fit one
-chunk forms K rho as one [K_1; ...; K_D] rho per occupied source;
-larger steps form it one matrix per edge. A level slice whose edges
-share one operator (every site of a translation-invariant walk) forms
-its (K rho_j) K^dag as one tall product [K rho_1; ...; K rho_n] @ K^dag.
-Both tall products see the same shared operand as the per-matrix
-products, only more rows of the other one, and BLAS gives them the same
-bits (tests/test_core.py checks both premises by name). The other
-grouping, K [rho_1 ... rho_n], changes bits and is not used.
+the k traces. A step's plan (``_plan``) holds what depends only on
+which nodes are occupied; steps with every node occupied reuse the
+spec's ``_full_plan``. The executor forms the K rho K^dag products with
+matmuls, adds the levels in order onto a -0.0 seed and returns rows
+over the spec's node tuple. A step whose products fit one chunk forms K
+rho as one [K_1; ...; K_D] rho per occupied source; larger steps form
+it one matrix per edge. A level slice whose edges share one operator
+(every site of a translation-invariant walk) forms its (K rho_j) K^dag
+as one tall product [K rho_1; ...; K rho_n] @ K^dag. Both tall products
+see the same shared operand as the per-matrix products, only more rows
+of the other one, and BLAS gives them the same bits (tests/test_core.py
+checks both premises by name). The other grouping, K [rho_1 ... rho_n],
+changes bits and is not used.
 ``iter_run`` yields a run's snapshots as it makes them, holding one
 state; ``run`` lists them.
 
@@ -72,13 +74,14 @@ Node = Hashable
 PRUNE_TRACE = 1e-15
 
 # Bytes of K rho K^dag products a step forms at once. Each chunk also
-# holds the gathered blocks, the adjoint operators and one partial
-# product of the same size, so the transient memory of a step stays
-# near 4x this whatever d and the edge count are. A step whose occupied
-# sources' fan rows (k * D * d^2 entries) fit one chunk forms K rho per
-# source, from that one chunk-sized product; ``_fan`` is compiled only
-# when its zero padding also fits one chunk, so a node of far larger
-# out-degree than the rest does not cost O(V * D) stored operators.
+# holds the gathered blocks and one partial product of the same size,
+# so its transient memory stays near 3x this whatever d and the edge
+# count are; a plan adds at most one conjugate copy of its operators. A
+# step whose occupied sources' fan rows (k * D * d^2 entries) fit one
+# chunk forms K rho per source, from that one chunk-sized product;
+# ``_fan`` is compiled only when its zero padding also fits one chunk,
+# so a node of far larger out-degree than the rest does not cost
+# O(V * D) stored operators.
 _CHUNK_BYTES = 1 << 17
 
 # Iteration cap of find_steady_state (and of ``oqw steady``).
@@ -211,6 +214,19 @@ class WalkSpec:
         fan = fan.reshape(v, width * d, d)
         fan.setflags(write=False)
         return fan
+
+    @cached_property
+    def _full_plan(self) -> tuple:
+        """Read-only ``_plan`` of a step with every node occupied, built once."""
+        plan = _plan(self, np.arange(self.node_count))
+        parts = [plan]
+        while parts:  # every array the nested tuples and lists hold
+            part = parts.pop()
+            if isinstance(part, np.ndarray):
+                part.setflags(write=False)
+            elif isinstance(part, (tuple, list)):
+                parts.extend(part)
+        return plan
 
 
 @dataclass
@@ -407,23 +423,11 @@ def _rows(spec: WalkSpec, state: WalkerState) -> tuple[np.ndarray, np.ndarray]:
     return pos[order], rho[order]
 
 
-def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
-    """Advance the walk by one step.
-
-    The block landing on each target node is the sum over its incoming
-    edges of K rho K^dag, accumulated in ascending source position onto
-    a -0.0 seed (an exact additive identity, so each block has the bits
-    of its terms added in that order, signed zeros included). Only
-    edges whose source is occupied are evaluated. When the occupied
-    sources' rows of the fan fit one chunk, each source's K rho for all
-    its out-edges is one product [K_1; ...; K_D] rho; otherwise K rho is
-    formed one matrix per edge, chunk by chunk. Where all edges of a
-    level's slice carry one operator, their (K rho) K^dag is one tall
-    product, and other slices take theirs from one stacked product per
-    chunk. Both tall products have the bits of the per-matrix products.
-    Blocks whose trace falls below PRUNE_TRACE are dropped.
-    """
-    pos, rho = _rows(spec, state)
+def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
+    """(reached targets, fans, chunks) of a step from occupied positions pos.
+    fans: the occupied sources' fan rows, or None past one chunk. Per chunk of
+    used edges: K, the K^dag stack if a slice needs it, the K rho gather index
+    and, per level slice, (lo, hi) in the chunk, output rows, shared K^dag or None."""
     ops, src, levels, run = spec._ops, spec._src, spec._levels, spec._run
     slot, fan, targets, out = spec._slot, spec._fan, spec._targets, spec._out
     d = spec.dim
@@ -431,6 +435,7 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
     # the occupied sources' rows of the fan fit one chunk, so the used
     # edges do too
     fanned = fan is not None and pos.size * fan.shape[1] <= per_chunk * d
+    fans = (fan if pos.size == spec.node_count else fan.take(pos, 0)) if fanned else None
     if pos.size < spec.node_count:
         # each edge's source as a row of rho (-1: source unoccupied)
         row_of = np.full(spec.node_count, -1, dtype=np.intp)
@@ -438,43 +443,63 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
         src = row_of[src]
         used = np.flatnonzero(src >= 0)
         if used.size < src.size:
-            ops, src, slot, run = ops[used], src[used], slot[used], run[used]
+            ops, src, slot, run = ops.take(used, 0), src[used], slot[used], run[used]
             levels = np.searchsorted(used, levels)
             # the reached targets, and each used edge's row among them
             out = out[used]
             reached = np.bincount(out, minlength=targets.size) > 0
             targets, out = targets[reached], (np.cumsum(reached) - 1)[out]
-    acc = np.full((targets.size, d, d), complex(-0.0, -0.0))
+    if fanned:
+        # the one chunk: each source's [K_1; ...; K_D] rho, and each
+        # edge's K rho at its source's row times D plus its slot
+        src = src * (fan.shape[1] // d) + slot
     bounds = levels.tolist()
+    chunks = []
     for e0 in range(0, src.size, per_chunk):
         e1 = min(e0 + per_chunk, src.size)
-        k = ops[e0:e1]
-        k_dag = k.conj().transpose(0, 2, 1)
-        if fanned:
-            # the one chunk: each source's [K_1; ...; K_D] rho, and each
-            # edge's K rho at its source's row times D plus its slot
-            fans = fan if pos.size == spec.node_count else fan[pos]
-            half = (fans @ rho).reshape(-1, d, d)[src * (fan.shape[1] // d) + slot]
-        else:
-            half = k @ rho[src[e0:e1]]
-        stacked = None
+        slices, stacked = [], False
         # the chunk's share of each level, in level order; a level has
         # distinct targets, and a run of consecutive rows is a slice
         for lo, hi in zip(bounds, bounds[1:]):
             lo, hi = max(lo, e0), min(hi, e1)
             if lo >= hi:
                 continue
-            if run[lo] == run[hi - 1]:
-                # one operator: (K rho_j) K^dag for all j as one tall product
-                terms = (half[lo - e0:hi - e0].reshape(-1, d)
-                         @ k_dag[lo - e0]).reshape(-1, d, d)
-            else:
-                if stacked is None:
-                    stacked = half @ k_dag
-                terms = stacked[lo - e0:hi - e0]
+            # one operator: (K rho_j) K^dag for all j as one tall product
+            shared = ops[lo].conj().T if run[lo] == run[hi - 1] else None
+            stacked = stacked or shared is None
             r0, r1 = out[lo], out[hi - 1]
             rows = slice(r0, r1 + 1) if r1 - r0 == hi - lo - 1 else out[lo:hi]
-            acc[rows] += terms
+            slices.append((lo - e0, hi - e0, rows, shared))
+        # K^dag: transposed views of conj copies, as the tall-product test takes
+        k_dag = ops[e0:e1].conj().transpose(0, 2, 1) if stacked else None
+        chunks.append((ops[e0:e1], k_dag, src[e0:e1], slices))
+    return targets, fans, chunks
+
+
+def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
+    """Advance the walk by one step.
+
+    The block landing on each target node is the sum over its incoming
+    edges of K rho K^dag, accumulated in ascending source position onto
+    a -0.0 seed (an exact additive identity, so each block has the bits
+    of its terms added in that order, signed zeros included). Only
+    edges whose source is occupied are evaluated, in the products the
+    step's plan lays out (``_full_plan`` when every node is occupied).
+    Blocks whose trace falls below PRUNE_TRACE are dropped.
+    """
+    pos, rho = _rows(spec, state)
+    targets, fans, chunks = (spec._full_plan if pos.size == spec.node_count
+                             else _plan(spec, pos))
+    d = spec.dim
+    acc = np.full((targets.size, d, d), complex(-0.0, -0.0))
+    for k, k_dag, gather, slices in chunks:
+        # take(): the copy fancy indexing makes, about twice as fast on small blocks
+        half = (k @ rho.take(gather, 0) if fans is None
+                else (fans @ rho).reshape(-1, d, d).take(gather, 0))
+        stacked = None if k_dag is None else half @ k_dag
+        for lo, hi, rows, shared in slices:
+            acc[rows] += stacked[lo:hi] if shared is None else (
+                half[lo:hi].reshape(-1, d) @ shared).reshape(-1, d, d)
     tr = np.trace(acc, axis1=1, axis2=2).real
     keep = tr > PRUNE_TRACE
     if not keep.all():

@@ -306,7 +306,8 @@ def test_criterion_4_gate_walk_steady_states():
 # Criterion 5: state preparation reaches the target pure state at node
 # 2 from arbitrary initial states, and the closed-form success
 # probability after 2m steps equals the simulation to 1e-13 for
-# m = 1..10, at every setting from four starts.
+# m = 1..10, at every setting from four starts; from the mixed node-1
+# start at p = 0.5 both exceed 0.999 at m = 10.
 # ---------------------------------------------------------------------
 
 
@@ -350,6 +351,11 @@ def test_criterion_5_state_preparation():
                 if abs(simulated - predicted) > 1e-13:
                     failures.append(
                         f"p={p} {label} m={m}: sim {simulated!r} vs exact {predicted!r}")
+            # from the mixed node-1 start at p = 0.5 both approach
+            # certainty by m = 10
+            if label == "node1-mixed" and p == 0.5 and min(simulated, predicted) <= 0.999:
+                failures.append(f"p={p} {label} m=10: sim {simulated!r}, "
+                                f"exact {predicted!r}, not above 0.999")
 
     _report(5, "dissipative state preparation", failures)
 

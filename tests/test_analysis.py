@@ -12,12 +12,11 @@ from oqwalk.analysis import (
     state_prep_predicted_pss,
     transport_predicted_arrival,
 )
-from oqwalk.core import WalkerState, find_steady_state, mixed_state, pure_state, run
+from oqwalk.core import WalkerState, find_steady_state, pure_state, run
 from oqwalk.linalg import KET_MINUS, KET_PLUS, outer
 from oqwalk.scenarios import (
     build_dqc_chain,
     build_line_walk,
-    build_state_prep,
     build_transport_chain,
     state_prep_targets,
 )
@@ -185,23 +184,6 @@ def test_state_prep_elements_reads_initial_weights():
     assert abs(e11) < 1e-14
     assert abs(e12 - 1.0) < 1e-14
     assert e21 == 0.0 and e22 == 0.0
-
-
-@pytest.mark.parametrize("m", [5, 7, 10])
-def test_state_prep_estimate_tracks_simulation(m):
-    alpha, beta, p = np.pi / 3, np.pi / 4, 0.5
-    spec = build_state_prep(alpha, beta, p)
-    target, complement = state_prep_targets(alpha, beta)
-    initial = mixed_state(1, 2)
-    elements = state_prep_elements(initial, target, complement)
-    predicted = state_prep_predicted_pss(elements, 1.0 - p, m)
-    final = run(spec, initial, 2 * m)[-1][1]
-    simulated = float(np.real(
-        target.conj() @ final.blocks[2] @ target))
-    assert abs(simulated - predicted) / simulated <= 0.10
-    if m == 10:
-        # estimate and simulation both approach certainty
-        assert simulated > 0.999 and predicted > 0.999
 
 
 # acceptance criterion 7 checks four longer chains

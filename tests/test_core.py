@@ -344,6 +344,27 @@ def test_step_matches_reference_loop_in_small_chunks(monkeypatch):
             assert_same_blocks(state.blocks, expected)
 
 
+@pytest.mark.parametrize("chunk", ["default", "small"])
+def test_step_matches_reference_loop_with_every_node_occupied(monkeypatch, chunk):
+    # every builder from a state that occupies every node: the steps
+    # that reuse the spec's cached full-occupancy plan, at the default
+    # chunk and at chunks of one to three edges
+    if chunk == "small":
+        monkeypatch.setattr(core, "_CHUNK_BYTES", 3 * 16 * 2 ** 2)
+    # the plan, like the fan, is compiled at first use: build the specs
+    # after the chunk is set
+    rng = np.random.default_rng(37)
+    for label, spec, _ in scenario_cases():
+        per_chunk = max(1, core._CHUNK_BYTES // (16 * spec.dim ** 2))
+        assert (spec._src.size > per_chunk) == (chunk == "small"), label
+        state = WalkerState(random_block_state(spec.nodes, spec.dim, rng))
+        assert len(state.blocks) == spec.node_count, label
+        for _ in range(10):
+            expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+            state = step(spec, state)
+            assert_same_blocks(state.blocks, expected)
+
+
 def random_graph_spec(rng, n_nodes: int, dim: int) -> WalkSpec:
     """Random walk graph on 0..n_nodes-1 with complete Kraus families.
 
@@ -454,9 +475,10 @@ def test_tall_product_matches_per_matrix_product(dim):
         m.imag[rng.random(m.shape) < 0.2] = -0.0
         for label, op in ops.items():
             k = np.repeat(op[None], n, axis=0)
-            k_dag = k.conj().transpose(0, 2, 1)  # the view step() passes
-            stacked = m @ k_dag
-            tall = (m.reshape(-1, dim) @ k_dag[0]).reshape(-1, dim, dim)
+            # the views step() passes: a chunk's K^dag stack, and a
+            # one-operator slice's K^dag
+            stacked = m @ k.conj().transpose(0, 2, 1)
+            tall = (m.reshape(-1, dim) @ op.conj().T).reshape(-1, dim, dim)
             assert tall.tobytes() == stacked.tobytes(), (
                 f"tall and per-matrix M @ K^dag differ at d={dim}, n={n}, "
                 f"{label} K under {blas_build()}; step() would change bits")
@@ -888,6 +910,29 @@ def test_find_steady_state_computes_exact_residual_once(monkeypatch):
     result = find_steady_state(spec, initial)
     assert result.converged and result.iterations > 1000
     assert calls == [21]
+
+
+def test_find_steady_state_compiles_one_plan_per_occupancy(monkeypatch):
+    # every node of the dqc chain is occupied from iteration 21 on: the
+    # full-occupancy plan is compiled once and reused by every later step
+    from oqwalk.scenarios import build_dqc_chain
+
+    rng = np.random.default_rng(3)
+    spec, initial = build_dqc_chain([random_unitary(2, rng) for _ in range(20)], 0.5)
+    sizes = []
+    plan = core._plan
+    monkeypatch.setattr(core, "_plan", lambda spec, pos: sizes.append(
+        pos.size) or plan(spec, pos))
+    result = find_steady_state(spec, initial)
+    assert result.converged and result.iterations > 1000
+    assert sizes == [*range(1, 21), 21]
+    targets, fans, chunks = spec._full_plan
+    arrays = [targets, fans]
+    for k, k_dag, gather, slices in chunks:
+        arrays += [k, k_dag, gather, *(a for *_, rows, shared in slices
+                                       for a in (rows, shared))]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) > 4 and not any(a.flags.writeable for a in arrays)
 
 
 def test_find_steady_state_tol_validation():
