@@ -416,22 +416,27 @@ def build_plan(cfg: RunConfig) -> ScenarioPlan:
         raise ConfigError(str(exc)) from exc
 
 
-def emit_csv(records) -> Iterator[str]:
-    """CSV text of (step, {node: probability}) records, a piece per record."""
+def emit_csv(snapshots, nodes: tuple) -> Iterator[str]:
+    """CSV text of (step, WalkerState) snapshots, a piece per snapshot: a
+    row per occupied node, in the order of the spec's node tuple ``nodes``."""
     yield "step,node,probability\n"
-    for step_index, occ in records:  # one %-format per snapshot, a row per node
-        flat = [None] * (2 * len(occ))
-        flat[0::2], flat[1::2] = occ, occ.values()
-        yield (f"{step_index},%s,%.12f\n" * len(occ)) % tuple(flat)
+    # a row template per node, a % in its label escaped, and one
+    # %-format per snapshot
+    rows = ["," + str(node).replace("%", "%%") + ",%.12f\n" for node in nodes]
+    for step_index, state in snapshots:
+        pos, tr = state.trace_rows(nodes)
+        s = str(step_index)
+        yield (s + s.join(map(rows.__getitem__, pos))) % tuple(tr) if pos else ""
 
 
-def emit_json(records) -> Iterator[str]:
-    """``json.dumps(payload, indent=2) + "\\n"`` of the records, a piece per
-    record: exact, as json escapes the newlines inside strings."""
+def emit_json(snapshots, nodes: tuple) -> Iterator[str]:
+    """``json.dumps(payload, indent=2) + "\\n"`` of the (step, WalkerState)
+    snapshots, a piece per snapshot: exact, as json escapes the newlines
+    inside strings."""
     sep = "[\n  "
-    for step_index, occ in records:
+    for step_index, state in snapshots:
         entry = {"step": step_index, "occupations": {
-            str(node): round(prob, 12) for node, prob in occ.items()}}
+            str(node): round(prob, 12) for node, prob in state.traces(nodes).items()}}
         yield sep + json.dumps(entry, indent=2).replace("\n", "\n  ")
         sep = ",\n  "
     yield "[]\n" if sep == "[\n  " else "\n]\n"  # "[]" for no records
@@ -450,10 +455,9 @@ def execute(cfg: RunConfig) -> int:
                      f"{report.residuals[node]:.3e} > tol {cfg.tol:g}")
 
     if cfg.mode == "run":
-        records = ((k, state.traces(plan.spec.nodes)) for k, state in iter_run(
-            plan.spec, plan.initial, cfg.steps, cfg.record_every))
+        snapshots = iter_run(plan.spec, plan.initial, cfg.steps, cfg.record_every)
         emit = emit_csv if cfg.fmt == "csv" else emit_json
-        return _write_output(emit(records), cfg.output)
+        return _write_output(emit(snapshots, plan.spec.nodes), cfg.output)
 
     result = find_steady_state(plan.spec, plan.initial, tol=cfg.tol,
                                max_iter=cfg.max_iter)

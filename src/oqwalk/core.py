@@ -334,10 +334,17 @@ class WalkerState:
         With ``nodes`` (a spec's node tuple) only those nodes are
         listed, in that order.
         """
+        nodes = self._nodes if nodes is None else nodes
+        pos, tr = self.trace_rows(nodes)
+        return dict(zip(map(nodes.__getitem__, pos), tr))
+
+    def trace_rows(self, nodes: tuple) -> tuple[list, list]:
+        """(positions, traces) of traces(nodes): ascending positions in nodes."""
+        if nodes is self._nodes:
+            return self._pos.tolist(), self._tr.tolist()
         occ = dict(zip(self._labels(), self._tr.tolist()))
-        if nodes is None or nodes is self._nodes:
-            return occ
-        return {n: occ[n] for n in nodes if n in occ}
+        pos = [k for k, n in enumerate(nodes) if n in occ]
+        return pos, [occ[nodes[k]] for k in pos]
 
     def total_trace(self) -> float:
         # builtin sum(): it feeds only _trace_bound's slack, twice per steady iteration
@@ -426,8 +433,9 @@ def _rows(spec: WalkSpec, state: WalkerState) -> tuple[np.ndarray, np.ndarray]:
 def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
     """(reached targets, fans, chunks) of a step from occupied positions pos.
     fans: the occupied sources' fan rows, or None past one chunk. Per chunk of
-    used edges: K, the K^dag stack if a slice needs it, the K rho gather index
-    and, per level slice, (lo, hi) in the chunk, output rows, shared K^dag or None."""
+    used edges: K if the chunk reads it, the K^dag stack if a slice needs it,
+    the K rho gather index and, per level slice, (lo, hi) in the chunk, output
+    rows, shared K^dag or None."""
     ops, src, levels, run = spec._ops, spec._src, spec._levels, spec._run
     slot, fan, targets, out = spec._slot, spec._fan, spec._targets, spec._out
     d = spec.dim
@@ -436,6 +444,7 @@ def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
     # edges do too
     fanned = fan is not None and pos.size * fan.shape[1] <= per_chunk * d
     fans = (fan if pos.size == spec.node_count else fan.take(pos, 0)) if fanned else None
+    used = None  # each used edge's row of ops, on a partial step
     if pos.size < spec.node_count:
         # each edge's source as a row of rho (-1: source unoccupied)
         row_of = np.full(spec.node_count, -1, dtype=np.intp)
@@ -443,12 +452,14 @@ def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
         src = row_of[src]
         used = np.flatnonzero(src >= 0)
         if used.size < src.size:
-            ops, src, slot, run = ops.take(used, 0), src[used], slot[used], run[used]
+            src, slot, run, out = src[used], slot[used], run[used], out[used]
             levels = np.searchsorted(used, levels)
             # the reached targets, and each used edge's row among them
-            out = out[used]
-            reached = np.bincount(out, minlength=targets.size) > 0
-            targets, out = targets[reached], (np.cumsum(reached) - 1)[out]
+            reached = np.zeros(targets.size, dtype=bool)
+            reached[out] = True
+            reached = np.flatnonzero(reached)
+            row_of[reached] = np.arange(reached.size)  # src is read: reuse row_of
+            targets, out = targets[reached], row_of[out]
     if fanned:
         # the one chunk: each source's [K_1; ...; K_D] rho, and each
         # edge's K rho at its source's row times D plus its slot
@@ -465,14 +476,17 @@ def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
             if lo >= hi:
                 continue
             # one operator: (K rho_j) K^dag for all j as one tall product
-            shared = ops[lo].conj().T if run[lo] == run[hi - 1] else None
+            shared = (ops[lo if used is None else used[lo]].conj().T
+                      if run[lo] == run[hi - 1] else None)
             stacked = stacked or shared is None
             r0, r1 = out[lo], out[hi - 1]
             rows = slice(r0, r1 + 1) if r1 - r0 == hi - lo - 1 else out[lo:hi]
             slices.append((lo - e0, hi - e0, rows, shared))
+        k = (None if fanned and not stacked else ops[e0:e1] if used is None
+             else ops.take(used[e0:e1], 0))
         # K^dag: transposed views of conj copies, as the tall-product test takes
-        k_dag = ops[e0:e1].conj().transpose(0, 2, 1) if stacked else None
-        chunks.append((ops[e0:e1], k_dag, src[e0:e1], slices))
+        k_dag = k.conj().transpose(0, 2, 1) if stacked else None
+        chunks.append((k, k_dag, src[e0:e1], slices))
     return targets, fans, chunks
 
 

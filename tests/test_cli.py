@@ -18,8 +18,10 @@ from oqwalk.cli import (
     main,
     parse_config,
 )
-from oqwalk.core import validate_walk
+from oqwalk.core import WalkerState, WalkSpec, mixed_state, run, validate_walk
 from oqwalk.scenarios import SCENARIO_NAMES
+
+from oracles import random_kraus_family
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -104,18 +106,14 @@ def test_plan_gate_matrix_input():
 
 
 def test_emit_csv_single_snapshot():
-    text = "".join(emit_csv([(0, {0: 1.0})]))
+    text = "".join(emit_csv([(0, mixed_state(0, 1))], (0,)))
     assert text == "step,node,probability\n0,0,1.000000000000\n"
 
 
 def test_emit_csv_two_step_line():
     cfg = parse_config({"scenario": "line", "theta_cos": 0.8, "steps": 2})
     plan = build_plan(cfg)
-    from oqwalk.core import run
-
-    records = [(k, state.traces(plan.spec.nodes))
-               for k, state in run(plan.spec, plan.initial, 2)]
-    text = "".join(emit_csv(records))
+    text = "".join(emit_csv(run(plan.spec, plan.initial, 2), plan.spec.nodes))
     lines = text.strip().split("\n")
     step2 = [ln for ln in lines if ln.startswith("2,")]
     assert len(step2) == 3
@@ -124,15 +122,51 @@ def test_emit_csv_two_step_line():
     assert step2[2].startswith("2,2,0.5648")
 
 
+def csv_of_traces(snapshots, nodes) -> str:
+    """The CSV text as one f-string per row of ``state.traces(nodes)``."""
+    return "step,node,probability\n" + "".join(
+        f"{k},{n},{p:.12f}\n" for k, state in snapshots
+        for n, p in state.traces(nodes).items())
+
+
+def test_emit_csv_equals_rows_of_traces():
+    # labels that are tuples or hold a %, snapshot 0 from a dict whose
+    # order is not the spec's, snapshots that empty out through a sink,
+    # and a final partial interval of record_every
+    rng = np.random.default_rng(5)
+    nodes = ("a%s", (1, "%d"), "100%", (2,), 7, "%%", "sink")
+    hops = {("%%", "sink"): np.eye(2)}  # the sink has no out-edges
+    for k in range(5):
+        near, far = random_kraus_family(2, 2, rng)
+        hops[(nodes[k], nodes[k + 1])] = near
+        hops[(nodes[k], nodes[k + 2])] = far
+    spec = WalkSpec(nodes, 2, hops)
+    initial = WalkerState({"100%": np.eye(2) / 4, "a%s": np.eye(2) / 4,
+                           (1, "%d"): np.eye(2) / 2})
+    for n_steps, every in ((0, 1), (3, 1), (40, 3), (41, 4)):
+        snapshots = run(spec, initial, n_steps, every)
+        assert "".join(emit_csv(iter(snapshots), nodes)) == csv_of_traces(
+            snapshots, nodes)
+    first, second, last = (snapshots[k][1].traces(nodes) for k in (0, 1, -1))
+    assert list(first) == ["a%s", (1, "%d"), "100%"]
+    assert len(second) > 1 and last == {}
+    empty = [(0, WalkerState({}))]
+    assert "".join(emit_csv(empty, nodes)) == csv_of_traces(empty, nodes)
+
+
 def test_emit_json_round_trip():
+    nodes = (-1, 0, 1)
     records = [(0, {0: 1.0}), (1, {1: 17 / 25, -1: 8 / 25})]
-    payload = json.loads("".join(emit_json(records)))
+    snapshots = [(k, WalkerState({n: [[p]] for n, p in occ.items()}))
+                 for k, occ in records]
+    payload = json.loads("".join(emit_json(snapshots, nodes)))
     assert payload[0] == {"step": 0, "occupations": {"0": 1.0}}
     for (step_index, occ), entry in zip(records, payload):
         assert entry["step"] == step_index
         for node, prob in occ.items():
             assert abs(entry["occupations"][str(node)] - prob) <= 1e-12
-    assert "".join(emit_json([])) == json.dumps([], indent=2) + "\n"
+    assert list(payload[1]["occupations"]) == ["-1", "1"]
+    assert "".join(emit_json([], nodes)) == json.dumps([], indent=2) + "\n"
 
 
 @pytest.mark.parametrize("doc", [

@@ -650,6 +650,42 @@ def test_step_matches_reference_per_source_and_per_edge(monkeypatch, chunk):
                 assert_same_blocks(state.blocks, expected)
 
 
+@pytest.mark.parametrize("chunk", ["default", "tiny"])
+def test_step_matches_reference_with_every_edge_used_and_a_node_empty(monkeypatch, chunk):
+    # every node but the edge-less sink occupied: a partial step (not the
+    # full-occupancy plan) whose every edge is used, per source at the
+    # default chunk and per edge at a one-edge chunk
+    rng = np.random.default_rng(41)
+    specs = [random_graph_spec(rng, 8, dim) for dim in (1, 2, 3)]
+    assert all(spec._fan is not None for spec in specs)  # built at the default chunk
+    if chunk == "tiny":
+        monkeypatch.setattr(core, "_CHUNK_BYTES", 16)
+    for spec in specs:
+        assert set(spec._src.tolist()) == set(range(spec.node_count - 1))
+        targets, fans, _ = core._plan(spec, np.arange(spec.node_count - 1))
+        assert np.array_equal(targets, spec._targets)
+        assert (fans is not None) == (chunk == "default")
+        for _ in range(4):
+            blocks = random_block_state(spec.nodes[:-1], spec.dim, rng)
+            assert_same_blocks(step(spec, WalkerState(blocks)).blocks,
+                               reference_step(spec, blocks, PRUNE_TRACE))
+
+
+def test_fanned_one_operator_plan_holds_no_k_stack():
+    # a partial line step forms K rho per source and every level slice's
+    # (K rho_j) K^dag as one tall product: no chunk reads K or a K^dag stack
+    spec, state = build_line_walk(np.arccos(0.8), 30)
+    for _ in range(12):
+        state = step(spec, state)
+        pos = np.flatnonzero([n in state.blocks for n in spec.nodes])
+        assert 1 < pos.size < spec.node_count
+        _, fans, chunks = core._plan(spec, pos)
+        assert fans is not None and len(chunks) == 1
+        k, k_dag, _, slices = chunks[0]
+        assert k is None and k_dag is None
+        assert all(shared is not None for *_, shared in slices)
+
+
 def test_spec_copies_operators_once():
     rng = np.random.default_rng(9)
     b1, c1 = random_kraus_family(2, 2, rng)
