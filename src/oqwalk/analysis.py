@@ -6,20 +6,20 @@ blocks. The closed-form predictions (biased-chain read-out for the
 computation chain, arrival at the end of the transport chain, the
 success probability of state preparation) exist so that simulations
 can be checked against them. Each raises ValueError or TypeError on
-input it cannot give a finite value for.
+input it cannot give a finite value for: TypeError for a bool, string,
+complex or array number or a float count, ValueError for one out of
+range, each message starting with the parameter's name.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Mapping
 
 import numpy as np
 
 from .core import WalkerState
-from .linalg import pure_fidelity, sum_left_to_right
-from .scenarios import _check_probability, _real
+from .linalg import _count, _real, pure_fidelity, sum_left_to_right
 
 
 def occupation(state: WalkerState, nodes: tuple | None = None) -> dict:
@@ -36,16 +36,14 @@ def position_moments(dist: dict) -> tuple[float, float]:
     from finite real weights with a positive total."""
     if not isinstance(dist, Mapping):
         raise TypeError(f"expected a node -> weight mapping, got {type(dist).__name__}")
-    for node in dist:
-        if not isinstance(node, (int, np.integer)):
-            raise TypeError(f"non-integer node label {node!r}")
-    weights = [_real(w, f"weight of node {n}") for n, w in dist.items()]
+    sites = [_count(node, "node label", -math.inf) for node in dist]
+    weights = [_real(w, f"weight of node {n}") for n, w in zip(sites, dist.values())]
     total = sum_left_to_right(weights)
     if total <= 0:
         raise ValueError("empty distribution")
     try:
-        mean = sum_left_to_right(n * w for n, w in zip(dist, weights)) / total
-        var = sum_left_to_right((n - mean) ** 2 * w for n, w in zip(dist, weights)) / total
+        mean = sum_left_to_right(n * w for n, w in zip(sites, weights)) / total
+        var = sum_left_to_right((n - mean) ** 2 * w for n, w in zip(sites, weights)) / total
     except OverflowError:  # a site past the float range, or its square
         mean = var = math.inf
     if not (math.isfinite(mean) and math.isfinite(var)):
@@ -96,9 +94,8 @@ def dqc_predicted_readout(omega: float, t_final: int) -> float:
     t_final + 1 registers holds r^T / sum_{t=0..T} r^t with
     r = omega / (1 - omega). At omega = 1/2 this is 1 / (T + 1).
     """
-    omega = _check_probability(omega, "omega", open_interval=True)
-    if t_final < 1:
-        raise ValueError("need at least one register transition (T >= 1)")
+    omega = _real(omega, "omega", 0, 1, open_interval=True)
+    t_final = _count(t_final, "t_final", 1)
     r = omega / (1.0 - omega)
     try:  # sum_{s=0..T} r^{-s}, stable for either bias direction
         denom = sum_left_to_right((1.0 / r) ** s for s in range(t_final + 1))
@@ -122,9 +119,8 @@ def state_prep_predicted_pss(
 
         M = [[1/2, 0, 0, p], [0, 1/2, 0, 0], [1/2, 0, 1, 0], [0, 1/2, 0, q]]
     """
-    q = _check_probability(q, "q")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    q = _real(q, "q", 0, 1)
+    m = _count(m, "m", 1)
     p = 1.0 - q
     a1, b1, a2, b2 = (_real(x, "rho0_elements entry") for x in rho0_elements)
     for _ in range(2 * m):
@@ -159,10 +155,9 @@ def transport_predicted_arrival(n_nodes: int, p: float, step: int) -> float:
     So node N holds 0 before step N - 1, (1 + q^(N-1)) / 2 at step
     N - 1, and 1 from step N on, for any orthonormal psi1, psi2.
     """
-    n_nodes, step = operator.index(n_nodes), operator.index(step)  # TypeError for 2.5
-    if n_nodes < 2:
-        raise ValueError("the chain needs at least 2 nodes")
-    p = _check_probability(p)
+    n_nodes = _count(n_nodes, "n_nodes", 2)
+    p = _real(p, "p", 0, 1)
+    step = _count(step, "step", 0)
     if step < n_nodes - 1:
         return 0.0
     if step == n_nodes - 1:  # q^(N-1) is 0 or 1 long before N leaves the float range

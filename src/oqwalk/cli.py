@@ -20,11 +20,12 @@ kept as a string) build the same document from the command line;
 1e-10) comes only from the configuration, like every other setting.
 
 Each ``SCENARIOS`` entry holds a scenario's parameters (spellings,
-typed parsers, defaults) and an adapter that calls its builder, which
-owns the range checks. Bad input and usage errors raise
-``ConfigError``. It and a walk that ``run`` or ``steady`` rejects each
-print one ``error:`` line with exit status 1. ``main(argv)`` returns
-every exit status; only ``-h`` leaves through ``SystemExit``.
+typed parsers, defaults) and an adapter that calls its builder. Numbers
+and counts are parsed by linalg's rules, as in the builders. Bad input
+and usage errors raise ``ConfigError``. It and a walk that ``run`` or
+``steady`` rejects each print one ``error:`` line with exit status 1.
+``main(argv)`` returns every exit status; only ``-h`` leaves through
+``SystemExit``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -67,6 +67,8 @@ from .linalg import (
     PAULI_Z,
     S_GATE,
     T_GATE,
+    _count,
+    _real,
     basis_ket,
     normalized,
 )
@@ -140,33 +142,19 @@ class ScenarioPlan:
 
 
 # Typed parsers: (key, JSON value) -> value, or a ConfigError naming the key
-def _integer(key: str, value, low: int | None = None) -> int:
-    # JSON true/false are bools, and Python's bool is an int: not counts
-    if (not isinstance(value, int) or isinstance(value, bool)
-            or (low is not None and value < low)):
-        bound = "" if low is None else f" >= {low}"
-        raise ConfigError(f"{key} must be an integer{bound}")
-    return value
-
-
-def _real(key: str, value, positive: bool = False) -> float:
-    # not JSON true/false, NaN, Infinity or a number beyond the float range
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max and (value > 0 or not positive)):
-        return float(value)
-    kind = "a positive finite" if positive else "a finite"
-    raise ConfigError(f"{key} must be {kind} number")
-
-
-def _within(key: str, value, low: int, high: int) -> float:
-    x = _real(key, value)
-    if not low <= x <= high:
-        raise ConfigError(f"{key} must lie in [{low}, {high}]")
-    return x
+def _checked(rule: Callable, *bounds, **options):
+    """The parser of linalg's rule `rule` (_real or _count) with `bounds`:
+    its TypeError or ValueError, which starts with the key, as a ConfigError."""
+    def parse(key: str, value):
+        try:
+            return rule(value, key, *bounds, **options)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+    return parse
 
 
 def _acos(key: str, value) -> float:
-    return math.acos(_within(key, value, -1, 1))
+    return math.acos(_checked(_real, -1, 1)(key, value))
 
 
 def _text(key: str, value) -> str:
@@ -210,13 +198,13 @@ def _gates(key: str, value) -> list:
 
 # run settings: key -> parser (defaults in RunConfig); others are parameters
 _SETTINGS = {
-    "steps": partial(_integer, low=0),
-    "record_every": partial(_integer, low=1),
+    "steps": _checked(_count, 0),
+    "record_every": _checked(_count, 1),
     "mode": _named({"run": "run", "steady": "steady"}),
     "format": _named({"csv": "csv", "json": "json"}),
     "output": _text,
-    "tol": partial(_real, positive=True),
-    "max_iter": partial(_integer, low=1),
+    "tol": _checked(_real, 0, open_interval=True),
+    "max_iter": _checked(_count, 1),
 }
 
 
@@ -378,30 +366,31 @@ def _dqc(values: dict, cfg: RunConfig) -> ScenarioPlan:
         **_fidelity(state, t_final, "output_fidelity", vec)))
 
 
-_P_OR_Q = {"p": _real, "q": lambda key, value: 1.0 - _real(key, value)}
-_HOP = {**_P_OR_Q, "sqrt_p": lambda key, value: _within(key, value, 0, 1) ** 2}
+_REAL = _checked(_real)
+_P_OR_Q = {"p": _REAL, "q": lambda key, value: 1.0 - _REAL(key, value)}
+_HOP = {**_P_OR_Q, "sqrt_p": lambda key, value: _checked(_real, 0, 1)(key, value) ** 2}
 
 # scenario name -> (its parameters, its adapter); an adapter takes the
 # resolved values and the RunConfig and returns the ScenarioPlan
 SCENARIOS = {
-    "line": ((Param({"theta": _real, "theta_cos": _acos}, _REQUIRED),
-              Param({"window": _integer})), _line),
+    "line": ((Param({"theta": _REAL, "theta_cos": _acos}, _REQUIRED),
+              Param({"window": _checked(_count, 1)})), _line),
     "gate": ((Param({"gate": _gate, "matrix": _gate}, _REQUIRED),
               Param(_HOP, _REQUIRED),
               Param({"psi0": _ket})), _gate_walk),
-    "state_prep": ((Param({"alpha": _real}, 0.0),
-                    Param({"beta": _real}, 0.0),
+    "state_prep": ((Param({"alpha": _REAL}, 0.0),
+                    Param({"beta": _REAL}, 0.0),
                     Param(_P_OR_Q, 0.5),
                     Param({"psi0": _ket})), _state_prep),
     "bell": ((Param({"start_node": _named({n: n for n in BELL_NODE_STATES})},
                     "UL"),), _bell),
-    "transport": ((Param({"N": _integer}, _REQUIRED),
+    "transport": ((Param({"N": _checked(_count, 2)}, _REQUIRED),
                    Param(_HOP, _REQUIRED),
                    Param({"psi1": _ket}),
                    Param({"psi2": _ket}),
                    Param({"psi0": _ket})), _transport),
-    "dqc": ((Param({"omega": _real}, _REQUIRED),
-             Param({"T": _integer}, _REQUIRED),
+    "dqc": ((Param({"omega": _REAL}, _REQUIRED),
+             Param({"T": _checked(_count, 1)}, _REQUIRED),
              Param({"unitaries": _gates}),
              Param({"psi0": _ket})), _dqc),
 }

@@ -64,8 +64,8 @@ from typing import Hashable, Iterator
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, as_ket, as_operator, half_trace_norms, outer,
-                     sum_left_to_right)
+from .linalg import (DEFAULT_TOL, _count, _real, as_ket, as_operator,
+                     half_trace_norms, outer, sum_left_to_right)
 
 Node = Hashable
 
@@ -137,8 +137,7 @@ class WalkSpec:
             raise ValueError("a walk needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node labels")
-        if self.dim < 1:
-            raise ValueError("internal dimension must be >= 1")
+        object.__setattr__(self, "dim", _count(self.dim, "dim", 1))
         index = {n: k for k, n in enumerate(nodes)}
         mats, src, tgt = [], [], []
         for (s, t), op in self.transitions.items():
@@ -260,6 +259,7 @@ def validate_walk(spec: WalkSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     |sum - I|, so a node with no outgoing edges has residual 1 (the zero
     map loses all probability).
     """
+    tol = _real(tol, "tol", 0, open_interval=True)
     order = np.argsort(spec._slot, kind="stable")  # level j: each source's j-th edge
     ops, src = spec._ops[order], spec._src[order]
     terms = ops.conj().transpose(0, 2, 1) @ ops
@@ -363,6 +363,7 @@ def pure_state(node: Node, psi: np.ndarray) -> WalkerState:
 
 def mixed_state(node: Node, dim: int) -> WalkerState:
     """Walker localized at one node with the maximally mixed internal state."""
+    dim = _count(dim, "dim", 1)
     return WalkerState({node: np.eye(dim, dtype=complex) / dim})
 
 
@@ -526,10 +527,8 @@ def iter_run(spec: WalkSpec, initial: WalkerState, n_steps: int,
     """Evolve for n_steps, yielding (step index, state) snapshots as made:
     snapshot 0 is the initial state, then one every record_every steps,
     and the final state is always included."""
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    n_steps = _count(n_steps, "n_steps", 0)
+    record_every = _count(record_every, "record_every", 1)
     yield 0, initial
     state = initial
     for k in range(1, n_steps + 1):
@@ -578,8 +577,8 @@ def find_steady_state(spec: WalkSpec, initial: WalkerState,
     distance is computed, so ``residual`` is always state_trace_distance
     of the last two states.
     """
-    if not tol > 0:  # NaN too: no residual would ever be <= it
-        raise ValueError("tol must be positive")
+    tol = _real(tol, "tol", 0, open_interval=True)
+    max_iter = _count(max_iter, "max_iter", 1)
     skip_above = tol * (1 + _BOUND_MARGIN)
     state = initial
     residual = float("inf")

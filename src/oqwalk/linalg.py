@@ -14,6 +14,8 @@ a two-qubit register, and the basis order is |00>, |01>, |10>, |11>.
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +56,41 @@ for _a in (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, HADAMARD, S_GATE, T_GATE,
            BELL_PSI_MINUS, BELL_PHI_PLUS, BELL_PHI_MINUS):
     _a.setflags(write=False)
 del _a
+
+
+def _real(x, name: str, low: float = -math.inf, high: float = math.inf,
+          open_interval: bool = False) -> float:
+    """x as a finite float in [low, high], or (low, high) with open_interval.
+    TypeError for a bool, string, complex or array: float() would take a
+    bool as 0 or 1, parse a string or drop a numpy complex's imaginary part."""
+    try:
+        if (isinstance(x, (bool, str, bytes)) or getattr(x, "dtype", None) == bool
+                or np.ndim(x) or np.iscomplexobj(x)):
+            raise TypeError
+        x = float(x)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    except (TypeError, ValueError):  # ValueError: a ragged nested list
+        raise TypeError(f"{name} must be a real number, got {x!r}") from None
+    if not ((low < x < high if open_interval else low <= x <= high)
+            and math.isfinite(x)):  # a NaN fails both
+        bounds = ("(%g, %g)" if open_interval else "[%g, %g]") % (low, high)
+        where = {"[-inf, inf]": "be finite", "(0, inf)": "be positive and finite"}
+        raise ValueError(f"{name} must {where.get(bounds, 'lie in ' + bounds)}, got {x}")
+    return x
+
+
+def _count(n, name: str, low: int) -> int:
+    """n as an int >= low. A bool or a float (2.0 too) raises TypeError."""
+    try:
+        if isinstance(n, bool):  # numpy's bool fails operator.index
+            raise TypeError
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {n!r}") from None
+    if n < low:
+        raise ValueError(f"{name} must be an integer >= {low}")
+    return n
 
 
 def _complex(a) -> np.ndarray:

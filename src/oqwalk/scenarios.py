@@ -11,11 +11,13 @@ Six walks are provided:
 * a chain of time registers realizing dissipative computation with a
   tunable forward bias.
 
-Every builder raises ValueError or TypeError on bad input, or returns a
-spec whose per-node operator families satisfy the completeness relation
-exactly (up to float rounding), so they pass ``validate_walk`` at
-tolerance 1e-12. A size too large to build (a line window, a chain
-length) raises OverflowError or MemoryError instead.
+Every builder returns a spec whose per-node operator families satisfy
+the completeness relation exactly (up to float rounding), so they pass
+``validate_walk`` at tolerance 1e-12, or raises TypeError or ValueError:
+TypeError for a bool, string, complex or array number or a float count,
+ValueError for a number out of range (both messages start with the
+parameter's name) and for other bad input. A size too large to build (a
+line window, a chain length) raises OverflowError or MemoryError instead.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .linalg import (
     KET_PLUS,
     PAULI_X,
     PAULI_Z,
+    _count,
+    _real,
     as_ket,
     as_operator,
     basis_ket,
@@ -51,31 +55,8 @@ SCENARIO_NAMES = ("line", "gate", "state_prep", "bell", "transport", "dqc")
 _INPUT_TOL = 2e-13
 
 
-def _real(x, name: str) -> float:
-    """x as a finite float. A complex, string or array value raises
-    TypeError: float() would drop a numpy complex's imaginary part."""
-    if np.ndim(x) or np.iscomplexobj(x) or isinstance(x, (str, bytes)):
-        raise TypeError(f"{name} must be a real number, got {x!r}")
-    try:
-        x = float(x)
-    except OverflowError:  # an int past the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x}")
-    return x
-
-
 def _is_unitary(u: np.ndarray) -> bool:
     return is_unitary(u, _INPUT_TOL) and is_unitary(u.conj().T, _INPUT_TOL)
-
-
-def _check_probability(p: float, name: str = "p",
-                       open_interval: bool = False) -> float:
-    p = _real(p, name)
-    if not (0.0 < p < 1.0 if open_interval else 0.0 <= p <= 1.0):
-        kind = "(0, 1)" if open_interval else "[0, 1]"
-        raise ValueError(f"{name} must lie in {kind}, got {p}")
-    return p
 
 
 def _chain(mats: list, forward: float, nodes) -> WalkSpec:
@@ -119,8 +100,7 @@ def build_line_walk(theta: float, window: int) -> tuple[WalkSpec, WalkerState]:
     Returns the spec and the canonical initial state: maximally mixed
     internal state at site 0.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    window = _count(window, "window", 1)
     right, left = line_hop_operators(_real(theta, "theta"))
     sites = list(range(-window, window + 1))
     n = len(sites)
@@ -148,7 +128,7 @@ def build_gate_walk(gate: np.ndarray, p: float) -> WalkSpec:
     u = as_operator(gate)
     if not _is_unitary(u):
         raise ValueError("gate must be unitary")
-    return _chain([u], _check_probability(p), (1, 2))
+    return _chain([u], _real(p, "p", 0, 1), (1, 2))
 
 
 def state_prep_targets(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +152,7 @@ def build_state_prep(alpha: float, beta: float, p: float) -> WalkSpec:
     keeps the target intact. The unique fixed point is the target state
     sitting at node 2.
     """
-    p = _check_probability(p, open_interval=True)
+    p = _real(p, "p", 0, 1, open_interval=True)
     q = 1.0 - p
     target, complement = state_prep_targets(_real(alpha, "alpha"),
                                             _real(beta, "beta"))
@@ -242,9 +222,8 @@ def build_transport_chain(
     Returns the spec and the canonical initial state: maximally mixed
     at node 1.
     """
-    if n_nodes < 2:
-        raise ValueError("the chain needs at least 2 nodes")
-    p = _check_probability(p)
+    n_nodes = _count(n_nodes, "n_nodes", 2)
+    p = _real(p, "p", 0, 1)
     q = 1.0 - p
     psi1 = KET_PLUS if psi1 is None else as_ket(psi1)
     psi2 = KET_MINUS if psi2 is None else as_ket(psi2)
@@ -299,7 +278,7 @@ def build_dqc_chain(
             raise ValueError("unitaries must share one dimension")
         if not _is_unitary(u):
             raise ValueError(f"operator {k + 1} is not unitary")
-    omega = _check_probability(omega, "omega", open_interval=True)
+    omega = _real(omega, "omega", 0, 1, open_interval=True)
     psi0 = basis_ket(d, 0) if psi0 is None else as_ket(psi0)
     if psi0.size != d:
         raise ValueError("psi0 dimension does not match the unitaries")

@@ -142,7 +142,8 @@ def test_closed_forms_reject_what_they_cannot_evaluate():
         with pytest.raises((ValueError, TypeError)):
             state_prep_predicted_pss(*args)
     for dist in ({0: nan}, {0: float("inf")}, {0: 1j}, {10 ** 400: 1.0},
-                 {10 ** 200: 1.0, -10 ** 200: 1.0}, [1], None, "ab"):
+                 {10 ** 200: 1.0, -10 ** 200: 1.0}, [1], None, "ab",
+                 {True: 1.0}, {np.True_: 1.0}, {1.0: 1.0}):
         with pytest.raises((ValueError, TypeError)):
             position_moments(dist)
     for args in ((nan, 3), (0.5, 2.5), (0.5, nan), ("0.5", 3)):

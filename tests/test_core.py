@@ -986,6 +986,14 @@ def test_find_steady_state_rejects_nan_tol():
                           max_iter=10)
 
 
+def test_find_steady_state_rejects_max_iter_below_one():
+    # no step would run: the result read iterations=0 or -3, not converged
+    spec = build_gate_walk(PAULI_X, 0.5)
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError, match="^max_iter must be an integer >= 1"):
+            find_steady_state(spec, mixed_state(1, 2), max_iter=max_iter)
+
+
 def test_state_trace_distance_missing_blocks():
     a = WalkerState({1: np.eye(2) / 2})
     b = WalkerState({2: np.eye(2) / 2})

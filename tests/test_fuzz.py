@@ -352,10 +352,22 @@ def test_builders_raise_or_keep_their_promise():
     failures, outcomes = [], {}
     for name, (build, good, pools) in BUILDERS.items():
         for args in _calls(rng, good, pools):
+            # a bool is no number: it raises TypeError, unless another odd
+            # argument is rejected first, and never passes as 0 or 1
+            bools = {k for k, (arg, pool) in enumerate(zip(args, pools))
+                     if (pool is REALS or pool is COUNTS)
+                     and isinstance(arg, (bool, np.bool_))}
             try:
                 built = build(*args)
-            except (ValueError, TypeError):
+            except (ValueError, TypeError) as exc:
                 outcomes.setdefault(name, set()).add("rejected")
+                if bools and not isinstance(exc, TypeError) and all(
+                        arg is valid for k, (arg, valid) in enumerate(zip(args, good))
+                        if k not in bools):
+                    failures.append((name, args, repr(exc)))
+                continue
+            if bools:
+                failures.append((name, args, "built from a bool"))
                 continue
             outcomes.setdefault(name, set()).add("built")
             problem = _built_problem(built)

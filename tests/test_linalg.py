@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
 
+from oqwalk.analysis import (
+    dqc_predicted_readout,
+    position_moments,
+    state_prep_predicted_pss,
+    transport_predicted_arrival,
+)
+from oqwalk.core import (
+    WalkSpec,
+    find_steady_state,
+    iter_run,
+    mixed_state,
+    run,
+    validate_walk,
+)
 from oqwalk.linalg import (
+    HADAMARD,
     IDENTITY_2,
     KET_MINUS,
     KET_PLUS,
@@ -21,6 +36,13 @@ from oqwalk.linalg import (
     pure_fidelity,
     sum_left_to_right,
     trace_distance,
+)
+from oqwalk.scenarios import (
+    build_dqc_chain,
+    build_gate_walk,
+    build_line_walk,
+    build_state_prep,
+    build_transport_chain,
 )
 
 from oracles import random_density, random_kraus_family, random_ket
@@ -222,3 +244,102 @@ def test_pure_fidelity_bounded_by_trace():
         psi = random_ket(4, rng)
         f = pure_fidelity(rho, psi)
         assert -1e-12 <= f <= np.trace(rho).real + 1e-12
+
+
+# ------------------------------------------- the scalar input rules
+
+_SPEC = build_gate_walk(PAULI_X, 0.5)
+_START = mixed_state(1, 2)
+_WEIGHTS = (0.25,) * 4
+
+# every scalar input of the library: entry point -> (the parameter's
+# name, "real" or "count", a call passing a value as that parameter with
+# valid arguments elsewhere)
+SCALARS = {
+    "build_line_walk.theta": ("theta", "real", lambda v: build_line_walk(v, 5)),
+    "build_line_walk.window": ("window", "count", lambda v: build_line_walk(0.3, v)),
+    "build_gate_walk.p": ("p", "real", lambda v: build_gate_walk(HADAMARD, v)),
+    "build_state_prep.alpha": ("alpha", "real", lambda v: build_state_prep(v, 0.1, 0.5)),
+    "build_state_prep.beta": ("beta", "real", lambda v: build_state_prep(0.2, v, 0.5)),
+    "build_state_prep.p": ("p", "real", lambda v: build_state_prep(0.2, 0.1, v)),
+    "build_transport_chain.n_nodes": (
+        "n_nodes", "count", lambda v: build_transport_chain(v, 0.5)),
+    "build_transport_chain.p": ("p", "real", lambda v: build_transport_chain(4, v)),
+    "build_dqc_chain.omega": ("omega", "real", lambda v: build_dqc_chain([HADAMARD], v)),
+    "dqc_predicted_readout.omega": ("omega", "real", lambda v: dqc_predicted_readout(v, 3)),
+    "dqc_predicted_readout.t_final": (
+        "t_final", "count", lambda v: dqc_predicted_readout(0.5, v)),
+    "state_prep_predicted_pss.q": (
+        "q", "real", lambda v: state_prep_predicted_pss(_WEIGHTS, v, 2)),
+    "state_prep_predicted_pss.m": (
+        "m", "count", lambda v: state_prep_predicted_pss(_WEIGHTS, 0.5, v)),
+    "state_prep_predicted_pss.rho0_elements": (
+        "rho0_elements entry", "real",
+        lambda v: state_prep_predicted_pss((v, 0, 0, 0), 0.5, 2)),
+    "transport_predicted_arrival.n_nodes": (
+        "n_nodes", "count", lambda v: transport_predicted_arrival(v, 0.5, 3)),
+    "transport_predicted_arrival.p": (
+        "p", "real", lambda v: transport_predicted_arrival(4, v, 3)),
+    "transport_predicted_arrival.step": (
+        "step", "count", lambda v: transport_predicted_arrival(4, 0.5, v)),
+    "position_moments.weight": (
+        "weight of node 0", "real", lambda v: position_moments({0: v, 1: 0.5})),
+    "WalkSpec.dim": (
+        "dim", "count", lambda v: WalkSpec(nodes=(1,), dim=v, transitions={})),
+    "mixed_state.dim": ("dim", "count", lambda v: mixed_state(1, v)),
+    "iter_run.n_steps": ("n_steps", "count", lambda v: run(_SPEC, _START, v)),
+    "iter_run.record_every": (
+        "record_every", "count", lambda v: list(iter_run(_SPEC, _START, 3, v))),
+    "find_steady_state.tol": (
+        "tol", "real", lambda v: find_steady_state(_SPEC, _START, tol=v)),
+    "find_steady_state.max_iter": (
+        "max_iter", "count", lambda v: find_steady_state(_SPEC, _START, max_iter=v)),
+    "validate_walk.tol": ("tol", "real", lambda v: validate_walk(_SPEC, tol=v)),
+}
+WRONG = [True, False, np.True_, np.array(True), "1", None, [1], {}, [[1, 0], [0]],
+         0.5 + 0.5j, np.complex128(0.5), float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN arithmetic
+@pytest.mark.parametrize("entry", sorted(SCALARS))
+def test_scalar_inputs_reject_what_is_not_their_kind(entry):
+    # a count takes no float, not even 2.0; a real takes no int past the
+    # float range. Every message starts with the parameter's name.
+    name, kind, call = SCALARS[entry]
+    extra = [10 ** 400, -10 ** 400] if kind == "real" else [2.5, 2.0, np.float64(3)]
+    for value in WRONG + extra:
+        with pytest.raises((TypeError, ValueError)) as caught:
+            call(value)
+        assert str(caught.value).startswith(name + " "), (value, caught.value)
+
+
+# numpy scalars, 0-d arrays and ints past 2**63 that the entry points
+# take. A count becomes a Python int, so a np.uint8 window no longer wraps
+# when negated and a 0-d array node count no longer labels a node.
+ACCEPTED = {
+    "build_line_walk.theta": [np.float32(0.5), np.float64(0.5), np.array(0.5),
+                              np.int64(1), 2 ** 64, -2 ** 70],
+    "build_line_walk.window": [np.int64(3), np.uint8(3), np.array(3)],
+    "build_gate_walk.p": [np.float32(0.5), np.array(0.5), np.int64(1), 0, 1],
+    "build_transport_chain.n_nodes": [np.int64(4), np.array(4)],
+    "transport_predicted_arrival.n_nodes": [np.int64(4), np.array(4), 2 ** 64],
+    "transport_predicted_arrival.step": [np.int64(4), np.array(4), 2 ** 64],
+    "position_moments.weight": [np.float32(0.5), np.array(0.5), 2 ** 64],
+    "mixed_state.dim": [np.int64(2), np.array(2)],
+    "iter_run.record_every": [np.int64(2), np.array(2), 2 ** 64],
+    "find_steady_state.tol": [np.float32(1e-3), np.array(1e-3), 1, 2 ** 64],
+    "find_steady_state.max_iter": [np.int64(50), np.array(50), 2 ** 64],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ACCEPTED))
+def test_scalar_inputs_keep_numpy_scalars_and_large_ints(entry):
+    call = SCALARS[entry][2]
+    for value in ACCEPTED[entry]:
+        call(value)
+
+
+def test_walk_spec_stores_its_dim_as_an_int():
+    for dim in (np.int64(2), np.array(2)):
+        spec = WalkSpec(nodes=(1,), dim=dim, transitions={(1, 1): np.eye(2)})
+        assert type(spec.dim) is int and spec.dim == 2
