@@ -367,8 +367,16 @@ def _dqc(values: dict, cfg: RunConfig) -> ScenarioPlan:
 
 
 _REAL = _checked(_real)
-_P_OR_Q = {"p": _REAL, "q": lambda key, value: 1.0 - _REAL(key, value)}
-_HOP = {**_P_OR_Q, "sqrt_p": lambda key, value: _checked(_real, 0, 1)(key, value) ** 2}
+
+
+def _p_or_q(*bounds, **options) -> dict:
+    """The spellings p and q = 1 - p. The builder checks p; q is checked
+    here against the same bounds, so its error names q."""
+    q = _checked(_real, *bounds, **options)
+    return {"p": _REAL, "q": lambda key, value: 1.0 - q(key, value)}
+
+
+_HOP = {**_p_or_q(0, 1), "sqrt_p": lambda key, value: _checked(_real, 0, 1)(key, value) ** 2}
 
 # scenario name -> (its parameters, its adapter); an adapter takes the
 # resolved values and the RunConfig and returns the ScenarioPlan
@@ -380,7 +388,7 @@ SCENARIOS = {
               Param({"psi0": _ket})), _gate_walk),
     "state_prep": ((Param({"alpha": _REAL}, 0.0),
                     Param({"beta": _REAL}, 0.0),
-                    Param(_P_OR_Q, 0.5),
+                    Param(_p_or_q(0, 1, open_interval=True), 0.5),
                     Param({"psi0": _ket})), _state_prep),
     "bell": ((Param({"start_node": _named({n: n for n in BELL_NODE_STATES})},
                     "UL"),), _bell),

@@ -20,9 +20,10 @@ edge's source position, ``_out`` its target's row in ``_targets``,
 ``_run`` its row's run of bytewise-equal operators along the stack,
 ``_slot`` its index among its source's out-edges, and ``_ops`` is the
 read-only (E, d, d) operator stack (``transitions`` maps each edge to a
-view of its row), which ``validate_walk`` also reads. Level j of the
-stack, one run of it, holds each target's j-th incoming edge by source
-position. ``_fan``, built at the first step, is a second, read-only
+view of its row), which ``validate_walk`` also reads, forming K^dag K
+once per ``_run``. Each distinct operator object is converted once. Level j
+of the stack, one run of it, holds each target's j-th incoming edge by
+source position. ``_fan``, built at the first step, is a second, read-only
 copy of the operators: row block s of its (V, D*d, d) array stacks node
 s's out-operators [K_1; ...; K_D] by slot, zero rows padding nodes of
 smaller out-degree.
@@ -137,42 +138,45 @@ class WalkSpec:
             raise ValueError("a walk needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node labels")
-        object.__setattr__(self, "dim", _count(self.dim, "dim", 1))
+        object.__setattr__(self, "dim", d := _count(self.dim, "dim", 1))
         index = {n: k for k, n in enumerate(nodes)}
-        mats, src, tgt = [], [], []
-        for (s, t), op in self.transitions.items():
-            if s not in index or t not in index:
-                raise ValueError(f"edge ({s!r} -> {t!r}) uses unknown nodes")
-            m = as_operator(op)
-            if m.shape[0] != self.dim:
-                raise ValueError(
-                    f"operator on edge ({s!r} -> {t!r}) has dimension "
-                    f"{m.shape[0]}, expected {self.dim}")
-            mats.append(m)
-            src.append(index[s])
-            tgt.append(index[t])
-        # Stack order is (rank, target position); an edge's rank is its
-        # index among its target's incoming edges by source position. So
-        # level j (rank j) is one run of the stack with distinct targets,
-        # and step() adds each target's terms in ascending source order,
-        # which keeps results bitwise reproducible. ``transitions`` keeps
-        # insertion order.
-        src, tgt = np.array(src, dtype=np.intp), np.array(tgt, dtype=np.intp)
+        edges, given = list(self.transitions), list(self.transitions.values())
+        # each distinct operator object, by first use, converted once
+        distinct = dict(zip(ids := list(map(id, given)), given))
+        try:  # KeyError: an unknown node; TypeError, ValueError: a bad key or operator
+            src = np.array([index[s] for s, _ in edges], dtype=np.intp)
+            tgt = np.array([index[t] for _, t in edges], dtype=np.intp)
+            mats = [as_operator(op) for op in distinct.values()]
+        except (KeyError, TypeError, ValueError):
+            mats = None
+        if mats is None or any(m.shape[0] != d for m in mats):
+            for (s, t), op in self.transitions.items():  # raise the first bad edge's error
+                if s not in index or t not in index:
+                    raise ValueError(f"edge ({s!r} -> {t!r}) uses unknown nodes")
+                if (m := as_operator(op)).shape[0] != d:
+                    raise ValueError(f"operator on edge ({s!r} -> {t!r}) has "
+                                     f"dimension {m.shape[0]}, expected {d}")
+        # Stack order is (rank, target position), an edge's rank its index
+        # among its target's incoming edges by source position: level j is
+        # one run of the stack with distinct targets, and step() adds each
+        # target's terms in ascending source order, bitwise reproducibly.
         by_target = np.lexsort((src, tgt))
         ts = tgt[by_target]
         rank = np.arange(ts.size) - np.searchsorted(ts, ts)
         order = by_target[np.lexsort((ts, rank))]
-        stack_rows = np.empty_like(order)  # each edge's row, in insertion order
-        stack_rows[order] = np.arange(order.size)
-        ops = np.empty((len(mats), self.dim, self.dim), dtype=complex)
-        for m, row in zip(mats, stack_rows.tolist()):
-            ops[row] = m
+        # the one (E, d, d) stack in stack order; shared operators stacked once
+        if len(mats) < len(ids):
+            number = dict(zip(distinct, range(len(mats)))).__getitem__
+            ops = np.array(mats).take(np.fromiter(map(number, ids), np.intp, len(ids))[order], 0)
+        else:  # an object per edge
+            ops = np.array([mats[k] for k in order.tolist()] or np.empty((0, d, d), complex))
         ops.setflags(write=False)
-        views = dict(zip(self.transitions, map(ops.__getitem__, stack_rows.tolist())))
+        views = dict.fromkeys(self.transitions)  # insertion order; values: row views
+        views.update(zip(map(edges.__getitem__, order.tolist()), ops))
         # each row's run of equal operators along the stack, compared by
         # bytes so that -0.0 and 0.0 are different operators
         bits = ops.view(np.uint64)
-        starts = np.ones(len(mats), dtype=bool)
+        starts = np.ones(len(ids), dtype=bool)
         starts[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2))
         # where each level starts, then the edge count; the reached
         # targets are the output rows of a step with every node occupied
@@ -257,12 +261,13 @@ def validate_walk(spec: WalkSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     Each node adds its edges' K^dag K onto a zero sum in stack order (by
     rank, then target position); its residual is the largest entry of
     |sum - I|, so a node with no outgoing edges has residual 1 (the zero
-    map loses all probability).
+    map loses all probability). K^dag K is formed once per ``_run``.
     """
     tol = _real(tol, "tol", 0, open_interval=True)
     order = np.argsort(spec._slot, kind="stable")  # level j: each source's j-th edge
-    ops, src = spec._ops[order], spec._src[order]
-    terms = ops.conj().transpose(0, 2, 1) @ ops
+    heads = spec._ops[np.flatnonzero(np.diff(spec._run, prepend=-1))]  # each run's first row
+    terms = (heads.conj().transpose(0, 2, 1) @ heads).take(spec._run[order], 0)
+    src = spec._src[order]
     sums = np.zeros((spec.node_count, spec.dim, spec.dim), dtype=complex)
     # one indexed add per level: a level's sources are distinct
     bounds = np.cumsum(np.bincount(spec._slot)).tolist()
@@ -605,8 +610,7 @@ def find_steady_state(spec: WalkSpec, initial: WalkerState,
 def to_full_density(spec: WalkSpec, state: WalkerState) -> np.ndarray:
     """Embed a block state as a dense V*d x V*d density matrix."""
     pos, rho = _rows(spec, state)
-    v = spec.node_count
-    d = spec.dim
+    v, d = spec.node_count, spec.dim
     full = np.zeros((d * v, d * v), dtype=complex)
     full.reshape(d, v, d, v)[:, pos, :, pos] = rho
     return full
@@ -619,12 +623,10 @@ def extract_blocks(spec: WalkSpec, full: np.ndarray) -> tuple[WalkerState, float
     position-off-diagonal block (which the walk map sends to zero in a
     single step).
     """
-    v = spec.node_count
-    d = spec.dim
+    v, d = spec.node_count, spec.dim
     full = as_operator(full)
     if full.shape[0] != d * v:
-        raise ValueError(
-            f"full matrix has dimension {full.shape[0]}, expected {d * v}")
+        raise ValueError(f"full matrix has dimension {full.shape[0]}, expected {d * v}")
     view = full.reshape(d, v, d, v)
     rho = np.stack([view[:, i, :, i] for i in range(v)])
     tr = np.trace(rho, axis1=1, axis2=2).real
@@ -642,12 +644,10 @@ def full_map_step(spec: WalkSpec, full: np.ndarray) -> np.ndarray:
     Output is block-diagonal in position for any input. This is the
     O((V d)^2) oracle against which the block evolution is checked.
     """
-    v = spec.node_count
-    d = spec.dim
+    v, d = spec.node_count, spec.dim
     full = as_operator(full)
     if full.shape[0] != d * v:
-        raise ValueError(
-            f"full matrix has dimension {full.shape[0]}, expected {d * v}")
+        raise ValueError(f"full matrix has dimension {full.shape[0]}, expected {d * v}")
     idx = spec._index
     out = np.zeros_like(full)
     for (src, tgt), op in spec.transitions.items():

@@ -63,8 +63,9 @@ def _real(x, name: str, low: float = -math.inf, high: float = math.inf,
     """x as a finite float in [low, high], or (low, high) with open_interval.
     TypeError for a bool, string, complex or array: float() would take a
     bool as 0 or 1, parse a string or drop a numpy complex's imaginary part."""
-    try:
-        if (isinstance(x, (bool, str, bytes)) or getattr(x, "dtype", None) == bool
+    try:  # a Python float passes the kind checks, which cost microseconds
+        if type(x) is not float and (
+                isinstance(x, (bool, str, bytes)) or getattr(x, "dtype", None) == bool
                 or np.ndim(x) or np.iscomplexobj(x)):
             raise TypeError
         x = float(x)
@@ -112,6 +113,7 @@ def as_operator(a: np.ndarray) -> np.ndarray:
 
 def as_ket(psi: Sequence[complex], tol: float = 1e-12) -> np.ndarray:
     """Coerce to a complex unit vector; raises if the norm is off by > tol."""
+    tol = _real(tol, "tol", 0, open_interval=True)
     v = _complex(psi).reshape(-1)
     if v.size < 1:
         raise ValueError("empty state vector")
@@ -133,6 +135,10 @@ def normalized(psi: Sequence[complex]) -> np.ndarray:
 
 
 def basis_ket(dim: int, index: int) -> np.ndarray:
+    """|index> in C^dim."""
+    dim, index = _count(dim, "dim", 1), _count(index, "index", 0)
+    if index >= dim:
+        raise ValueError(f"index must lie in [0, {dim - 1}], got {index}")
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
@@ -179,6 +185,7 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     Raises ValueError when the input deviates from Hermiticity by more
     than tol in any entry.
     """
+    tol = _real(tol, "tol", 0, open_interval=True)
     a = as_operator(a)
     dev = float(np.max(np.abs(a - a.conj().T)))
     if dev > tol:
@@ -188,6 +195,7 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
 
 def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff a is Hermitian within tol and min eigenvalue >= -tol."""
+    tol = _real(tol, "tol", 0, open_interval=True)
     a = as_operator(a)
     if float(np.max(np.abs(a - a.conj().T))) > tol:
         return False
@@ -195,6 +203,7 @@ def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    tol = _real(tol, "tol", 0, open_interval=True)
     a = as_operator(a)
     return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
 

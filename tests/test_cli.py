@@ -542,6 +542,37 @@ def test_main_accepts_sqrt_p_bounds(capsys, scenario, extra):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "steady"])
+@pytest.mark.parametrize("argv,message", [
+    (["--scenario", "gate", "--set", "gate=X", "--set", "q=1.5"],
+     "q must lie in [0, 1], got 1.5"),
+    (["--scenario", "transport", "--set", "N=5", "--set", "q=-0.5"],
+     "q must lie in [0, 1], got -0.5"),
+    (["--scenario", "state_prep", "--set", "q=0"], "q must lie in (0, 1), got 0.0"),
+    (["--scenario", "state_prep", "--set", "q=1"], "q must lie in (0, 1), got 1.0"),
+])
+def test_main_checks_q_under_its_own_key(capsys, command, argv, message):
+    # q stands for p = 1 - q: an out-of-range q is reported as the q
+    # given, against the scenario's own bounds for p
+    assert main([command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("scenario,extra,values", [
+    ("gate", ["--set", "gate=X"], ("0", "1", "0.25")),
+    ("transport", ["--set", "N=5"], ("0", "1", "0.25")),
+    ("state_prep", [], ("1e-9", "0.25", "0.999")),
+])
+def test_main_q_matches_one_minus_p(capsys, scenario, extra, values):
+    for value in values:
+        for assignment in (f"q={value}", f"p={1 - float(value)!r}"):
+            argv = ["validate", "--scenario", scenario, "--set", assignment]
+            assert main(argv + extra) == 0
+        q_report, p_report = capsys.readouterr().out.split("accepted\n")[:2]
+        assert q_report == p_report
+
+
 @pytest.mark.parametrize("assignments,node,key", [
     (["--scenario", "gate", "--set", "gate=X", "--set", "p=0"], "2",
      "gate_fidelity"),

@@ -70,6 +70,143 @@ def test_spec_rejects_unknown_nodes_and_bad_dims():
         WalkSpec(nodes=(1,), dim=2, transitions={(1, 1): np.ones((2, 3))})
 
 
+def signed_zero_spec() -> WalkSpec:
+    """Three-node ring whose operators are equal in value but not in bytes:
+    one entry of the (2 -> 3) operator is -0.0."""
+    zero = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    neg_zero = zero.copy()
+    neg_zero[0, 0] = -0.0
+    assert np.array_equal(zero, neg_zero)  # equal values, other bytes
+    return WalkSpec(nodes=(1, 2, 3), dim=2, transitions={
+        (1, 2): zero, (2, 3): neg_zero, (3, 1): zero})
+
+
+def reference_compile(nodes, dim, transitions) -> tuple:
+    """A spec's compiled arrays, built edge by edge: (_ops, _src, _run,
+    _slot, _levels) as lists or arrays, and the edges in stack order.
+
+    Stack order is (rank, target position), an edge's rank its index
+    among its target's incoming edges by source position. Each operator
+    is converted on its own edge; runs compare row bytes.
+    """
+    index = {n: k for k, n in enumerate(nodes)}
+    edges = list(transitions)
+    src = [index[s] for s, _ in edges]
+    tgt = [index[t] for _, t in edges]
+    rank = [sum(tgt[j] == tgt[k] and src[j] < src[k] for j in range(len(edges)))
+            for k in range(len(edges))]
+    order = sorted(range(len(edges)), key=lambda k: (rank[k], tgt[k]))
+    ops = np.zeros((len(edges), dim, dim), dtype=complex)
+    run, slot, seen = [], [], Counter()
+    for row, k in enumerate(order):
+        ops[row] = np.asarray(transitions[edges[k]], dtype=complex)
+        run.append(0 if row == 0 else
+                   run[-1] + (ops[row].tobytes() != ops[row - 1].tobytes()))
+        slot.append(seen[src[k]])
+        seen[src[k]] += 1
+    levels = [sum(r < j for r in rank) for j in range(max(rank, default=-1) + 2)]
+    return ops, [src[k] for k in order], run, slot, levels, [edges[k] for k in order]
+
+
+def assert_compiled_like_reference(spec, nodes, dim, transitions, label):
+    ops, src, run, slot, levels, stacked = reference_compile(nodes, dim, transitions)
+    assert spec._ops.shape == ops.shape, label
+    assert spec._ops.tobytes() == ops.tobytes(), label
+    assert not spec._ops.flags.writeable, label
+    assert spec._src.tolist() == src, label
+    assert spec._run.tolist() == run, label
+    assert spec._slot.tolist() == slot, label
+    assert spec._levels.tolist() == levels, label
+    assert list(spec.transitions) == list(transitions), label  # insertion order
+    for row, edge in enumerate(stacked):
+        view = spec.transitions[edge]
+        assert view.base is spec._ops, (label, edge)  # a view into the one stack
+        assert view.ctypes.data == spec._ops[row].ctypes.data, (label, edge)
+        assert view.tobytes() == ops[row].tobytes(), (label, edge)
+
+
+def test_spec_compiles_like_a_per_edge_reference(monkeypatch):
+    from oqwalk import scenarios
+
+    inputs = []  # each builder's WalkSpec arguments, operator objects kept
+
+    def recording(nodes, dim, transitions):
+        inputs.append((tuple(nodes), dim, dict(transitions)))
+        return WalkSpec(nodes=nodes, dim=dim, transitions=transitions)
+
+    monkeypatch.setattr(scenarios, "WalkSpec", recording)
+    cases = [(label, spec) for label, spec, _ in scenario_cases()]
+    assert len(inputs) == len(cases)
+    line_ops = inputs[0][2].values()
+    assert len({id(op) for op in line_ops}) == 2 < len(line_ops)  # shared objects
+
+    # one array object on many edges, next to byte-equal copies, a -0.0
+    # variant and a list, inserted in random order
+    rng = np.random.default_rng(8)
+    shared = random_unitary(2, rng)
+    neg_zero = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    neg_zero[1, 1] = -0.0
+    pool = [shared, shared.copy(), neg_zero, neg_zero.tolist(), shared]
+    edges = [((s, t), pool[int(rng.integers(len(pool)))])
+             for s in range(9) for t in rng.choice(9, size=3, replace=False).tolist()]
+    many = dict(edges[k] for k in rng.permutation(len(edges)))
+    # list-valued operators: one list object per edge, and one on many edges
+    hop = [[0, 1], [1, 0]]
+    lists = {(0, 1): [[1, 0], [0, 0]], (1, 2): hop, (2, 0): hop, (0, 0): [[0, 0], [0, 1]],
+             (2, 1): hop, (1, 1): [[0, 0], [0, 0]]}
+    signed = signed_zero_spec()
+    inputs += [((*range(9),), 2, many), ((0, 1, 2), 2, lists),
+               (signed.nodes, 2, signed.transitions), ((1, 2), 3, {})]
+    cases += [("shared array", WalkSpec(nodes=tuple(range(9)), dim=2, transitions=many)),
+              ("lists", WalkSpec(nodes=(0, 1, 2), dim=2, transitions=lists)),
+              ("signed zero", signed), ("no edges", WalkSpec(nodes=(1, 2), dim=3, transitions={}))]
+    for (label, spec), (nodes, dim, transitions) in zip(cases, inputs):
+        assert spec.nodes == nodes and spec.dim == dim, label
+        assert_compiled_like_reference(spec, nodes, dim, transitions, label)
+
+
+_EYE = np.eye(2)
+_BAD = np.eye(3)
+
+
+def _as_operator_error(op) -> str:
+    from oqwalk.linalg import as_operator
+
+    with pytest.raises(ValueError) as caught:
+        as_operator(op)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("nodes,transitions,message", [
+    # an unknown node
+    ((1, 2), {(1, 2): _EYE, (2, 3): _EYE}, "edge (2 -> 3) uses unknown nodes"),
+    # a wrong dimension
+    ((1, 2), {(1, 2): _EYE, (2, 1): _BAD},
+     "operator on edge (2 -> 1) has dimension 3, expected 2"),
+    # a non-square operator
+    ((1, 2), {(1, 2): _EYE, (2, 1): np.ones((2, 3))},
+     "expected a square matrix, got shape (2, 3)"),
+    # a ragged operator and a string: as_operator's own message
+    ((1, 2), {(1, 2): _EYE, (2, 1): [[1, 0], [0]]}, _as_operator_error([[1, 0], [0]])),
+    ((1, 2), {(1, 2): _EYE, (2, 1): "eye"}, _as_operator_error("eye")),
+    # an int past the float range
+    ((1, 2), {(1, 2): _EYE, (2, 1): [[10 ** 400, 0], [0, 1]]},
+     "entries must be finite: an int is past the float range"),
+    # one bad object on three edges: its first edge in insertion order,
+    # not in stack order, where (3 -> 1) comes first
+    ((1, 2, 3), {(1, 2): _EYE, (2, 3): _BAD, (3, 1): _BAD, (1, 1): _BAD},
+     "operator on edge (2 -> 3) has dimension 3, expected 2"),
+    # an unknown node on a later edge than a bad operator, and the reverse
+    ((1, 2), {(1, 2): _BAD, (2, 9): _EYE},
+     "operator on edge (1 -> 2) has dimension 3, expected 2"),
+    ((1, 2), {(1, 9): _EYE, (2, 1): _BAD}, "edge (1 -> 9) uses unknown nodes"),
+])
+def test_spec_reports_its_first_bad_edge(nodes, transitions, message):
+    with pytest.raises(ValueError) as caught:
+        WalkSpec(nodes=nodes, dim=2, transitions=transitions)
+    assert str(caught.value) == message
+
+
 def test_validate_accepts_line_walk_exactly():
     spec, _ = build_line_walk(np.arccos(0.8), 4)
     report = validate_walk(spec)
@@ -122,6 +259,31 @@ def test_validate_matches_per_node_loop(dim):
             assert abs(report.residuals[node] - expected[node]) <= 1e-15
         assert report.residuals["a"] == 1.0
         assert abs(report.residuals["f"] - 1.0) <= 1e-15 and not report.ok
+
+
+def per_edge_residuals(spec: WalkSpec) -> np.ndarray:
+    """validate_walk's residuals from one K^dag K product per edge, each
+    source's terms added in stack order onto a zero sum."""
+    terms = spec._ops.conj().transpose(0, 2, 1) @ spec._ops
+    sums = np.zeros((spec.node_count, spec.dim, spec.dim), dtype=complex)
+    for row, source in enumerate(spec._src.tolist()):
+        sums[source] += terms[row]
+    return np.abs(sums - np.eye(spec.dim)).max(axis=(1, 2))
+
+
+def test_validate_matches_per_edge_products_bitwise():
+    # K^dag K is formed once per run of equal operators: the same product
+    # of the same bytes, so the residuals keep every bit
+    rng = np.random.default_rng(17)
+    cases = [(label, spec) for label, spec, _ in scenario_cases()]
+    cases += [("line 50", build_line_walk(np.arccos(0.8), 50)[0]),
+              ("signed zero", signed_zero_spec()),
+              ("random graph", random_graph_spec(rng, 9, 3))]
+    for label, spec in cases:
+        report = validate_walk(spec)
+        assert list(report.residuals) == list(spec.nodes), label
+        got = np.array(list(report.residuals.values()))
+        assert got.tobytes() == per_edge_residuals(spec).tobytes(), label
 
 
 def test_validate_spec_without_edges():
@@ -511,12 +673,7 @@ def test_spec_runs_of_equal_operators():
         new = [k == 0 or rows[k] != rows[k - 1] for k in range(len(rows))]
         return np.cumsum(new, dtype=np.intp) - 1
 
-    zero = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    neg_zero = zero.copy()
-    neg_zero[0, 0] = -0.0
-    assert np.array_equal(zero, neg_zero)  # equal values, other bytes
-    signed = WalkSpec(nodes=(1, 2, 3), dim=2, transitions={
-        (1, 2): zero, (2, 3): neg_zero, (3, 1): zero})
+    signed = signed_zero_spec()
     empty = WalkSpec(nodes=(1, 2), dim=2, transitions={})
     cases = [(label, spec) for label, spec, _ in scenario_cases()]
     for label, spec in [*cases, ("signed zero", signed), ("no edges", empty)]:

@@ -208,6 +208,34 @@ def test_as_ket_norm_check():
         as_ket([1, 1])
 
 
+def test_tolerances_are_positive_reals():
+    # a bool is no tolerance: True would pass as 1 and accept a ket of
+    # squared norm 1.25 or a scaled unitary
+    with pytest.raises(TypeError, match="^tol must be a real number, got True$"):
+        as_ket([1, 0.5], tol=True)
+    with pytest.raises(TypeError, match="^tol must be a real number, got True$"):
+        is_unitary(1.1 * HADAMARD, tol=True)
+    for call in (lambda tol: as_ket([1, 0], tol=tol),
+                 lambda tol: is_unitary(HADAMARD, tol=tol),
+                 lambda tol: is_psd(np.eye(2), tol=tol),
+                 lambda tol: hermitian_eigenvalues(PAULI_Z, tol=tol)):
+        with pytest.raises(ValueError, match=r"^tol must be positive and finite, got 0\.0$"):
+            call(0)
+        call(np.float32(1e-3))
+        call(1)
+
+
+def test_basis_ket_checks_dim_and_index():
+    assert basis_ket(np.int64(3), np.array(2)).tolist() == [0, 0, 1]
+    with pytest.raises(TypeError, match="^dim must be an integer, got 2.0$"):
+        basis_ket(2.0, 0)
+    for index in (2, 10 ** 30):
+        with pytest.raises(ValueError, match=rf"^index must lie in \[0, 1\], got {index}$"):
+            basis_ket(2, index)
+    with pytest.raises(ValueError, match="^index must be an integer >= 0$"):
+        basis_ket(2, -1)  # no longer |1> by negative indexing
+
+
 @pytest.mark.parametrize("psi", [[np.nan, 0], [np.nan, 1], [1, np.inf]])
 def test_as_ket_rejects_non_finite(psi):
     # abs(nan - 1) > tol is False: the norm check must not read it as a pass
@@ -295,6 +323,13 @@ SCALARS = {
     "find_steady_state.max_iter": (
         "max_iter", "count", lambda v: find_steady_state(_SPEC, _START, max_iter=v)),
     "validate_walk.tol": ("tol", "real", lambda v: validate_walk(_SPEC, tol=v)),
+    "as_ket.tol": ("tol", "real", lambda v: as_ket([1, 0], tol=v)),
+    "is_unitary.tol": ("tol", "real", lambda v: is_unitary(HADAMARD, tol=v)),
+    "is_psd.tol": ("tol", "real", lambda v: is_psd(np.eye(2), tol=v)),
+    "hermitian_eigenvalues.tol": (
+        "tol", "real", lambda v: hermitian_eigenvalues(PAULI_Z, tol=v)),
+    "basis_ket.dim": ("dim", "count", lambda v: basis_ket(v, 0)),
+    "basis_ket.index": ("index", "count", lambda v: basis_ket(2, v)),
 }
 WRONG = [True, False, np.True_, np.array(True), "1", None, [1], {}, [[1, 0], [0]],
          0.5 + 0.5j, np.complex128(0.5), float("nan"), float("inf"), float("-inf")]
