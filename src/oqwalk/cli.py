@@ -61,14 +61,18 @@ from .linalg import (
     HADAMARD,
     IDENTITY_2,
     KET_MINUS,
+    KET_ONE,
     KET_PLUS,
+    KET_ZERO,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     S_GATE,
     T_GATE,
     _count,
+    _matrix,
     _real,
+    _vector,
     basis_ket,
     normalized,
 )
@@ -104,8 +108,8 @@ NAMED_GATES = {
 }
 
 NAMED_KETS = {
-    "0": basis_ket(2, 0),
-    "1": basis_ket(2, 1),
+    "0": KET_ZERO.copy(),
+    "1": KET_ONE.copy(),
     "+": KET_PLUS.copy(),
     "-": KET_MINUS.copy(),
     "00": basis_ket(4, 0),
@@ -143,8 +147,8 @@ class ScenarioPlan:
 
 # Typed parsers: (key, JSON value) -> value, or a ConfigError naming the key
 def _checked(rule: Callable, *bounds, **options):
-    """The parser of linalg's rule `rule` (_real or _count) with `bounds`:
-    its TypeError or ValueError, which starts with the key, as a ConfigError."""
+    """The parser of linalg's rule `rule` with `bounds`: its TypeError or
+    ValueError, which starts with the key, as a ConfigError."""
     def parse(key: str, value):
         try:
             return rule(value, key, *bounds, **options)
@@ -183,7 +187,9 @@ def _literal(key: str, value, table: dict, from_json: Callable):
 
 
 def _gate(key: str, value) -> np.ndarray:
-    return _literal(key, value, NAMED_GATES, matrix_from_json)
+    gate = _literal(key, value, NAMED_GATES, matrix_from_json)
+    # a literal is checked here too, so that its error names the key given
+    return gate if isinstance(value, str) else _checked(_matrix)(key, gate)
 
 
 def _ket(key: str, value) -> np.ndarray:
@@ -275,12 +281,6 @@ def _resolve(params: tuple, given: dict, scenario: str) -> dict:
     return values
 
 
-def _sized(key: str, ket: np.ndarray, dim: int) -> np.ndarray:
-    if ket.size != dim:
-        raise ConfigError(f"{key} has dimension {ket.size}, scenario expects {dim}")
-    return ket
-
-
 def _readout(state: WalkerState, node, **extra) -> dict:
     return {"readout_node": node,
             "readout_probability": analysis.readout_probability(state, node),
@@ -311,7 +311,7 @@ def _gate_walk(values: dict, cfg: RunConfig) -> ScenarioPlan:
     gate, psi0 = values["gate"], values["psi0"]
     spec = build_gate_walk(gate, values["p"])
     psi0 = (basis_ket(spec.dim, 0) if psi0 is None
-            else _sized("psi0", psi0, spec.dim))
+            else _vector(psi0, "psi0", spec.dim))
     return ScenarioPlan(spec, pure_state(1, psi0), lambda state: _readout(
         state, 2, **_fidelity(state, 2, "gate_fidelity", gate @ psi0)))
 
@@ -320,7 +320,7 @@ def _state_prep(values: dict, cfg: RunConfig) -> ScenarioPlan:
     spec = build_state_prep(values["alpha"], values["beta"], values["p"])
     psi0 = values["psi0"]
     initial = (mixed_state(1, 2) if psi0 is None
-               else pure_state(1, _sized("psi0", psi0, 2)))
+               else pure_state(1, _vector(psi0, "psi0", 2)))
     target, _ = state_prep_targets(values["alpha"], values["beta"])
     return ScenarioPlan(spec, initial, lambda state: _readout(
         state, 2, **_fidelity(state, 2, "target_fidelity", target)))
@@ -341,7 +341,7 @@ def _transport(values: dict, cfg: RunConfig) -> ScenarioPlan:
     except (OverflowError, MemoryError):  # past the index range, or too many sites
         raise ConfigError(f"N = {values['N']} is too large to build") from None
     if values["psi0"] is not None:
-        initial = pure_state(1, _sized("psi0", values["psi0"], spec.dim))
+        initial = pure_state(1, _vector(values["psi0"], "psi0", spec.dim))
     return ScenarioPlan(spec, initial, lambda state: _readout(state, values["N"]))
 
 

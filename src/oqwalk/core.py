@@ -65,7 +65,7 @@ from typing import Hashable, Iterator
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, _count, _real, as_ket, as_operator,
+from .linalg import (DEFAULT_TOL, _count, _matrix, _real, as_ket,
                      half_trace_norms, outer, sum_left_to_right)
 
 Node = Hashable
@@ -146,16 +146,14 @@ class WalkSpec:
         try:  # KeyError: an unknown node; TypeError, ValueError: a bad key or operator
             src = np.array([index[s] for s, _ in edges], dtype=np.intp)
             tgt = np.array([index[t] for _, t in edges], dtype=np.intp)
-            mats = [as_operator(op) for op in distinct.values()]
+            mats = [_matrix(op, "operator", d) for op in distinct.values()]
         except (KeyError, TypeError, ValueError):
             mats = None
-        if mats is None or any(m.shape[0] != d for m in mats):
+        if mats is None:
             for (s, t), op in self.transitions.items():  # raise the first bad edge's error
                 if s not in index or t not in index:
                     raise ValueError(f"edge ({s!r} -> {t!r}) uses unknown nodes")
-                if (m := as_operator(op)).shape[0] != d:
-                    raise ValueError(f"operator on edge ({s!r} -> {t!r}) has "
-                                     f"dimension {m.shape[0]}, expected {d}")
+                _matrix(op, f"operator on edge ({s!r} -> {t!r})", d)
         # Stack order is (rank, target position), an edge's rank its index
         # among its target's incoming edges by source position: level j is
         # one run of the stack with distinct targets, and step() adds each
@@ -284,31 +282,26 @@ class WalkerState:
     positions of the occupied nodes in it, one read-only (k, d, d) block
     stack and the k traces. A state built from a dict stacks its blocks
     once, in the dict's order, with the dict's keys as its labels;
-    step() returns rows over the spec's node tuple. ``blocks`` is built
-    on first use and maps each node to a read-only view of its row.
+    step() returns rows over the spec's node tuple. ``blocks`` maps each
+    node to a read-only view of its row, in a new dict on each access.
     """
 
-    __slots__ = ("_blocks", "_nodes", "_pos", "_rho", "_tr")
+    __slots__ = ("_nodes", "_pos", "_rho", "_tr")
 
     def __init__(self, blocks: dict):
         if not isinstance(blocks, Mapping):
             raise TypeError(f"blocks must be a mapping, got {type(blocks).__name__}")
-        mats = [as_operator(m) for m in blocks.values()]
+        mats = [_matrix(m, f"block at node {n!r}") for n, m in blocks.items()]
         dims = {m.shape[0] for m in mats}
         if len(dims) > 1:
             raise ValueError(f"blocks have mixed dimensions {sorted(dims)}")
         rho = np.array(mats) if mats else np.empty((0, 0, 0), dtype=complex)
-        finite = np.isfinite(rho).all(axis=(1, 2))
-        if not finite.all():
-            node = list(blocks)[int(np.argmin(finite))]
-            raise ValueError(f"block at node {node!r} is not finite")
         self._set(tuple(blocks), np.arange(len(mats)), rho,
                   np.trace(rho, axis1=1, axis2=2).real)
 
     def _set(self, nodes: tuple, pos: np.ndarray, rho: np.ndarray,
              tr: np.ndarray) -> "WalkerState":
         rho.setflags(write=False)
-        self._blocks = None
         self._nodes, self._pos, self._rho, self._tr = nodes, pos, rho, tr
         return self
 
@@ -329,9 +322,8 @@ class WalkerState:
 
     @property
     def blocks(self) -> dict:
-        if self._blocks is None:
-            self._blocks = dict(zip(self._labels(), self._rho))
-        return self._blocks
+        """A new dict on each access: node -> read-only view of its row."""
+        return dict(zip(self._labels(), self._rho))
 
     def traces(self, nodes: tuple | None = None) -> dict:
         """Node -> Tr(block) as a float.
@@ -624,9 +616,7 @@ def extract_blocks(spec: WalkSpec, full: np.ndarray) -> tuple[WalkerState, float
     single step).
     """
     v, d = spec.node_count, spec.dim
-    full = as_operator(full)
-    if full.shape[0] != d * v:
-        raise ValueError(f"full matrix has dimension {full.shape[0]}, expected {d * v}")
+    full = _matrix(full, "full matrix", d * v)
     view = full.reshape(d, v, d, v)
     rho = np.stack([view[:, i, :, i] for i in range(v)])
     tr = np.trace(rho, axis1=1, axis2=2).real
@@ -645,9 +635,7 @@ def full_map_step(spec: WalkSpec, full: np.ndarray) -> np.ndarray:
     O((V d)^2) oracle against which the block evolution is checked.
     """
     v, d = spec.node_count, spec.dim
-    full = as_operator(full)
-    if full.shape[0] != d * v:
-        raise ValueError(f"full matrix has dimension {full.shape[0]}, expected {d * v}")
+    full = _matrix(full, "full matrix", d * v)
     idx = spec._index
     out = np.zeros_like(full)
     for (src, tgt), op in spec.transitions.items():

@@ -10,6 +10,11 @@ Tensor-product convention: ``kron(a, b)`` uses the standard row-major
 block layout (numpy.kron), and for multi-qubit operators qubit 1 is
 always the most significant factor. So ``kron(X, I2)`` flips qubit 1 of
 a two-qubit register, and the basis order is |00>, |01>, |10>, |11>.
+
+Every argument's check lives here, each message starting with its name:
+``_real`` and ``_count`` check scalars, ``_matrix`` and ``_vector``
+arrays: ``<name> must be a square matrix, got shape S``, ``<name> is not
+finite`` (matrices only) and ``<name> has dimension m, expected d``.
 """
 
 from __future__ import annotations
@@ -95,26 +100,42 @@ def _count(n, name: str, low: int) -> int:
 
 
 def _complex(a) -> np.ndarray:
-    """np.asarray(a, dtype=complex), with ValueError for an int past the
-    float range."""
+    """np.asarray(a, dtype=complex); ValueError for an int past the float range."""
     try:
         return np.asarray(a, dtype=complex)
     except OverflowError:
         raise ValueError("entries must be finite: an int is past the float range") from None
 
 
-def as_operator(a: np.ndarray) -> np.ndarray:
-    """Coerce to a square complex128 matrix, rejecting anything else."""
+def _matrix(a, name: str, dim: int | None = None) -> np.ndarray:
+    """a as a square complex matrix with finite entries, of dimension dim if given."""
     m = _complex(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if dim is not None and m.shape[0] != dim:
+        raise ValueError(f"{name} has dimension {m.shape[0]}, expected {dim}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} is not finite")
     return m
+
+
+def _vector(v, name: str, dim: int | None = None) -> np.ndarray:
+    """v flattened to a complex vector, of dimension dim when given."""
+    v = _complex(v).reshape(-1)
+    if dim is not None and v.size != dim:
+        raise ValueError(f"{name} has dimension {v.size}, expected {dim}")
+    return v
+
+
+def as_operator(a: np.ndarray) -> np.ndarray:
+    """Coerce to a square complex128 matrix with finite entries."""
+    return _matrix(a, "a")
 
 
 def as_ket(psi: Sequence[complex], tol: float = 1e-12) -> np.ndarray:
     """Coerce to a complex unit vector; raises if the norm is off by > tol."""
     tol = _real(tol, "tol", 0, open_interval=True)
-    v = _complex(psi).reshape(-1)
+    v = _vector(psi, "psi")
     if v.size < 1:
         raise ValueError("empty state vector")
     norm_sq = float(np.vdot(v, v).real)
@@ -124,7 +145,7 @@ def as_ket(psi: Sequence[complex], tol: float = 1e-12) -> np.ndarray:
 
 
 def normalized(psi: Sequence[complex]) -> np.ndarray:
-    v = _complex(psi).reshape(-1)
+    v = _vector(psi, "psi")
     with np.errstate(over="ignore"):
         n = np.linalg.norm(v)
     if n == 0:
@@ -146,7 +167,7 @@ def basis_ket(dim: int, index: int) -> np.ndarray:
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with the first factor most significant."""
-    return np.kron(as_operator(a), as_operator(b))
+    return np.kron(_matrix(a, "a"), _matrix(b, "b"))
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -156,8 +177,8 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 def outer(psi: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
     """|psi><phi| (|psi><psi| when phi is omitted)."""
-    psi = _complex(psi).reshape(-1)
-    phi = psi if phi is None else _complex(phi).reshape(-1)
+    psi = _vector(psi, "psi")
+    phi = psi if phi is None else _vector(phi, "phi")
     return np.outer(psi, phi.conj())
 
 
@@ -168,13 +189,10 @@ def apply_kraus(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
     Hermitian for Hermitian input and positive semidefinite for PSD
     input; the map preserves trace exactly when sum_K K^dag K = I.
     """
-    rho = as_operator(rho)
+    rho = _matrix(rho, "rho")
     out = np.zeros_like(rho)
-    for k in ops:
-        k = as_operator(k)
-        if k.shape != rho.shape:
-            raise ValueError(
-                f"operator dimension {k.shape[0]} does not match state dimension {rho.shape[0]}")
+    for j, k in enumerate(ops):
+        k = _matrix(k, f"ops[{j}]", rho.shape[0])
         out += k @ rho @ k.conj().T
     return out
 
@@ -226,11 +244,8 @@ def half_trace_norms(diff: np.ndarray) -> np.ndarray:
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of rho - sigma (both Hermitian, same dim)."""
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(
-            f"dimension mismatch: {rho.shape[0]} vs {sigma.shape[0]}")
+    rho = _matrix(rho, "rho")
+    sigma = _matrix(sigma, "sigma", rho.shape[0])
     return float(half_trace_norms(rho - sigma))
 
 
@@ -240,9 +255,6 @@ def pure_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     For an unnormalized positive block this is the joint weight of psi,
     bounded by the trace of the block.
     """
-    rho = as_operator(rho)
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != rho.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: state {psi.size} vs operator {rho.shape[0]}")
+    rho = _matrix(rho, "rho")
+    psi = _vector(psi, "psi", rho.shape[0])
     return float(np.real(psi.conj() @ rho @ psi))

@@ -15,9 +15,10 @@ Every builder returns a spec whose per-node operator families satisfy
 the completeness relation exactly (up to float rounding), so they pass
 ``validate_walk`` at tolerance 1e-12, or raises TypeError or ValueError:
 TypeError for a bool, string, complex or array number or a float count,
-ValueError for a number out of range (both messages start with the
-parameter's name) and for other bad input. A size too large to build (a
-line window, a chain length) raises OverflowError or MemoryError instead.
+ValueError for a number out of range or a malformed matrix or ket (each
+message starts with the parameter's name) and for other bad input. A
+size too large to build (a line window, a chain length) raises
+OverflowError or MemoryError instead.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from .linalg import (
     PAULI_X,
     PAULI_Z,
     _count,
+    _matrix,
     _real,
+    _vector,
     as_ket,
-    as_operator,
     basis_ket,
-    is_unitary,
     kron,
     outer,
 )
@@ -56,7 +57,10 @@ _INPUT_TOL = 2e-13
 
 
 def _is_unitary(u: np.ndarray) -> bool:
-    return is_unitary(u, _INPUT_TOL) and is_unitary(u.conj().T, _INPUT_TOL)
+    """U^dag U and U U^dag within _INPUT_TOL of I, entry by entry."""
+    eye, u_dag = np.eye(u.shape[0]), u.conj().T
+    return bool(np.abs(u_dag @ u - eye).max() <= _INPUT_TOL
+                and np.abs(u @ u_dag - eye).max() <= _INPUT_TOL)
 
 
 def _chain(mats: list, forward: float, nodes) -> WalkSpec:
@@ -125,7 +129,7 @@ def build_gate_walk(gate: np.ndarray, p: float) -> WalkSpec:
 
     so reading out node 2 yields the gated state with probability p.
     """
-    u = as_operator(gate)
+    u = _matrix(gate, "gate")
     if not _is_unitary(u):
         raise ValueError("gate must be unitary")
     return _chain([u], _real(p, "p", 0, 1), (1, 2))
@@ -225,15 +229,12 @@ def build_transport_chain(
     n_nodes = _count(n_nodes, "n_nodes", 2)
     p = _real(p, "p", 0, 1)
     q = 1.0 - p
-    psi1 = KET_PLUS if psi1 is None else as_ket(psi1)
-    psi2 = KET_MINUS if psi2 is None else as_ket(psi2)
-    if psi1.size != 2 or psi2.size != 2:
-        # the hops act on their span only: in more dimensions weight leaks
-        raise ValueError("psi1 and psi2 must be 2-dimensional")
+    # the hops act on span(psi1, psi2) only: in more dimensions weight leaks
+    psi1 = KET_PLUS if psi1 is None else as_ket(_vector(psi1, "psi1", 2))
+    psi2 = KET_MINUS if psi2 is None else as_ket(_vector(psi2, "psi2", 2))
     kets = np.array([psi1, psi2])
     if not np.abs(kets.conj() @ kets.T - np.eye(2)).max() <= _INPUT_TOL:
         raise ValueError("psi1 and psi2 must be orthonormal")
-    d = psi1.size
     # built before the edges, so a count too large to build fails at once
     # with MemoryError or OverflowError instead of filling memory
     nodes = tuple(range(1, n_nodes + 1))
@@ -243,9 +244,9 @@ def build_transport_chain(
     for site in range(1, n_nodes):
         transitions[(site, site + 1)] = forward
         transitions[(site, site)] = convert
-    transitions[(n_nodes, n_nodes)] = np.eye(d, dtype=complex)
-    spec = WalkSpec(nodes=nodes, dim=d, transitions=transitions)
-    return spec, mixed_state(1, d)
+    transitions[(n_nodes, n_nodes)] = np.eye(2, dtype=complex)
+    spec = WalkSpec(nodes=nodes, dim=2, transitions=transitions)
+    return spec, mixed_state(1, 2)
 
 
 def build_dqc_chain(
@@ -269,18 +270,16 @@ def build_dqc_chain(
     Returns the spec and the initial state |psi0><psi0| at register 0
     (psi0 defaults to the first basis vector).
     """
-    mats = [as_operator(u) for u in unitaries]
-    if not mats:
-        raise ValueError("need at least one unitary (T >= 1)")
-    d = mats[0].shape[0]
-    for k, u in enumerate(mats):
-        if u.shape[0] != d:
-            raise ValueError("unitaries must share one dimension")
+    mats, d = [], None  # d: the first unitary's dimension
+    for k, u in enumerate(unitaries):
+        u = _matrix(u, f"unitaries[{k}]", d)
         if not _is_unitary(u):
             raise ValueError(f"operator {k + 1} is not unitary")
+        mats.append(u)
+        d = u.shape[0]
+    if not mats:
+        raise ValueError("need at least one unitary (T >= 1)")
     omega = _real(omega, "omega", 0, 1, open_interval=True)
-    psi0 = basis_ket(d, 0) if psi0 is None else as_ket(psi0)
-    if psi0.size != d:
-        raise ValueError("psi0 dimension does not match the unitaries")
+    psi0 = basis_ket(d, 0) if psi0 is None else as_ket(_vector(psi0, "psi0", d))
     return _chain(mats, omega, range(len(mats) + 1)), pure_state(0, psi0)
 

@@ -467,6 +467,8 @@ REJECTED = [
     ("psi0", "[true, false]"), ("psi0", '["1", "0"]'), ("psi0", "[NaN, 1]"),
     ("psi0", "[1e300, 1e300]"),
     ("gate", '[[0, 1], ["1", 0]]'), ("gate", "[[0, [true, false]], [1, 0]]"),
+    ("gate", "[[1, 2, 3]]"), ("gate", "[]"),
+    ("unitaries", "[[[1, 0], [0, 1], [0, 0]]]"),
 ]
 
 
@@ -490,7 +492,15 @@ def test_main_rejects_bad_values(tmp_path, capsys, key, raw):
     assert not (tmp_path / "out").exists()
 
 
-BIG = str(sys.maxsize * 10 ** 12)  # past the index range: fails before allocating
+def test_main_names_the_gate_spelling_given(capsys):
+    # "matrix" spells the gate too: a bad literal's error names the key given
+    for key in ("gate", "matrix"):
+        argv = ["validate", "--scenario", "gate", "--set", f"{key}=[[1, 2, 3]]", "--set", "p=0.5"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {key} must be a square matrix, got shape (1, 3)\n"
+
+
+BIG =str(sys.maxsize * 10 ** 12)  # past the index range: fails before allocating
 
 
 @pytest.mark.parametrize("command,argv,key", [

@@ -167,6 +167,8 @@ def test_spec_compiles_like_a_per_edge_reference(monkeypatch):
 
 _EYE = np.eye(2)
 _BAD = np.eye(3)
+_NAN = np.array([[1, 0], [0, np.nan]])
+_INF = np.array([[np.inf, 0], [0, 1]])
 
 
 def _as_operator_error(op) -> str:
@@ -185,7 +187,7 @@ def _as_operator_error(op) -> str:
      "operator on edge (2 -> 1) has dimension 3, expected 2"),
     # a non-square operator
     ((1, 2), {(1, 2): _EYE, (2, 1): np.ones((2, 3))},
-     "expected a square matrix, got shape (2, 3)"),
+     "operator on edge (2 -> 1) must be a square matrix, got shape (2, 3)"),
     # a ragged operator and a string: as_operator's own message
     ((1, 2), {(1, 2): _EYE, (2, 1): [[1, 0], [0]]}, _as_operator_error([[1, 0], [0]])),
     ((1, 2), {(1, 2): _EYE, (2, 1): "eye"}, _as_operator_error("eye")),
@@ -200,6 +202,15 @@ def _as_operator_error(op) -> str:
     ((1, 2), {(1, 2): _BAD, (2, 9): _EYE},
      "operator on edge (1 -> 2) has dimension 3, expected 2"),
     ((1, 2), {(1, 9): _EYE, (2, 1): _BAD}, "edge (1 -> 9) uses unknown nodes"),
+    # non-finite operators, also before an unknown node on a later edge
+    ((1, 2), {(1, 2): _EYE, (2, 1): _NAN},
+     "operator on edge (2 -> 1) is not finite"),
+    ((1, 2), {(1, 2): _EYE, (2, 1): _INF},
+     "operator on edge (2 -> 1) is not finite"),
+    ((1, 2), {(1, 2): -_INF, (2, 9): _EYE},
+     "operator on edge (1 -> 2) is not finite"),
+    ((1, 2), {(1, 2): _EYE, (2, 9): _EYE, (2, 1): _NAN},
+     "edge (2 -> 9) uses unknown nodes"),
 ])
 def test_spec_reports_its_first_bad_edge(nodes, transitions, message):
     with pytest.raises(ValueError) as caught:
@@ -1256,6 +1267,21 @@ def test_trace_bound_never_exceeds_trace_distance(dim):
             assert core._trace_bound(a, copy, dim) == core._trace_bound(a, b, dim)
     # equal states: the bound is the negative slack
     assert core._trace_bound(a, a, dim) < 0 == state_trace_distance(a, a)
+
+
+def test_walker_state_blocks_are_a_new_dict_on_each_access():
+    from oqwalk.io import state_to_dict
+
+    state = mixed_state(0, 2)
+    before = state_to_dict(state)
+    blocks = state.blocks
+    blocks[7] = np.eye(2)
+    del blocks[0]
+    assert list(state.blocks) == [0]
+    assert state.traces() == {0: 1.0}
+    assert state_to_dict(state) == before
+    with pytest.raises(ValueError, match="read-only"):
+        state.blocks[0][0, 0] = 2.0
 
 
 def test_walker_state_rejects_mixed_dimensions():

@@ -8,8 +8,11 @@ from oqwalk.analysis import (
     transport_predicted_arrival,
 )
 from oqwalk.core import (
+    WalkerState,
     WalkSpec,
+    extract_blocks,
     find_steady_state,
+    full_map_step,
     iter_run,
     mixed_state,
     run,
@@ -25,6 +28,7 @@ from oqwalk.linalg import (
     adjoint,
     apply_kraus,
     as_ket,
+    as_operator,
     basis_ket,
     half_trace_norms,
     hermitian_eigenvalues,
@@ -344,6 +348,66 @@ def test_scalar_inputs_reject_what_is_not_their_kind(entry):
     extra = [10 ** 400, -10 ** 400] if kind == "real" else [2.5, 2.0, np.float64(3)]
     for value in WRONG + extra:
         with pytest.raises((TypeError, ValueError)) as caught:
+            call(value)
+        assert str(caught.value).startswith(name + " "), (value, caught.value)
+
+
+_HALF = np.eye(2) / 2
+
+# every array input of the library: entry point -> (the argument's name,
+# "matrix" or "vector", the dimension the call expects of it or None, a
+# call passing a value as that argument with valid arguments elsewhere)
+ARRAYS = {
+    "WalkSpec.transitions": ("operator on edge (1 -> 1)", "matrix", 2, lambda v: WalkSpec(
+        nodes=(1,), dim=2, transitions={(1, 1): v})),
+    "WalkerState.blocks": ("block at node 'b'", "matrix", None,
+                           lambda v: WalkerState({"a": _HALF, "b": v})),
+    "build_gate_walk.gate": ("gate", "matrix", None, lambda v: build_gate_walk(v, 0.5)),
+    "build_dqc_chain.unitaries": (
+        "unitaries[1]", "matrix", 2, lambda v: build_dqc_chain([HADAMARD, v], 0.5)),
+    "build_dqc_chain.psi0": (
+        "psi0", "vector", 2, lambda v: build_dqc_chain([HADAMARD], 0.5, v)),
+    "build_transport_chain.psi1": (
+        "psi1", "vector", 2, lambda v: build_transport_chain(4, 0.5, v, [0, 1])),
+    "build_transport_chain.psi2": (
+        "psi2", "vector", 2, lambda v: build_transport_chain(4, 0.5, [1, 0], v)),
+    "apply_kraus.rho": ("rho", "matrix", None, lambda v: apply_kraus(v, [IDENTITY_2])),
+    "apply_kraus.ops": (
+        "ops[1]", "matrix", 2, lambda v: apply_kraus(_HALF, [IDENTITY_2, v])),
+    "trace_distance.rho": ("rho", "matrix", None, lambda v: trace_distance(v, _HALF)),
+    "trace_distance.sigma": ("sigma", "matrix", 2, lambda v: trace_distance(_HALF, v)),
+    "pure_fidelity.rho": ("rho", "matrix", None, lambda v: pure_fidelity(v, [1, 0])),
+    "pure_fidelity.psi": ("psi", "vector", 2, lambda v: pure_fidelity(_HALF, v)),
+    "extract_blocks.full": ("full matrix", "matrix", 4, lambda v: extract_blocks(_SPEC, v)),
+    "full_map_step.full": ("full matrix", "matrix", 4, lambda v: full_map_step(_SPEC, v)),
+    "as_operator.a": ("a", "matrix", None, as_operator),
+    "kron.a": ("a", "matrix", None, lambda v: kron(v, PAULI_X)),
+    "kron.b": ("b", "matrix", None, lambda v: kron(PAULI_X, v)),
+    "is_unitary.a": ("a", "matrix", None, is_unitary),
+    "is_psd.a": ("a", "matrix", None, is_psd),
+    "hermitian_eigenvalues.a": ("a", "matrix", None, hermitian_eigenvalues),
+}
+NOT_SQUARE = [np.ones((2, 3)), [[1, 2, 3]], [1, 0], [], np.ones((2, 2, 2)), 1.0]
+NOT_FINITE = [np.array([[1, 0], [0, bad]]) for bad in
+              (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN arithmetic
+@pytest.mark.parametrize("entry", sorted(ARRAYS))
+def test_array_inputs_reject_what_is_not_their_shape(entry):
+    # a matrix must be square with finite entries; a vector is flattened,
+    # so a matrix of the wrong size is a wrong-size vector. A ket's
+    # entries fail as_ket's norm rule when not finite, so only a matrix
+    # has a finiteness rule. Every message starts with the argument's name.
+    name, kind, dim, call = ARRAYS[entry]
+    wrong = []
+    if dim is not None:
+        wrong += ([np.eye(dim + 1), np.eye(dim - 1)] if kind == "matrix"
+                  else [np.ones(dim + 1), [1], np.eye(dim)])
+    if kind == "matrix":
+        wrong += NOT_SQUARE + NOT_FINITE
+    for value in wrong:
+        with pytest.raises(ValueError) as caught:
             call(value)
         assert str(caught.value).startswith(name + " "), (value, caught.value)
 
