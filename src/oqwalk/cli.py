@@ -354,7 +354,7 @@ def _dqc(values: dict, cfg: RunConfig) -> ScenarioPlan:
         except (OverflowError, MemoryError):  # past the index range, or too long
             raise ConfigError(f"T = {t_final} is too large to build") from None
     elif len(gates) != t_final:
-        raise ConfigError("'unitaries' must be a list of T entries")
+        raise ConfigError("unitaries must be a list of T entries")
     spec, initial = build_dqc_chain(gates, omega, psi0)
     # expected output: the whole gate sequence applied to psi0
     vec = psi0 if psi0 is not None else basis_ket(spec.dim, 0)
@@ -371,9 +371,17 @@ _REAL = _checked(_real)
 
 def _p_or_q(*bounds, **options) -> dict:
     """The spellings p and q = 1 - p. The builder checks p; q is checked
-    here against the same bounds, so its error names q."""
-    q = _checked(_real, *bounds, **options)
-    return {"p": _REAL, "q": lambda key, value: 1.0 - q(key, value)}
+    here against the same bounds, and so is the p it gives (a q below
+    ~1e-16 rounds p to 1), so both errors name q."""
+    check = _checked(_real, *bounds, **options)
+
+    def from_q(key: str, value) -> float:
+        q = check(key, value)
+        try:
+            return check("p", 1.0 - q)
+        except ConfigError as exc:
+            raise ConfigError(f"{key} = {q}: {exc}") from exc
+    return {"p": _REAL, "q": from_q}
 
 
 _HOP = {**_p_or_q(0, 1), "sqrt_p": lambda key, value: _checked(_real, 0, 1)(key, value) ** 2}

@@ -449,15 +449,14 @@ def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
         row_of[pos] = np.arange(pos.size)
         src = row_of[src]
         used = np.flatnonzero(src >= 0)
-        if used.size < src.size:
-            src, slot, run, out = src[used], slot[used], run[used], out[used]
-            levels = np.searchsorted(used, levels)
-            # the reached targets, and each used edge's row among them
-            reached = np.zeros(targets.size, dtype=bool)
-            reached[out] = True
-            reached = np.flatnonzero(reached)
-            row_of[reached] = np.arange(reached.size)  # src is read: reuse row_of
-            targets, out = targets[reached], row_of[out]
+        src, slot, run, out = src[used], slot[used], run[used], out[used]
+        levels = np.searchsorted(used, levels)
+        # the reached targets, and each used edge's row among them
+        reached = np.zeros(targets.size, dtype=bool)
+        reached[out] = True
+        reached = np.flatnonzero(reached)
+        row_of[reached] = np.arange(reached.size)  # src is read: reuse row_of
+        targets, out = targets[reached], row_of[out]
     if fanned:
         # the one chunk: each source's [K_1; ...; K_D] rho, and each
         # edge's K rho at its source's row times D plus its slot

@@ -13,8 +13,8 @@ a two-qubit register, and the basis order is |00>, |01>, |10>, |11>.
 
 Every argument's check lives here, each message starting with its name:
 ``_real`` and ``_count`` check scalars, ``_matrix`` and ``_vector``
-arrays: ``<name> must be a square matrix, got shape S``, ``<name> is not
-finite`` (matrices only) and ``<name> has dimension m, expected d``.
+arrays (``<name> must be a square matrix, got shape S``, ``is not
+finite``, ``has dimension m, expected d``), ``_unitarity_errors`` unitarity.
 """
 
 from __future__ import annotations
@@ -120,10 +120,12 @@ def _matrix(a, name: str, dim: int | None = None) -> np.ndarray:
 
 
 def _vector(v, name: str, dim: int | None = None) -> np.ndarray:
-    """v flattened to a complex vector, of dimension dim when given."""
+    """v flattened to a finite complex vector, of dimension dim when given."""
     v = _complex(v).reshape(-1)
     if dim is not None and v.size != dim:
         raise ValueError(f"{name} has dimension {v.size}, expected {dim}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} is not finite")
     return v
 
 
@@ -139,7 +141,7 @@ def as_ket(psi: Sequence[complex], tol: float = 1e-12) -> np.ndarray:
     if v.size < 1:
         raise ValueError("empty state vector")
     norm_sq = float(np.vdot(v, v).real)
-    if not abs(norm_sq - 1.0) <= tol:  # a NaN norm fails too
+    if not abs(norm_sq - 1.0) <= tol:
         raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq}")
     return v
 
@@ -150,7 +152,7 @@ def normalized(psi: Sequence[complex]) -> np.ndarray:
         n = np.linalg.norm(v)
     if n == 0:
         raise ValueError("cannot normalize the zero vector")
-    if not np.isfinite(n):  # a NaN or inf entry, or a norm past the float range
+    if not np.isfinite(n):  # a norm past the float range
         raise ValueError(f"cannot normalize a vector of norm {n}")
     return v / n
 
@@ -172,7 +174,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
+    return _matrix(a, "a").conj().T
 
 
 def outer(psi: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
@@ -220,10 +222,17 @@ def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.linalg.eigvalsh(a)[0] >= -tol)
 
 
+def _unitarity_errors(u: np.ndarray) -> np.ndarray:
+    """The largest entry of |U^dag U - I| and of |U U^dag - I| for each U
+    in a (..., d, d) stack, from one batched product (U^dag, U) @ (U, U^dag)."""
+    pair = np.stack((u, np.swapaxes(u.conj(), -1, -2)), axis=-3)
+    return np.abs(pair[..., ::-1, :, :] @ pair - np.eye(u.shape[-1])).max(axis=(-3, -2, -1))
+
+
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """True iff U^dag U and U U^dag are within tol of I in every entry."""
     tol = _real(tol, "tol", 0, open_interval=True)
-    a = as_operator(a)
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
+    return bool(_unitarity_errors(as_operator(a)) <= tol)
 
 
 def sum_left_to_right(values) -> float:

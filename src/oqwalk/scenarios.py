@@ -15,10 +15,10 @@ Every builder returns a spec whose per-node operator families satisfy
 the completeness relation exactly (up to float rounding), so they pass
 ``validate_walk`` at tolerance 1e-12, or raises TypeError or ValueError:
 TypeError for a bool, string, complex or array number or a float count,
-ValueError for a number out of range or a malformed matrix or ket (each
-message starts with the parameter's name) and for other bad input. A
-size too large to build (a line window, a chain length) raises
-OverflowError or MemoryError instead.
+ValueError for a bad number, matrix or ket, a gate that is not unitary
+or a ket pair that is not orthonormal (linalg's rules: each message
+starts with the parameter's name) and other bad input. A size too large
+to build (a line window, a chain length) raises OverflowError or MemoryError.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .linalg import (
     _count,
     _matrix,
     _real,
+    _unitarity_errors,
     _vector,
     as_ket,
     basis_ket,
@@ -51,16 +52,9 @@ from .linalg import (
 SCENARIO_NAMES = ("line", "gate", "state_prep", "bell", "transport", "dqc")
 
 # Per-entry deviation from I allowed in U^dag U and U U^dag of a gate, and
-# in the Gram matrix of transport's psi1 and psi2. A completeness residual
+# of transport's psi1 and psi2 stacked as rows. A completeness residual
 # is at most about twice that, so every walk built passes at 1e-12.
 _INPUT_TOL = 2e-13
-
-
-def _is_unitary(u: np.ndarray) -> bool:
-    """U^dag U and U U^dag within _INPUT_TOL of I, entry by entry."""
-    eye, u_dag = np.eye(u.shape[0]), u.conj().T
-    return bool(np.abs(u_dag @ u - eye).max() <= _INPUT_TOL
-                and np.abs(u @ u_dag - eye).max() <= _INPUT_TOL)
 
 
 def _chain(mats: list, forward: float, nodes) -> WalkSpec:
@@ -130,7 +124,7 @@ def build_gate_walk(gate: np.ndarray, p: float) -> WalkSpec:
     so reading out node 2 yields the gated state with probability p.
     """
     u = _matrix(gate, "gate")
-    if not _is_unitary(u):
+    if not _unitarity_errors(u) <= _INPUT_TOL:
         raise ValueError("gate must be unitary")
     return _chain([u], _real(p, "p", 0, 1), (1, 2))
 
@@ -232,8 +226,7 @@ def build_transport_chain(
     # the hops act on span(psi1, psi2) only: in more dimensions weight leaks
     psi1 = KET_PLUS if psi1 is None else as_ket(_vector(psi1, "psi1", 2))
     psi2 = KET_MINUS if psi2 is None else as_ket(_vector(psi2, "psi2", 2))
-    kets = np.array([psi1, psi2])
-    if not np.abs(kets.conj() @ kets.T - np.eye(2)).max() <= _INPUT_TOL:
+    if not _unitarity_errors(np.array([psi1, psi2])) <= _INPUT_TOL:
         raise ValueError("psi1 and psi2 must be orthonormal")
     # built before the edges, so a count too large to build fails at once
     # with MemoryError or OverflowError instead of filling memory
@@ -272,13 +265,12 @@ def build_dqc_chain(
     """
     mats, d = [], None  # d: the first unitary's dimension
     for k, u in enumerate(unitaries):
-        u = _matrix(u, f"unitaries[{k}]", d)
-        if not _is_unitary(u):
-            raise ValueError(f"operator {k + 1} is not unitary")
-        mats.append(u)
-        d = u.shape[0]
+        mats.append(_matrix(u, f"unitaries[{k}]", d))
+        d = mats[0].shape[0]
     if not mats:
-        raise ValueError("need at least one unitary (T >= 1)")
+        raise ValueError("unitaries must hold at least one gate (T >= 1)")
+    if not (ok := _unitarity_errors(np.array(mats)) <= _INPUT_TOL).all():
+        raise ValueError(f"unitaries[{ok.argmin()}] must be unitary")  # the first bad one
     omega = _real(omega, "omega", 0, 1, open_interval=True)
     psi0 = basis_ket(d, 0) if psi0 is None else as_ket(_vector(psi0, "psi0", d))
     return _chain(mats, omega, range(len(mats) + 1)), pure_state(0, psi0)

@@ -18,8 +18,17 @@ from oqwalk.cli import (
     main,
     parse_config,
 )
-from oqwalk.core import WalkerState, WalkSpec, mixed_state, run, validate_walk
-from oqwalk.scenarios import SCENARIO_NAMES
+from oqwalk.core import (
+    WalkerState,
+    WalkSpec,
+    iter_run,
+    mixed_state,
+    pure_state,
+    run,
+    validate_walk,
+)
+from oqwalk.linalg import normalized
+from oqwalk.scenarios import SCENARIO_NAMES, build_transport_chain
 
 from oracles import random_kraus_family
 
@@ -492,6 +501,47 @@ def test_main_rejects_bad_values(tmp_path, capsys, key, raw):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "steady"])
+@pytest.mark.parametrize("t_final,unitaries,message", [
+    (2, '["H",[[1,0],[0,2]]]', "unitaries[1] must be unitary"),
+    (3, '[[[0,2],[1,0]],"X",[[2,0],[0,1]]]', "unitaries[0] must be unitary"),
+    (2, '["H"]', "unitaries must be a list of T entries"),
+    (1, '["H","X"]', "unitaries must be a list of T entries"),
+])
+def test_main_names_the_unitaries_entry(capsys, command, t_final, unitaries, message):
+    argv = ["--scenario", "dqc", "--set", "omega=0.5", "--set", f"T={t_final}",
+            "--set", f"unitaries={unitaries}"]
+    assert main([command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_main_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    for text in ("[1, 2]", "3", '"gate"', "null"):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: configuration must be a JSON object\n"
+        with pytest.raises(ConfigError, match="^configuration must be a JSON object$"):
+            parse_config(text)
+
+
+@pytest.mark.parametrize("psi0,ket", [('"-"', [1, -1]), ("[0.6,0.8]", [0.6, 0.8]),
+                                      ("[1,[1,1]]", [1, 1 + 1j])])
+def test_main_transport_run_starts_from_psi0(tmp_path, psi0, ket):
+    # psi0 replaces the maximally mixed start at node 1
+    out = tmp_path / "chain.csv"
+    assert main(["run", "--scenario", "transport", "--set", "N=6", "--set", "p=0.3",
+                 "--set", f"psi0={psi0}", "--steps", "9", "-o", str(out)]) == 0
+    spec, mixed = build_transport_chain(6, 0.3)
+    expected = "".join(emit_csv(iter_run(spec, pure_state(1, normalized(ket)), 9),
+                                spec.nodes))
+    assert out.read_text() == expected
+    assert expected != "".join(emit_csv(iter_run(spec, mixed, 9), spec.nodes))
+
+
 def test_main_names_the_gate_spelling_given(capsys):
     # "matrix" spells the gate too: a bad literal's error names the key given
     for key in ("gate", "matrix"):
@@ -560,10 +610,13 @@ def test_main_accepts_sqrt_p_bounds(capsys, scenario, extra):
      "q must lie in [0, 1], got -0.5"),
     (["--scenario", "state_prep", "--set", "q=0"], "q must lie in (0, 1), got 0.0"),
     (["--scenario", "state_prep", "--set", "q=1"], "q must lie in (0, 1), got 1.0"),
+    (["--scenario", "state_prep", "--set", "q=1e-17"],
+     "q = 1e-17: p must lie in (0, 1), got 1.0"),
 ])
 def test_main_checks_q_under_its_own_key(capsys, command, argv, message):
     # q stands for p = 1 - q: an out-of-range q is reported as the q
-    # given, against the scenario's own bounds for p
+    # given, against the scenario's own bounds for p, and so is a q whose
+    # p = 1 - q rounds out of them
     assert main([command, *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"

@@ -68,6 +68,9 @@ def test_spec_rejects_unknown_nodes_and_bad_dims():
         WalkSpec(nodes=(1, 1), dim=2, transitions={})
     with pytest.raises(ValueError):
         WalkSpec(nodes=(1,), dim=2, transitions={(1, 1): np.ones((2, 3))})
+    for nodes in ((), []):
+        with pytest.raises(ValueError, match="^a walk needs at least one node$"):
+            WalkSpec(nodes=nodes, dim=2, transitions={})
 
 
 def signed_zero_spec() -> WalkSpec:

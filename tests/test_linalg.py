@@ -242,16 +242,22 @@ def test_basis_ket_checks_dim_and_index():
 
 @pytest.mark.parametrize("psi", [[np.nan, 0], [np.nan, 1], [1, np.inf]])
 def test_as_ket_rejects_non_finite(psi):
-    # abs(nan - 1) > tol is False: the norm check must not read it as a pass
-    with pytest.raises(ValueError, match="not normalized"):
+    # abs(nan - 1) > tol is False: a norm check alone would read it as a pass
+    with pytest.raises(ValueError, match="^psi is not finite$"):
         as_ket(psi)
+
+
+def test_as_ket_rejects_the_empty_vector():
+    with pytest.raises(ValueError, match="^empty state vector$"):
+        as_ket([])
 
 
 @pytest.mark.parametrize("psi", [[np.inf, 0], [np.nan, 0], [-np.inf, 1j],
                                  [1e300, 1e300]])
 def test_normalized_rejects_non_finite(psi):
     # v / inf would be [nan, 0]; an overflowing norm would give zeros
-    with pytest.raises(ValueError, match="cannot normalize"):
+    match = "cannot normalize" if np.isfinite(psi).all() else "^psi is not finite$"
+    with pytest.raises(ValueError, match=match):
         normalized(psi)
 
 
@@ -267,6 +273,32 @@ def test_random_unitary_helper_is_unitary():
     rng = np.random.default_rng(1)
     for dim in (2, 4):
         assert is_unitary(random_unitary(dim, rng))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 32])
+def test_is_unitary_is_both_products_within_tol(dim):
+    # V diag(1 + e, 1, ...) puts all of U^dag U - I on one diagonal entry
+    # and spreads U U^dag - I over |v><v| (v: V's first column, entries of
+    # modulus 1/sqrt(dim)); diag(1 + e, 1, ...) V the other way round. A
+    # tol between the two deviations rejects both, where one product alone
+    # would accept one of them.
+    rng = np.random.default_rng(80 + dim)
+    k = np.arange(dim)
+    eye = np.eye(dim)
+    for e in (1e-9, 1e-6, 1e-3):
+        # the Fourier matrix with random column phases
+        v = np.exp(2j * np.pi * (np.outer(k, k) / dim + rng.random(dim))) / np.sqrt(dim)
+        stretch = np.diag([1 + e] + [1] * (dim - 1))
+        for u in (v, v @ stretch, stretch @ v):
+            errors = [np.abs(prod - eye).max() for prod in (u.conj().T @ u, u @ u.conj().T)]
+            low, high = sorted(errors)
+            # every tol 10% or more from both deviations, far past rounding
+            tols = [1e-12, 1e-1] if u is v else [low / 2, high * 2]
+            if u is not v:
+                assert low < 0.6 * high
+                tols.append(np.sqrt(low * high))
+            for tol in tols:
+                assert is_unitary(u, tol=tol) == (max(errors) <= tol), (e, tol)
 
 
 def test_pure_fidelity_bounded_by_trace():
@@ -384,21 +416,21 @@ ARRAYS = {
     "kron.a": ("a", "matrix", None, lambda v: kron(v, PAULI_X)),
     "kron.b": ("b", "matrix", None, lambda v: kron(PAULI_X, v)),
     "is_unitary.a": ("a", "matrix", None, is_unitary),
+    "adjoint.a": ("a", "matrix", None, adjoint),
     "is_psd.a": ("a", "matrix", None, is_psd),
     "hermitian_eigenvalues.a": ("a", "matrix", None, hermitian_eigenvalues),
 }
 NOT_SQUARE = [np.ones((2, 3)), [[1, 2, 3]], [1, 0], [], np.ones((2, 2, 2)), 1.0]
-NOT_FINITE = [np.array([[1, 0], [0, bad]]) for bad in
-              (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0))]
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0))
+NOT_FINITE = [np.array([[1, 0], [0, bad]]) for bad in NON_FINITE]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN arithmetic
 @pytest.mark.parametrize("entry", sorted(ARRAYS))
 def test_array_inputs_reject_what_is_not_their_shape(entry):
     # a matrix must be square with finite entries; a vector is flattened,
-    # so a matrix of the wrong size is a wrong-size vector. A ket's
-    # entries fail as_ket's norm rule when not finite, so only a matrix
-    # has a finiteness rule. Every message starts with the argument's name.
+    # so a matrix of the wrong size is a wrong-size vector, and its entries
+    # must be finite too. Every message starts with the argument's name.
     name, kind, dim, call = ARRAYS[entry]
     wrong = []
     if dim is not None:
@@ -406,6 +438,8 @@ def test_array_inputs_reject_what_is_not_their_shape(entry):
                   else [np.ones(dim + 1), [1], np.eye(dim)])
     if kind == "matrix":
         wrong += NOT_SQUARE + NOT_FINITE
+    else:
+        wrong += [[bad] + [0] * ((dim or 2) - 1) for bad in NON_FINITE]
     for value in wrong:
         with pytest.raises(ValueError) as caught:
             call(value)

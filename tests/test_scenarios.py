@@ -100,6 +100,58 @@ def test_gate_unitarity_limit_keeps_1e12_promise():
             build_dqc_chain([HADAMARD, far], 0.5)
 
 
+def _deviation(u) -> float:
+    """The larger entry-wise deviation from I of U^dag U and U U^dag."""
+    eye = np.eye(len(u))
+    return max(np.abs(u.conj().T @ u - eye).max(), np.abs(u @ u.conj().T - eye).max())
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 32])
+def test_builders_decide_unitarity_away_from_the_limit(dim):
+    # a gate perturbed by 1e-14 per entry is accepted, by 1e-11 refused;
+    # every deviation sits a factor of 2 or more from the 2e-13 limit
+    rng = np.random.default_rng(90 + dim)
+    u = random_unitary(dim, rng)
+    noise = np.exp(2j * np.pi * rng.random((dim, dim)))
+    near, far = u + 1e-14 * noise, u + 1e-11 * noise
+    assert _deviation(near) < 1e-13 and _deviation(far) > 4e-13
+    assert validate_walk(build_gate_walk(near, 0.5), tol=1e-12).ok
+    assert validate_walk(build_dqc_chain([u, near, near], 0.3)[0], tol=1e-12).ok
+    with pytest.raises(ValueError, match=r"^gate must be unitary$"):
+        build_gate_walk(far, 0.5)
+    with pytest.raises(ValueError, match=r"^unitaries\[1\] must be unitary$"):
+        build_dqc_chain([near, far, u], 0.3)
+
+
+def test_transport_decides_orthonormality_away_from_the_limit():
+    # psi2 turned towards psi1 by 1e-14 is accepted, by 1e-11 refused
+    rng = np.random.default_rng(95)
+    for _ in range(5):
+        psi1, psi2 = random_unitary(2, rng)
+        for angle, ok in ((1e-14, True), (1e-11, False)):
+            turned = np.cos(angle) * psi2 + np.sin(angle) * psi1
+            deviation = _deviation(np.array([psi1, turned]))
+            assert deviation < 1e-13 if ok else deviation > 4e-13
+            if ok:
+                spec, _ = build_transport_chain(4, 0.5, psi1, turned)
+                assert validate_walk(spec, tol=1e-12).ok
+            else:
+                with pytest.raises(ValueError, match="^psi1 and psi2 must be orthonormal$"):
+                    build_transport_chain(4, 0.5, psi1, turned)
+
+
+def test_dqc_names_its_first_bad_gate():
+    bad = np.diag([1, 2])
+    for gates, k in (([HADAMARD, bad, PAULI_X, 2 * PAULI_X], 1),
+                     ([bad, HADAMARD, bad], 0),
+                     ([HADAMARD] * 5 + [bad] * 2, 5)):
+        with pytest.raises(ValueError) as caught:
+            build_dqc_chain(gates, 0.5)
+        assert str(caught.value) == f"unitaries[{k}] must be unitary"
+    with pytest.raises(ValueError, match=r"^unitaries must hold at least one gate"):
+        build_dqc_chain([], 0.5)
+
+
 @pytest.mark.parametrize("build, error", [
     (lambda: build_line_walk(float("nan"), 3), ValueError),
     (lambda: build_line_walk(np.inf, 3), ValueError),
