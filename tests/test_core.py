@@ -680,6 +680,73 @@ def test_tall_product_matches_per_matrix_product(dim):
                 f"step() would change bits")
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 32])
+def test_grouped_product_matches_per_matrix_product(dim):
+    # A chunk whose level slices mix operators forms (K rho_j) K^dag as
+    # one batched [M_1; ...; M_n] @ K_g^dag per distinct operator K_g:
+    # (G, n*d, d) @ (G, d, d), each group padded to n rows. That keeps the
+    # engine's bits only if every real row gets the bits of the
+    # per-matrix M_j @ K_g^dag, whatever the padding rows hold.
+    rng = np.random.default_rng(100 + dim)
+    ops = np.stack([rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
+                    rng.normal(size=(dim, dim)).astype(complex),
+                    np.eye(dim, dtype=complex) / np.sqrt(2)])
+    groups = ops.shape[0]
+    for n in (1, 2, 3, 7, 16, 153):
+        m = rng.normal(size=(groups, n, dim, dim)) + 1j * rng.normal(size=(groups, n, dim, dim))
+        zeros = rng.random(m.shape) < 0.2
+        m.real[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        m.imag[rng.random(m.shape) < 0.2] = -0.0
+        sizes = [n, max(1, n // 2), 1]  # real rows per group; the rest is padding
+        for g, size in enumerate(sizes):
+            m[g, size:] = np.nan if g % 2 else 1e150
+        # the views step() passes: a (G, d, d) K^dag stack of transposed
+        # conj copies, and a chunk's per-edge K^dag stack
+        grouped = (m.reshape(groups, n * dim, dim)
+                   @ ops.conj().transpose(0, 2, 1)).reshape(groups, n, dim, dim)
+        for g, size in enumerate(sizes):
+            k = np.repeat(ops[g][None], size, axis=0)
+            per_matrix = m[g, :size] @ k.conj().transpose(0, 2, 1)
+            assert grouped[g, :size].tobytes() == per_matrix.tobytes(), (
+                f"grouped and per-matrix M @ K^dag differ at d={dim}, n={n}, "
+                f"group {g} under {blas_build()}; step() would change bits")
+
+
+def repeated_operator_spec(rng, n_nodes: int, dim: int) -> WalkSpec:
+    """Random graph whose nodes share two Kraus families: node i sends
+    family i % 2 to three random targets, half the edges holding a copy
+    of their operator, so level slices mix a handful of operators that
+    repeat bytewise across objects."""
+    families = [random_kraus_family(dim, 3, rng) for _ in range(2)]
+    edges = []
+    for src in range(n_nodes):
+        targets = rng.choice(n_nodes, size=3, replace=False)
+        for tgt, op in zip(targets.tolist(), families[src % 2]):
+            edges.append(((src, tgt), op.copy() if rng.random() < 0.5 else op))
+    order = rng.permutation(len(edges))
+    return WalkSpec(nodes=tuple(range(n_nodes)), dim=dim,
+                    transitions=dict(edges[k] for k in order))
+
+
+@pytest.mark.parametrize("chunk", ["default", "small"])
+def test_step_matches_reference_with_repeated_operators_in_mixed_slices(monkeypatch, chunk):
+    # six distinct operators over 60 edges, full and partial occupancy;
+    # at the small chunk (seven d=2 edges) groups straddle chunks
+    if chunk == "small":
+        monkeypatch.setattr(core, "_CHUNK_BYTES", 7 * 16 * 2 ** 2)
+    rng = np.random.default_rng(53)
+    for dim in (1, 2, 3):
+        spec = repeated_operator_spec(rng, 20, dim)  # plans are built at first use
+        assert validate_walk(spec).ok
+        assert len({op.tobytes() for op in spec._ops}) == 6
+        for occupied in (20, 7, 1):
+            state = WalkerState(random_block_state(spec.nodes, dim, rng, occupied))
+            for _ in range(6):
+                expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+                state = step(spec, state)
+                assert_same_blocks(state.blocks, expected)
+
+
 def test_spec_runs_of_equal_operators():
     # _run numbers the runs of bytewise-equal rows of the operator stack
     def byte_runs(spec):

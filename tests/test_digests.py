@@ -66,6 +66,12 @@ steady --scenario dqc --set omega=0.5 --set T=6
 steady --scenario dqc --set omega=0.7 --set T=10
 steady --scenario dqc --set omega=0.3 --set T=5 --set unitaries='["H", "T", "X", "S", "H"]'
 validate --scenario dqc --set omega=0.8 --set T=8
+# many edges per distinct gate: the benchmark's seed-0 gate list, the
+# default gates at T = 40, a d = 3 chain of three repeated gates
+steady --scenario dqc --set omega=0.5 --set T=20 --set unitaries='["Z", "T", "Z", "T", "H", "S", "X", "T", "T", "Z", "Z", "S", "T", "S", "X", "I", "X", "I", "S", "I"]'
+steady --scenario dqc --set omega=0.8 --set T=40
+run --scenario dqc --set omega=0.6 --set T=8 --set unitaries='[[[0,0,1],[1,0,0],[0,1,0]], [[0.6,0.8,0],[-0.8,0.6,0],[0,0,1]], [[0,0,1],[1,0,0],[0,1,0]], [[1,0,0],[0,[0,1],0],[0,0,[0.6,0.8]]], [[0.6,0.8,0],[-0.8,0.6,0],[0,0,1]], [[0,0,1],[1,0,0],[0,1,0]], [[0,0,1],[1,0,0],[0,1,0]], [[1,0,0],[0,[0,1],0],[0,0,[0.6,0.8]]]]' --set psi0='[0.6, 0, 0.8]' --steps 30
+run --scenario transport --set N=50 --set sqrt_p=0.8 --steps 60
 """.splitlines() if line and not line.startswith("#")]
 
 # command -> (exit status, SHA-256 of stdout), recorded with numpy 2.4.6
@@ -142,6 +148,14 @@ DIGESTS = {
         (0, '7c9f6ef09b5acdf6a7f9b0d2080799ae184ff05f0b15796dd26bda910c354672'),
     'validate --scenario dqc --set omega=0.8 --set T=8':
         (0, '527f315f3c3074f7e479200f29be9f6fee91f2a4ccf71074832445c3202bafbc'),
+    'steady --scenario dqc --set omega=0.5 --set T=20 --set unitaries=\'["Z", "T", "Z", "T", "H", "S", "X", "T", "T", "Z", "Z", "S", "T", "S", "X", "I", "X", "I", "S", "I"]\'':
+        (0, '7b3ffb7b3a3a156df0e1dff0315e08fd83a43bb883b8c99ac8a3a3ff0456b541'),
+    'steady --scenario dqc --set omega=0.8 --set T=40':
+        (0, '811efb0cba4ddc4ae6044861aeea67c5d9816b31e8c6a22de81ba6cb2ad665c2'),
+    "run --scenario dqc --set omega=0.6 --set T=8 --set unitaries='[[[0,0,1],[1,0,0],[0,1,0]], [[0.6,0.8,0],[-0.8,0.6,0],[0,0,1]], [[0,0,1],[1,0,0],[0,1,0]], [[1,0,0],[0,[0,1],0],[0,0,[0.6,0.8]]], [[0.6,0.8,0],[-0.8,0.6,0],[0,0,1]], [[0,0,1],[1,0,0],[0,1,0]], [[0,0,1],[1,0,0],[0,1,0]], [[1,0,0],[0,[0,1],0],[0,0,[0.6,0.8]]]]' --set psi0='[0.6, 0, 0.8]' --steps 30":
+        (0, '096bec846961b3e5f9ae006c399e008df206507311c8a1cc22e747e219716578'),
+    'run --scenario transport --set N=50 --set sqrt_p=0.8 --steps 60':
+        (0, '2c69589326f346f7baf11b16a87f7797a8b1a77256bb953c0d6dc038e2c65a6e'),
 }
 
 
