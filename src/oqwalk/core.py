@@ -37,11 +37,17 @@ over the spec's node tuple. A step whose products fit one chunk forms K
 rho as one [K_1; ...; K_D] rho per occupied source; larger steps form
 it one matrix per edge. A level slice whose edges share one operator
 (every site of a translation-invariant walk) forms its (K rho_j) K^dag
-as one tall product [K rho_1; ...; K rho_n] @ K^dag. Both tall products
-see the same shared operand as the per-matrix products, only more rows
-of the other one, and BLAS gives them the same bits (tests/test_core.py
-checks both premises by name). The other grouping, K [rho_1 ... rho_n],
-changes bits and is not used.
+as one tall product [K rho_1; ...; K rho_n] @ K^dag. A chunk whose
+slices mix operators (the dqc chain's repeated gates) forms them as one
+batched (G, n*d, d) @ (G, d, d) product over its distinct operators
+(``_group`` numbers them by bytes), each operator's K rho rows stacked
+tall and padded to n rows, and one take puts the products back in level
+order; ``_groups`` bounds the padding, and a chunk it cannot halve, as
+one of all-distinct operators, forms one product per edge. The tall
+products see the same shared operand as the per-matrix products, only
+more rows of the other one, and BLAS gives them the same bits
+(tests/test_core.py checks the premises by name). The other grouping,
+K [rho_1 ... rho_n], changes bits and is not used.
 ``iter_run`` yields a run's snapshots as it makes them, holding one
 state; ``run`` lists them.
 
@@ -77,7 +83,8 @@ PRUNE_TRACE = 1e-15
 # Bytes of K rho K^dag products a step forms at once. Each chunk also
 # holds the gathered blocks and one partial product of the same size,
 # so its transient memory stays near 3x this whatever d and the edge
-# count are; a plan adds at most one conjugate copy of its operators. A
+# count are; a plan adds at most one conjugate copy of its operators,
+# and a chunk that reads K holds at most twice its edges of them. A
 # step whose occupied sources' fan rows (k * D * d^2 entries) fit one
 # chunk forms K rho per source, from that one chunk-sized product;
 # ``_fan`` is compiled only when its zero padding also fits one chunk,
@@ -217,6 +224,21 @@ class WalkSpec:
         return fan
 
     @cached_property
+    def _group(self) -> np.ndarray:
+        """Read-only index of each row's distinct operator, numbered by
+        first appearance in the stack and compared by bytes like ``_run``.
+
+        Built by the first plan with a level slice of mixed operators,
+        from the ``_run`` heads, so validating a spec does not pay for it.
+        """
+        heads = self._ops[np.flatnonzero(np.diff(self._run, prepend=-1))]
+        number = {}
+        group = np.array([number.setdefault(op.tobytes(), len(number))
+                          for op in heads], dtype=np.intp)[self._run]
+        group.setflags(write=False)
+        return group
+
+    @cached_property
     def _full_plan(self) -> tuple:
         """Read-only ``_plan`` of a step with every node occupied, built once."""
         plan = _plan(self, np.arange(self.node_count))
@@ -240,9 +262,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(r <= self.tol for r in self.residuals.values())
-
-    def worst(self) -> float:
-        return max(self.residuals.values())
 
     def __str__(self) -> str:
         lines = [f"completeness tolerance: {self.tol:g}"]
@@ -432,8 +451,14 @@ def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
     """(reached targets, fans, chunks) of a step from occupied positions pos.
     fans: the occupied sources' fan rows, or None past one chunk. Per chunk of
     used edges: K if the chunk reads it, the K^dag stack if a slice needs it,
-    the K rho gather index and, per level slice, (lo, hi) in the chunk, output
-    rows, shared K^dag or None."""
+    the K rho gather index, back (None, or for a chunk grouped by distinct
+    operator each edge's row in the padded product) and, per level slice,
+    (lo, hi) in the chunk, output rows, shared K^dag or None.
+
+    A chunk whose slices mix operators forms (K rho_j) K^dag per edge, or
+    per distinct operator where ``_groups`` lays it out: K^dag then holds
+    one row per product, and K rho (and K) come in padded group order, at
+    most min(per_chunk, twice the chunk's edges) rows."""
     ops, src, levels, run = spec._ops, spec._src, spec._levels, spec._run
     slot, fan, targets, out = spec._slot, spec._fan, spec._targets, spec._out
     d = spec.dim
@@ -479,12 +504,55 @@ def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
             r0, r1 = out[lo], out[hi - 1]
             rows = slice(r0, r1 + 1) if r1 - r0 == hi - lo - 1 else out[lo:hi]
             slices.append((lo - e0, hi - e0, rows, shared))
-        k = (None if fanned and not stacked else ops[e0:e1] if used is None
-             else ops.take(used[e0:e1], 0))
+        gather, back = src[e0:e1], None
+        op_rows = slice(e0, e1) if used is None else used[e0:e1]
+        # mixed operators: one product per distinct operator, if _groups
+        # finds a layout within the chunk that at least halves the products
+        grouped = stacked and _groups(spec._group[op_rows], min(per_chunk, 2 * (e1 - e0)))
+        if grouped:  # K rho rows in padded group order: every slice reads the product
+            pad, back, firsts = grouped
+            index = np.arange(e0, e1) if used is None else op_rows
+            op_rows, heads = index[pad], index[firsts]
+            gather, slices = gather[pad], [(*s[:3], None) for s in slices]
+        k = None if fanned and not stacked else ops[op_rows]
         # K^dag: transposed views of conj copies, as the tall-product test takes
-        k_dag = k.conj().transpose(0, 2, 1) if stacked else None
-        chunks.append((k, k_dag, src[e0:e1], slices))
+        k_dag = (ops[heads] if grouped else k).conj().transpose(0, 2, 1) if stacked else None
+        chunks.append((k, k_dag, gather, back, slices))
     return targets, fans, chunks
+
+
+def _groups(group: np.ndarray, limit: int) -> tuple | None:
+    """Padded layout of a chunk's rows by distinct operator (``group``):
+    (pad, back, firsts), or None unless it at least halves the products.
+
+    Each group is one product of n rows, n its largest size; if that
+    pads past limit rows, every group is cut into pieces of at most
+    n = (limit - E) // G + 1 rows (E rows, G groups), which pad at most
+    G * (n - 1) <= limit - E rows. A group's pieces take consecutive
+    products, its rows in row order. pad holds the chunk row at each
+    padded row (padding repeats the group's first row, and its products
+    are never read), back each chunk row's padded row, firsts the first
+    chunk row of each product's group.
+    """
+    order = np.argsort(group, kind="stable")
+    ends = np.concatenate((group[order], [-1]))
+    ends = np.flatnonzero(ends[1:] != ends[:-1]) + 1  # of each group, in sorted rows
+    if 2 * ends.size > order.size:  # so with pieces too: a cheap early out
+        return None
+    sizes = np.diff(ends, prepend=0)
+    n = int(sizes.max())
+    if ends.size * n > limit:
+        n = (limit - order.size) // ends.size + 1
+    pieces = -(-sizes // n)
+    if 2 * pieces.sum() > order.size:
+        return None
+    starts = ends - sizes
+    back = np.empty_like(order)
+    back[order] = np.arange(order.size) + np.repeat((np.cumsum(pieces) - pieces) * n - starts, sizes)
+    firsts = np.repeat(order[starts], pieces)
+    pad = np.repeat(firsts, n)
+    pad[back] = np.arange(order.size)
+    return pad, back, firsts
 
 
 def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
@@ -503,11 +571,15 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
                              else _plan(spec, pos))
     d = spec.dim
     acc = np.full((targets.size, d, d), complex(-0.0, -0.0))
-    for k, k_dag, gather, slices in chunks:
+    for k, k_dag, gather, back, slices in chunks:
         # take(): the copy fancy indexing makes, about twice as fast on small blocks
         half = (k @ rho.take(gather, 0) if fans is None
                 else (fans @ rho).reshape(-1, d, d).take(gather, 0))
-        stacked = None if k_dag is None else half @ k_dag
+        stacked = None
+        if k_dag is not None:  # (G, n*d, d) @ (G, d, d): n = 1 per edge
+            stacked = (half.reshape(len(k_dag), -1, d) @ k_dag).reshape(-1, d, d)
+            if back is not None:  # from padded group order to level order
+                stacked = stacked.take(back, 0)
         for lo, hi, rows, shared in slices:
             acc[rows] += stacked[lo:hi] if shared is None else (
                 half[lo:hi].reshape(-1, d) @ shared).reshape(-1, d, d)

@@ -14,7 +14,8 @@ a two-qubit register, and the basis order is |00>, |01>, |10>, |11>.
 Every argument's check lives here, each message starting with its name:
 ``_real`` and ``_count`` check scalars, ``_matrix`` and ``_vector``
 arrays (``<name> must be a square matrix, got shape S``, ``is not
-finite``, ``has dimension m, expected d``), ``_unitarity_errors`` unitarity.
+finite``, ``has dimension m, expected d``), ``_ket`` unit vectors
+(``<name> is not normalized``), ``_unitarity_errors`` unitarity.
 """
 
 from __future__ import annotations
@@ -134,16 +135,21 @@ def as_operator(a: np.ndarray) -> np.ndarray:
     return _matrix(a, "a")
 
 
-def as_ket(psi: Sequence[complex], tol: float = 1e-12) -> np.ndarray:
-    """Coerce to a complex unit vector; raises if the norm is off by > tol."""
-    tol = _real(tol, "tol", 0, open_interval=True)
-    v = _vector(psi, "psi")
+def _ket(psi, name: str, dim: int | None = None, tol: float = 1e-12) -> np.ndarray:
+    """psi as a finite complex vector with |psi|^2 within tol of 1, of
+    dimension dim when given."""
+    v = _vector(psi, name, dim)
     if v.size < 1:
-        raise ValueError("empty state vector")
+        raise ValueError(f"{name} is empty")
     norm_sq = float(np.vdot(v, v).real)
     if not abs(norm_sq - 1.0) <= tol:
-        raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq}")
+        raise ValueError(f"{name} is not normalized: |{name}|^2 = {norm_sq}")
     return v
+
+
+def as_ket(psi: Sequence[complex], tol: float = 1e-12) -> np.ndarray:
+    """Coerce to a complex unit vector; raises if the norm is off by > tol."""
+    return _ket(psi, "psi", tol=_real(tol, "tol", 0, open_interval=True))
 
 
 def normalized(psi: Sequence[complex]) -> np.ndarray:
@@ -227,12 +233,6 @@ def _unitarity_errors(u: np.ndarray) -> np.ndarray:
     in a (..., d, d) stack, from one batched product (U^dag, U) @ (U, U^dag)."""
     pair = np.stack((u, np.swapaxes(u.conj(), -1, -2)), axis=-3)
     return np.abs(pair[..., ::-1, :, :] @ pair - np.eye(u.shape[-1])).max(axis=(-3, -2, -1))
-
-
-def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff U^dag U and U U^dag are within tol of I in every entry."""
-    tol = _real(tol, "tol", 0, open_interval=True)
-    return bool(_unitarity_errors(as_operator(a)) <= tol)
 
 
 def sum_left_to_right(values) -> float:

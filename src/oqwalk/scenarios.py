@@ -39,11 +39,10 @@ from .linalg import (
     PAULI_X,
     PAULI_Z,
     _count,
+    _ket,
     _matrix,
     _real,
     _unitarity_errors,
-    _vector,
-    as_ket,
     basis_ket,
     kron,
     outer,
@@ -223,9 +222,10 @@ def build_transport_chain(
     n_nodes = _count(n_nodes, "n_nodes", 2)
     p = _real(p, "p", 0, 1)
     q = 1.0 - p
-    # the hops act on span(psi1, psi2) only: in more dimensions weight leaks
-    psi1 = KET_PLUS if psi1 is None else as_ket(_vector(psi1, "psi1", 2))
-    psi2 = KET_MINUS if psi2 is None else as_ket(_vector(psi2, "psi2", 2))
+    # the hops act on span(psi1, psi2) only: in more dimensions weight
+    # leaks. The norm rule also names a ket too large for the Gram product
+    psi1 = KET_PLUS if psi1 is None else _ket(psi1, "psi1", 2)
+    psi2 = KET_MINUS if psi2 is None else _ket(psi2, "psi2", 2)
     if not _unitarity_errors(np.array([psi1, psi2])) <= _INPUT_TOL:
         raise ValueError("psi1 and psi2 must be orthonormal")
     # built before the edges, so a count too large to build fails at once
@@ -272,6 +272,6 @@ def build_dqc_chain(
     if not (ok := _unitarity_errors(np.array(mats)) <= _INPUT_TOL).all():
         raise ValueError(f"unitaries[{ok.argmin()}] must be unitary")  # the first bad one
     omega = _real(omega, "omega", 0, 1, open_interval=True)
-    psi0 = basis_ket(d, 0) if psi0 is None else as_ket(_vector(psi0, "psi0", d))
+    psi0 = basis_ket(d, 0) if psi0 is None else _ket(psi0, "psi0", d)
     return _chain(mats, omega, range(len(mats) + 1)), pure_state(0, psi0)
 

@@ -96,8 +96,9 @@ def test_criterion_1_completeness_validation():
 
     def check(label, spec):
         report = validate_walk(spec)
-        if not report.ok or report.worst() > 1e-12:
-            failures.append(f"{label}: worst residual {report.worst():.3e}")
+        worst = max(report.residuals.values())
+        if not report.ok or worst > 1e-12:
+            failures.append(f"{label}: worst residual {worst:.3e}")
 
     for k in range(10):
         check(f"line theta#{k}", build_line_walk(rng.uniform(0, 2 * np.pi), 3)[0])

@@ -225,7 +225,7 @@ def test_validate_accepts_line_walk_exactly():
     spec, _ = build_line_walk(np.arccos(0.8), 4)
     report = validate_walk(spec)
     assert report.ok
-    assert report.worst() <= 1e-12
+    assert max(report.residuals.values()) <= 1e-12
 
 
 def test_validate_rejects_overcomplete_family():
@@ -311,7 +311,7 @@ def test_validate_accepts_cnot_gate_walk():
     from oqwalk.linalg import CNOT
 
     report = validate_walk(build_gate_walk(CNOT, 0.5))
-    assert report.ok and report.worst() <= 1e-12
+    assert report.ok and max(report.residuals.values()) <= 1e-12
 
 
 # ---------------------------------------------------------------- step
@@ -731,9 +731,9 @@ def repeated_operator_spec(rng, n_nodes: int, dim: int) -> WalkSpec:
 @pytest.mark.parametrize("chunk", ["default", "small"])
 def test_step_matches_reference_with_repeated_operators_in_mixed_slices(monkeypatch, chunk):
     # six distinct operators over 60 edges, full and partial occupancy;
-    # at the small chunk (seven d=2 edges) groups straddle chunks
+    # at the small chunk (16 edges at d = 2) groups straddle chunks
     if chunk == "small":
-        monkeypatch.setattr(core, "_CHUNK_BYTES", 7 * 16 * 2 ** 2)
+        monkeypatch.setattr(core, "_CHUNK_BYTES", 16 * 16 * 2 ** 2)
     rng = np.random.default_rng(53)
     for dim in (1, 2, 3):
         spec = repeated_operator_spec(rng, 20, dim)  # plans are built at first use
@@ -919,9 +919,109 @@ def test_fanned_one_operator_plan_holds_no_k_stack():
         assert 1 < pos.size < spec.node_count
         _, fans, chunks = core._plan(spec, pos)
         assert fans is not None and len(chunks) == 1
-        k, k_dag, _, slices = chunks[0]
-        assert k is None and k_dag is None
+        k, k_dag, _, back, slices = chunks[0]
+        assert k is None and k_dag is None and back is None
         assert all(shared is not None for *_, shared in slices)
+    assert "_group" not in vars(spec)  # no plan needed the operator index
+
+
+def per_edge_plan(monkeypatch, spec, pos) -> tuple:
+    """_plan(spec, pos) with every chunk left ungrouped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_groups", lambda group, limit: None)
+        return core._plan(spec, pos)
+
+
+def same_array(a, b) -> bool:
+    """Both None, both one slice, or arrays of one shape and bytes."""
+    if a is None or isinstance(a, slice):
+        return a == b
+    return b is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_regroups(plan, flat, per_chunk) -> int:
+    """plan's chunks are flat's per-edge chunks, a grouped one in padded
+    group order: back takes its K rho rows (and K) to flat's, and row
+    back // n of its K^dag stack is flat's. Returns the grouped count."""
+    assert same_array(plan[0], flat[0]) and same_array(plan[1], flat[1])
+    assert len(plan[2]) == len(flat[2])
+    grouped = 0
+    for (k, k_dag, gather, back, slices), (fk, fk_dag, fgather, fback, fslices) in zip(
+            plan[2], flat[2]):
+        assert fback is None
+        assert [s[:2] for s in slices] == [s[:2] for s in fslices]
+        assert all(same_array(s[2], f[2]) for s, f in zip(slices, fslices))
+        if back is None:
+            assert all(same_array(s[3], f[3]) for s, f in zip(slices, fslices))
+            assert same_array(k, fk) and same_array(gather, fgather)
+            assert same_array(k_dag, fk_dag)
+            continue
+        grouped += 1
+        edges, products = fgather.size, len(k_dag)
+        n = gather.size // products
+        assert gather.size == products * n <= min(per_chunk, 2 * edges)
+        assert 2 * products <= edges  # at least halves the K^dag products
+        assert all(s[3] is None for s in slices)
+        assert same_array(gather[back], fgather)
+        assert (k is None) == (fk is None) and (k is None or same_array(k[back], fk))
+        assert same_array(k_dag[back // n], fk_dag)
+    return grouped
+
+
+# the dqc-steady benchmark's gate lists of seeds 0 and 11
+BENCHMARK_GATES = {0: "Z T Z T H S X T T Z Z S T S X I X I S I",
+                   11: "T Z X Z Z T T X Z X I I Z X T Y X Z I H"}
+
+
+def benchmark_gates(seed: int) -> list:
+    from oqwalk.linalg import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, S_GATE, T_GATE
+
+    gates = {"I": np.eye(2), "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z,
+             "H": HADAMARD, "S": S_GATE, "T": T_GATE}
+    return [gates[g] for g in BENCHMARK_GATES[seed].split()]
+
+
+def test_plan_groups_mixed_chunks_by_distinct_operator(monkeypatch):
+    from oqwalk.scenarios import build_dqc_chain
+
+    # 42 edges of 10 distinct operators. Seed 0: the largest group has 8,
+    # so one product per operator (10 K^dag, 80 padded rows). Seed 11:
+    # 10 products of 10 rows would pad past 84 rows, twice the edges, so
+    # groups are cut into pieces of (84 - 42) // 10 + 1 = 5 rows
+    every = np.arange(21)
+    for seed, products, rows in ((0, 10, 80), (11, 14, 70)):
+        spec, _ = build_dqc_chain(benchmark_gates(seed), 0.5)
+        assert len({op.tobytes() for op in spec._ops}) == 10
+        flat = per_edge_plan(monkeypatch, spec, every)
+        assert assert_regroups(spec._full_plan, flat, 2048) == 1
+        _, k_dag, gather, back, _ = spec._full_plan[2][0]
+        assert (len(k_dag), gather.size) == (products, rows), seed
+        assert not (back.flags.writeable or gather.flags.writeable)
+    # Haar gates at d = 32 (the qudit-run chain): every chunk of eight
+    # edges holds distinct operators and keeps its per-edge layout
+    rng = np.random.default_rng(43)
+    spec, _ = build_dqc_chain([random_unitary(32, rng) for _ in range(48)], 0.5)
+    for pos in (every[:2], np.arange(30), np.arange(spec.node_count)):
+        assert assert_regroups(core._plan(spec, pos), per_edge_plan(
+            monkeypatch, spec, pos), 8) == 0
+
+
+@pytest.mark.parametrize("chunk", ["default", "small"])
+def test_plan_groups_repeated_operators_within_bounds(monkeypatch, chunk):
+    # the random graphs of six repeated operators: grouped chunks at both
+    # chunk sizes, each within its padding bounds
+    if chunk == "small":
+        monkeypatch.setattr(core, "_CHUNK_BYTES", 16 * 16 * 2 ** 2)
+    rng = np.random.default_rng(59)
+    grouped = 0
+    for dim in (1, 2, 3):
+        spec = repeated_operator_spec(rng, 20, dim)
+        per_chunk = max(1, core._CHUNK_BYTES // (16 * dim ** 2))
+        for occupied in (20, 12, 5):
+            pos = np.sort(rng.choice(20, size=occupied, replace=False))
+            grouped += assert_regroups(core._plan(spec, pos), per_edge_plan(
+                monkeypatch, spec, pos), per_chunk)
+    assert grouped >= 3
 
 
 def test_spec_copies_operators_once():
@@ -1202,8 +1302,8 @@ def test_find_steady_state_compiles_one_plan_per_occupancy(monkeypatch):
     assert sizes == [*range(1, 21), 21]
     targets, fans, chunks = spec._full_plan
     arrays = [targets, fans]
-    for k, k_dag, gather, slices in chunks:
-        arrays += [k, k_dag, gather, *(a for *_, rows, shared in slices
+    for k, k_dag, gather, back, slices in chunks:
+        arrays += [k, k_dag, gather, back, *(a for *_, rows, shared in slices
                                        for a in (rows, shared))]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
     assert len(arrays) > 4 and not any(a.flags.writeable for a in arrays)
@@ -1374,13 +1474,30 @@ def test_walker_state_rejects_non_finite_blocks(bad):
 
 def test_pure_state_rejects_unnormalized_kets():
     # the norm rule is as_ket's: |psi|^2 within 1e-12 of 1
-    with pytest.raises(ValueError, match="not normalized"):
+    with pytest.raises(ValueError, match=r"^psi is not normalized: \|psi\|\^2 = 2\.0$"):
         pure_state(1, [1, 1])
-    with pytest.raises(ValueError, match="not normalized"):
+    with pytest.raises(ValueError, match="^psi is not normalized"):
         pure_state(1, [1 + 1e-11, 0])
-    with pytest.raises(ValueError, match="not normalized"):
+    with pytest.raises(ValueError, match="^psi is not normalized"):
         pure_state(1, [0, 0])
     assert pure_state(1, [1 + 1e-13, 0]).total_trace() == (1 + 1e-13) ** 2
+
+
+def test_builders_name_their_unnormalized_kets():
+    # the same rule, under the builder's parameter name; transport checks
+    # each ket's norm before the pair's orthonormality, so a ket too large
+    # for the Gram product is named too
+    from oqwalk.linalg import HADAMARD
+    from oqwalk.scenarios import build_dqc_chain, build_transport_chain
+
+    cases = [(lambda: build_dqc_chain([HADAMARD], 0.5, [1, 1]), "psi0", "2.0"),
+             (lambda: build_transport_chain(4, 0.5, [1, 1], [0, 1]), "psi1", "2.0"),
+             (lambda: build_transport_chain(4, 0.5, [1, 0], [1, 1j]), "psi2", "2.0"),
+             (lambda: build_transport_chain(4, 0.5, [1e200, 0], [0, 1]), "psi1", "inf")]
+    for build, name, norm_sq in cases:
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == f"{name} is not normalized: |{name}|^2 = {norm_sq}"
 
 
 @pytest.mark.parametrize("blocks", [[1], [(1, np.eye(2) / 2)], (1,), None,

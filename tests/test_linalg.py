@@ -25,6 +25,7 @@ from oqwalk.linalg import (
     KET_PLUS,
     PAULI_X,
     PAULI_Z,
+    _unitarity_errors,
     adjoint,
     apply_kraus,
     as_ket,
@@ -33,7 +34,6 @@ from oqwalk.linalg import (
     half_trace_norms,
     hermitian_eigenvalues,
     is_psd,
-    is_unitary,
     kron,
     normalized,
     outer,
@@ -217,10 +217,7 @@ def test_tolerances_are_positive_reals():
     # squared norm 1.25 or a scaled unitary
     with pytest.raises(TypeError, match="^tol must be a real number, got True$"):
         as_ket([1, 0.5], tol=True)
-    with pytest.raises(TypeError, match="^tol must be a real number, got True$"):
-        is_unitary(1.1 * HADAMARD, tol=True)
     for call in (lambda tol: as_ket([1, 0], tol=tol),
-                 lambda tol: is_unitary(HADAMARD, tol=tol),
                  lambda tol: is_psd(np.eye(2), tol=tol),
                  lambda tol: hermitian_eigenvalues(PAULI_Z, tol=tol)):
         with pytest.raises(ValueError, match=r"^tol must be positive and finite, got 0\.0$"):
@@ -248,7 +245,7 @@ def test_as_ket_rejects_non_finite(psi):
 
 
 def test_as_ket_rejects_the_empty_vector():
-    with pytest.raises(ValueError, match="^empty state vector$"):
+    with pytest.raises(ValueError, match="^psi is empty$"):
         as_ket([])
 
 
@@ -272,11 +269,11 @@ def test_random_unitary_helper_is_unitary():
 
     rng = np.random.default_rng(1)
     for dim in (2, 4):
-        assert is_unitary(random_unitary(dim, rng))
+        assert _unitarity_errors(random_unitary(dim, rng)) <= 1e-10
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8, 32])
-def test_is_unitary_is_both_products_within_tol(dim):
+def test_unitarity_errors_are_both_products(dim):
     # V diag(1 + e, 1, ...) puts all of U^dag U - I on one diagonal entry
     # and spreads U U^dag - I over |v><v| (v: V's first column, entries of
     # modulus 1/sqrt(dim)); diag(1 + e, 1, ...) V the other way round. A
@@ -298,7 +295,7 @@ def test_is_unitary_is_both_products_within_tol(dim):
                 assert low < 0.6 * high
                 tols.append(np.sqrt(low * high))
             for tol in tols:
-                assert is_unitary(u, tol=tol) == (max(errors) <= tol), (e, tol)
+                assert (_unitarity_errors(u) <= tol) == (max(errors) <= tol), (e, tol)
 
 
 def test_pure_fidelity_bounded_by_trace():
@@ -360,7 +357,6 @@ SCALARS = {
         "max_iter", "count", lambda v: find_steady_state(_SPEC, _START, max_iter=v)),
     "validate_walk.tol": ("tol", "real", lambda v: validate_walk(_SPEC, tol=v)),
     "as_ket.tol": ("tol", "real", lambda v: as_ket([1, 0], tol=v)),
-    "is_unitary.tol": ("tol", "real", lambda v: is_unitary(HADAMARD, tol=v)),
     "is_psd.tol": ("tol", "real", lambda v: is_psd(np.eye(2), tol=v)),
     "hermitian_eigenvalues.tol": (
         "tol", "real", lambda v: hermitian_eigenvalues(PAULI_Z, tol=v)),
@@ -415,7 +411,6 @@ ARRAYS = {
     "as_operator.a": ("a", "matrix", None, as_operator),
     "kron.a": ("a", "matrix", None, lambda v: kron(v, PAULI_X)),
     "kron.b": ("b", "matrix", None, lambda v: kron(PAULI_X, v)),
-    "is_unitary.a": ("a", "matrix", None, is_unitary),
     "adjoint.a": ("a", "matrix", None, adjoint),
     "is_psd.a": ("a", "matrix", None, is_psd),
     "hermitian_eigenvalues.a": ("a", "matrix", None, hermitian_eigenvalues),
