@@ -29,25 +29,25 @@ s's out-operators [K_1; ...; K_D] by slot, zero rows padding nodes of
 smaller out-degree.
 A WalkerState has one form, compact rows: a node tuple, the ascending
 positions of the occupied nodes in it, one (k, d, d) block stack and
-the k traces. A step's plan (``_plan``) holds what depends only on
-which nodes are occupied; steps with every node occupied reuse the
-spec's ``_full_plan``. The executor forms the K rho K^dag products with
-matmuls, adds the levels in order onto a -0.0 seed and returns rows
-over the spec's node tuple. A step whose products fit one chunk forms K
-rho as one [K_1; ...; K_D] rho per occupied source; larger steps form
-it one matrix per edge. A level slice whose edges share one operator
-(every site of a translation-invariant walk) forms its (K rho_j) K^dag
-as one tall product [K rho_1; ...; K rho_n] @ K^dag. A chunk whose
-slices mix operators (the dqc chain's repeated gates) forms them as one
+the k traces; ``WalkerState._pruned`` alone drops blocks of trace not
+above PRUNE_TRACE. A step's plan (``_plan``) holds what depends only on
+which nodes are occupied; every node occupied is one such set, whose
+plan the spec compiles once (``_full_plan``). The executor forms the K
+rho K^dag products with matmuls, adds the levels in order onto a -0.0
+seed and returns rows over the spec's node tuple. A step whose products
+fit one chunk forms K rho as one [K_1; ...; K_D] rho per occupied
+source; larger steps form it one matrix per edge. A chunk forms each
+edge's (K rho) K^dag once: if tall, each level slice holding one
+operator (every site of a translation-invariant walk), as one product
+[K rho_1; ...; K rho_n] @ K^dag per slice; else, stacked, as one
 batched (G, n*d, d) @ (G, d, d) product over its distinct operators
-(``_group`` numbers them by bytes), each operator's K rho rows stacked
-tall and padded to n rows, and one take puts the products back in level
-order; ``_groups`` bounds the padding, and a chunk it cannot halve, as
-one of all-distinct operators, forms one product per edge. The tall
-products see the same shared operand as the per-matrix products, only
-more rows of the other one, and BLAS gives them the same bits
-(tests/test_core.py checks the premises by name). The other grouping,
-K [rho_1 ... rho_n], changes bits and is not used.
+(``_group`` numbers them by bytes, ``_groups`` bounds the padding),
+each operator's K rho rows stacked tall, padded to n rows and taken
+back to level order, or with n = 1 per edge where grouping would not
+halve the products. These see the same shared operand as the
+per-matrix products, only more rows of the other one, and BLAS gives
+them the same bits (tests/test_core.py checks the premises by name).
+The other grouping, K [rho_1 ... rho_n], changes bits and is not used.
 ``iter_run`` yields a run's snapshots as it makes them, holding one
 state; ``run`` lists them.
 
@@ -76,20 +76,21 @@ from .linalg import (DEFAULT_TOL, _count, _matrix, _real, as_ket,
 
 Node = Hashable
 
-# Blocks with less occupation weight than this are dropped after each
+# Blocks with no more occupation weight than this are dropped after each
 # step; keeps line-walk storage proportional to the reachable window.
 PRUNE_TRACE = 1e-15
 
 # Bytes of K rho K^dag products a step forms at once. Each chunk also
 # holds the gathered blocks and one partial product of the same size,
 # so its transient memory stays near 3x this whatever d and the edge
-# count are; a plan adds at most one conjugate copy of its operators,
-# and a chunk that reads K holds at most twice its edges of them. A
-# step whose occupied sources' fan rows (k * D * d^2 entries) fit one
-# chunk forms K rho per source, from that one chunk-sized product;
-# ``_fan`` is compiled only when its zero padding also fits one chunk,
-# so a node of far larger out-degree than the rest does not cost
-# O(V * D) stored operators.
+# count are. A plan adds at most one conjugate copy of its operators;
+# only a chunk that forms K rho per edge holds K, a view of the stack
+# where its rows are consecutive (every ungrouped chunk of the full
+# plan), else a copy of at most twice its edges. A step whose occupied
+# sources' fan rows (k * D * d^2 entries) fit one chunk forms K rho per
+# source, from that one chunk-sized product; ``_fan`` is compiled only
+# when its zero padding also fits one chunk, so a node of far larger
+# out-degree than the rest does not cost O(V * D) stored operators.
 _CHUNK_BYTES = 1 << 17
 
 # Iteration cap of find_steady_state (and of ``oqw steady``).
@@ -264,12 +265,12 @@ class ValidationReport:
         return all(r <= self.tol for r in self.residuals.values())
 
     def __str__(self) -> str:
-        lines = [f"completeness tolerance: {self.tol:g}"]
-        for node, r in self.residuals.items():
-            flag = "ok" if r <= self.tol else "FAIL"
-            lines.append(f"  node {node!r}: residual {r:.3e} [{flag}]")
-        lines.append("accepted" if self.ok else "rejected")
-        return "\n".join(lines)
+        # a row template per node, a % in its label escaped, and one %-format
+        tol, ok, fail = self.tol, ": residual %.3e [ok]\n", ": residual %.3e [FAIL]\n"
+        rows = "".join(["  node " + repr(node).replace("%", "%%") + (ok if r <= tol else fail)
+                        for node, r in self.residuals.items()])
+        return (f"completeness tolerance: {tol:g}\n" + rows % tuple(self.residuals.values())
+                + ("accepted" if self.ok else "rejected"))
 
 
 def validate_walk(spec: WalkSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -328,6 +329,15 @@ class WalkerState:
     def _from_rows(cls, *rows) -> "WalkerState":
         """A state of rows (nodes, ascending positions, block stack, traces)."""
         return cls.__new__(cls)._set(*rows)
+
+    @classmethod
+    def _pruned(cls, nodes: tuple, pos: np.ndarray, rho: np.ndarray) -> "WalkerState":
+        """The rows (nodes, positions, blocks) of trace above PRUNE_TRACE."""
+        tr = np.trace(rho, axis1=1, axis2=2).real
+        keep = tr > PRUNE_TRACE
+        if not keep.all():
+            pos, rho, tr = pos[keep], rho[keep], tr[keep]
+        return cls._from_rows(nodes, pos, rho, tr)
 
     def _labels(self):
         return map(self._nodes.__getitem__, self._pos.tolist())
@@ -447,76 +457,72 @@ def _rows(spec: WalkSpec, state: WalkerState) -> tuple[np.ndarray, np.ndarray]:
     return pos[order], rho[order]
 
 
+def _span(index: np.ndarray) -> np.ndarray | slice:
+    """An ascending index of distinct rows as a slice when its rows are
+    consecutive, so that indexing with it makes a view, else itself."""
+    if index.size and index[-1] - index[0] == index.size - 1:
+        return slice(index[0], index[-1] + 1)
+    return index
+
+
 def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
     """(reached targets, fans, chunks) of a step from occupied positions pos.
-    fans: the occupied sources' fan rows, or None past one chunk. Per chunk of
-    used edges: K if the chunk reads it, the K^dag stack if a slice needs it,
-    the K rho gather index, back (None, or for a chunk grouped by distinct
-    operator each edge's row in the padded product) and, per level slice,
-    (lo, hi) in the chunk, output rows, shared K^dag or None.
 
-    A chunk whose slices mix operators forms (K rho_j) K^dag per edge, or
-    per distinct operator where ``_groups`` lays it out: K^dag then holds
-    one row per product, and K rho (and K) come in padded group order, at
-    most min(per_chunk, twice the chunk's edges) rows."""
-    ops, src, levels, run = spec._ops, spec._src, spec._levels, spec._run
-    slot, fan, targets, out = spec._slot, spec._fan, spec._targets, spec._out
-    d = spec.dim
+    fans: the occupied sources' fan rows, or None past one chunk. Per
+    chunk of the used edges (source occupied), in stack order: K if it
+    forms K rho per edge, its K^dag stack if stacked, the K rho gather
+    index, back (None, or each edge's row in the padded product ``_groups``
+    lays out, at most min(per_chunk, twice its edges) rows in group
+    order) and, per level slice, (lo, hi) in the chunk, output rows and,
+    if tall, its K^dag. Consecutive rows are slices (``_span``)."""
+    ops, d = spec._ops, spec.dim
     per_chunk = max(1, _CHUNK_BYTES // (16 * d ** 2))
-    # the occupied sources' rows of the fan fit one chunk, so the used
-    # edges do too
-    fanned = fan is not None and pos.size * fan.shape[1] <= per_chunk * d
-    fans = (fan if pos.size == spec.node_count else fan.take(pos, 0)) if fanned else None
-    used = None  # each used edge's row of ops, on a partial step
-    if pos.size < spec.node_count:
-        # each edge's source as a row of rho (-1: source unoccupied)
-        row_of = np.full(spec.node_count, -1, dtype=np.intp)
-        row_of[pos] = np.arange(pos.size)
-        src = row_of[src]
-        used = np.flatnonzero(src >= 0)
-        src, slot, run, out = src[used], slot[used], run[used], out[used]
-        levels = np.searchsorted(used, levels)
-        # the reached targets, and each used edge's row among them
-        reached = np.zeros(targets.size, dtype=bool)
-        reached[out] = True
-        reached = np.flatnonzero(reached)
-        row_of[reached] = np.arange(reached.size)  # src is read: reuse row_of
-        targets, out = targets[reached], row_of[out]
-    if fanned:
-        # the one chunk: each source's [K_1; ...; K_D] rho, and each
-        # edge's K rho at its source's row times D plus its slot
-        src = src * (fan.shape[1] // d) + slot
-    bounds = levels.tolist()
+    # each edge's source as a row of rho (-1: source unoccupied)
+    row_of = np.full(spec.node_count, -1, dtype=np.intp)
+    row_of[pos] = np.arange(pos.size)
+    src = row_of[spec._src]
+    used = np.flatnonzero(src >= 0)  # each used edge's row of the stack
+    src, run, out = src[used], spec._run[used], spec._out[used]
+    # the reached targets, and each used edge's row among them
+    reached = np.zeros(spec._targets.size, dtype=bool)
+    reached[out] = True
+    reached = np.flatnonzero(reached)
+    row_of[reached] = np.arange(reached.size)  # src is read: reuse row_of
+    targets, out = spec._targets[reached], row_of[out]
+    fan, fans = spec._fan, None
+    if fan is not None and pos.size * fan.shape[1] <= per_chunk * d:
+        # the occupied sources' fan rows fit one chunk, so the used edges
+        # do too: each source's [K_1; ...; K_D] rho, and each edge's K
+        # rho at its source's row times D plus its slot
+        span = _span(pos)  # take(): faster than fancy indexing
+        fans = fan[span] if isinstance(span, slice) else fan.take(pos, 0)
+        src = src * (fan.shape[1] // d) + spec._slot[used]
+    bounds = np.searchsorted(used, spec._levels).tolist()
     chunks = []
-    for e0 in range(0, src.size, per_chunk):
-        e1 = min(e0 + per_chunk, src.size)
+    for e0 in range(0, used.size, per_chunk):
+        e1 = min(e0 + per_chunk, used.size)
         slices, stacked = [], False
         # the chunk's share of each level, in level order; a level has
-        # distinct targets, and a run of consecutive rows is a slice
+        # distinct targets, and a share of one operator has one K^dag
         for lo, hi in zip(bounds, bounds[1:]):
             lo, hi = max(lo, e0), min(hi, e1)
-            if lo >= hi:
-                continue
-            # one operator: (K rho_j) K^dag for all j as one tall product
-            shared = (ops[lo if used is None else used[lo]].conj().T
-                      if run[lo] == run[hi - 1] else None)
-            stacked = stacked or shared is None
-            r0, r1 = out[lo], out[hi - 1]
-            rows = slice(r0, r1 + 1) if r1 - r0 == hi - lo - 1 else out[lo:hi]
-            slices.append((lo - e0, hi - e0, rows, shared))
+            if lo < hi:
+                shared = ops[used[lo]].conj().T if run[lo] == run[hi - 1] else None
+                stacked = stacked or shared is None
+                slices.append((lo - e0, hi - e0, _span(out[lo:hi]), shared))
         gather, back = src[e0:e1], None
-        op_rows = slice(e0, e1) if used is None else used[e0:e1]
-        # mixed operators: one product per distinct operator, if _groups
-        # finds a layout within the chunk that at least halves the products
-        grouped = stacked and _groups(spec._group[op_rows], min(per_chunk, 2 * (e1 - e0)))
-        if grouped:  # K rho rows in padded group order: every slice reads the product
-            pad, back, firsts = grouped
-            index = np.arange(e0, e1) if used is None else op_rows
-            op_rows, heads = index[pad], index[firsts]
-            gather, slices = gather[pad], [(*s[:3], None) for s in slices]
-        k = None if fanned and not stacked else ops[op_rows]
+        rows = heads = _span(used[e0:e1])  # the chunk's rows of the stack
+        if stacked:  # every slice reads one stacked product: per distinct
+            # operator where _groups at least halves the products, else per edge
+            slices = [(*level[:3], None) for level in slices]
+            grouped = _groups(spec._group[rows], min(per_chunk, 2 * (e1 - e0)))
+            if grouped:  # K rho rows in padded group order
+                pad, back, firsts = grouped
+                index = used[e0:e1]
+                rows, heads, gather = index[pad], index[firsts], gather[pad]
+        k = ops[rows] if fans is None else None
         # K^dag: transposed views of conj copies, as the tall-product test takes
-        k_dag = (ops[heads] if grouped else k).conj().transpose(0, 2, 1) if stacked else None
+        k_dag = ops[heads].conj().transpose(0, 2, 1) if stacked else None
         chunks.append((k, k_dag, gather, back, slices))
     return targets, fans, chunks
 
@@ -564,7 +570,7 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
     of its terms added in that order, signed zeros included). Only
     edges whose source is occupied are evaluated, in the products the
     step's plan lays out (``_full_plan`` when every node is occupied).
-    Blocks whose trace falls below PRUNE_TRACE are dropped.
+    Blocks whose trace is not above PRUNE_TRACE are dropped.
     """
     pos, rho = _rows(spec, state)
     targets, fans, chunks = (spec._full_plan if pos.size == spec.node_count
@@ -575,19 +581,15 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
         # take(): the copy fancy indexing makes, about twice as fast on small blocks
         half = (k @ rho.take(gather, 0) if fans is None
                 else (fans @ rho).reshape(-1, d, d).take(gather, 0))
-        stacked = None
-        if k_dag is not None:  # (G, n*d, d) @ (G, d, d): n = 1 per edge
+        stacked = None  # a tall chunk's slices each carry their K^dag
+        if k_dag is not None:  # stacked: (G, n*d, d) @ (G, d, d), n = 1 per edge
             stacked = (half.reshape(len(k_dag), -1, d) @ k_dag).reshape(-1, d, d)
             if back is not None:  # from padded group order to level order
                 stacked = stacked.take(back, 0)
         for lo, hi, rows, shared in slices:
             acc[rows] += stacked[lo:hi] if shared is None else (
                 half[lo:hi].reshape(-1, d) @ shared).reshape(-1, d, d)
-    tr = np.trace(acc, axis1=1, axis2=2).real
-    keep = tr > PRUNE_TRACE
-    if not keep.all():
-        targets, acc, tr = targets[keep], acc[keep], tr[keep]
-    return WalkerState._from_rows(spec.nodes, targets, acc, tr)
+    return WalkerState._pruned(spec.nodes, targets, acc)
 
 
 def iter_run(spec: WalkSpec, initial: WalkerState, n_steps: int,
@@ -682,20 +684,17 @@ def to_full_density(spec: WalkSpec, state: WalkerState) -> np.ndarray:
 def extract_blocks(spec: WalkSpec, full: np.ndarray) -> tuple[WalkerState, float]:
     """Read the position-diagonal blocks out of a full density matrix.
 
-    Returns the block state and the largest magnitude found in any
-    position-off-diagonal block (which the walk map sends to zero in a
-    single step).
+    Returns the block state, pruned as step() prunes, and the largest
+    magnitude found in any position-off-diagonal block (which the walk
+    map sends to zero in a single step).
     """
     v, d = spec.node_count, spec.dim
     full = _matrix(full, "full matrix", d * v)
     view = full.reshape(d, v, d, v)
     rho = np.stack([view[:, i, :, i] for i in range(v)])
-    tr = np.trace(rho, axis1=1, axis2=2).real
-    keep = np.flatnonzero(tr > PRUNE_TRACE)
     off = np.abs(view).max(axis=(0, 2))
     np.fill_diagonal(off, 0.0)
-    state = WalkerState._from_rows(spec.nodes, keep, rho[keep], tr[keep])
-    return state, float(off.max())
+    return WalkerState._pruned(spec.nodes, np.arange(v), rho), float(off.max())
 
 
 def full_map_step(spec: WalkSpec, full: np.ndarray) -> np.ndarray:

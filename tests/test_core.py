@@ -236,6 +236,24 @@ def test_validate_rejects_overcomplete_family():
     assert abs(report.residuals[2] - 1.0) < 1e-12
 
 
+def test_validation_report_text_with_percent_labels_and_failures():
+    # labels with % signs and format fields print as their repr; one
+    # residual over tol flags its node FAIL and rejects the report
+    from oqwalk.core import ValidationReport
+
+    residuals = {"50%": 2.5e-13, ("a", "%s"): 0.0, "%%d": float("nan"), 7: 1.0}
+    text = str(ValidationReport(residuals, 1e-12))
+    assert text == ("completeness tolerance: 1e-12\n"
+                    "  node '50%': residual 2.500e-13 [ok]\n"
+                    "  node ('a', '%s'): residual 0.000e+00 [ok]\n"
+                    "  node '%%d': residual nan [FAIL]\n"
+                    "  node 7: residual 1.000e+00 [FAIL]\n"
+                    "rejected")
+    assert str(ValidationReport({"%": 0.0}, 0.5)) == (
+        "completeness tolerance: 0.5\n  node '%': residual 0.000e+00 [ok]\naccepted")
+    assert str(ValidationReport({}, 1e-12)) == "completeness tolerance: 1e-12\naccepted"
+
+
 def _loop_residuals(spec: WalkSpec) -> dict:
     """Per-node max |sum K^dag K - I| over spec.transitions; 1.0 with no edges."""
     out = {}
@@ -1024,6 +1042,90 @@ def test_plan_groups_repeated_operators_within_bounds(monkeypatch, chunk):
     assert grouped >= 3
 
 
+def assert_tall_or_stacked(plan, label):
+    """Each chunk of plan is tall (no K^dag stack, each slice its own
+    K^dag) or stacked (no slice K^dag), and the rows of its tall slices
+    plus the real rows of its stacked product are its edges, each once."""
+    for number, (k, k_dag, gather, back, slices) in enumerate(plan[2]):
+        where = f"{label}, chunk {number}"
+        tall = [shared is not None for *_, shared in slices]
+        assert all(tall) if k_dag is None else not any(tall), where
+        edges = slices[-1][1]
+        assert [lo for lo, *_ in slices] == [0, *(hi for _, hi, *_ in slices[:-1])], where
+        covered = [np.arange(lo, hi) for lo, hi, _, shared in slices if shared is not None]
+        if k_dag is not None:  # the (G, n*d, d) product's rows: one per gathered K rho
+            assert gather.size % len(k_dag) == 0, where
+            real = np.arange(gather.size) if back is None else back
+            assert real.size == edges and np.unique(real).size == edges, where
+            assert real.max() < gather.size, where
+            covered.append(np.arange(edges))
+        assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(edges)), where
+
+
+def plan_cases(rng) -> list:
+    """(label, spec) of every scenario, random graphs of distinct and of
+    repeated operators at d = 1, 2, 3 and a d = 32, T = 48 chain."""
+    from oqwalk.scenarios import build_dqc_chain
+
+    cases = [(label, spec) for label, spec, _ in scenario_cases()]
+    for dim in (1, 2, 3):
+        cases.append((f"random d={dim}", random_graph_spec(rng, 12, dim)))
+        cases.append((f"repeated d={dim}", repeated_operator_spec(rng, 20, dim)))
+    gates = [random_unitary(32, rng) for _ in range(48)]
+    cases.append(("d=32 chain", build_dqc_chain(gates, 0.5)[0]))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", ["default", "small", "tiny"])
+def test_plan_chunks_form_each_k_dag_product_once(monkeypatch, chunk):
+    # full and partial occupancy; the small chunk (three edges at d = 2)
+    # cuts levels of mixed and of single operators, the tiny one holds
+    # one edge. The d = 32 chain's chunks of eight edges cross level
+    # boundaries, leaving one-edge shares of a level in mixed chunks
+    if chunk != "default":
+        monkeypatch.setattr(core, "_CHUNK_BYTES", 16 if chunk == "tiny" else 3 * 16 * 2 ** 2)
+    rng = np.random.default_rng(61)
+    for label, spec in plan_cases(rng):
+        v = spec.node_count
+        for occupied in sorted({v, max(1, v // 2), 1}, reverse=True):
+            pos = np.sort(rng.choice(v, size=occupied, replace=False))
+            assert_tall_or_stacked(core._plan(spec, pos), f"{label}, {occupied} of {v}")
+        if chunk == "default":
+            assert_tall_or_stacked(spec._full_plan, f"{label}, full plan")
+
+
+def test_plan_holds_k_only_per_edge_and_as_views_of_the_stack():
+    # a chunk that forms K rho per source holds no K; the full plan's
+    # per-edge K are views of the operator stack, not copies
+    rng = np.random.default_rng(67)
+    fanned = viewed = 0
+    for label, spec in plan_cases(rng):
+        for pos in (np.arange(spec.node_count), np.arange(0, spec.node_count, 2)):
+            _, fans, chunks = core._plan(spec, pos)
+            if fans is not None:
+                fanned += 1
+                assert all(k is None for k, *_ in chunks), label
+        _, fans, chunks = spec._full_plan
+        if fans is None:
+            for k, _, _, back, _ in chunks:
+                if back is None:  # a grouped chunk's K is in padded group order
+                    assert np.shares_memory(k, spec._ops), label
+                    viewed += 1
+    assert fanned and viewed >= 12  # the d = 32 chain alone has 13 chunks
+
+
+def test_step_and_extract_blocks_prune_alike():
+    # one self-loop per node carries each trace through a step exactly;
+    # only the trace above PRUNE_TRACE survives, by either path
+    traces = [-1.0, 0.0, PRUNE_TRACE, np.nextafter(PRUNE_TRACE, np.inf)]
+    nodes = tuple(range(len(traces)))
+    spec = WalkSpec(nodes=nodes, dim=1, transitions={(n, n): [[1.0]] for n in nodes})
+    state = WalkerState({n: [[t]] for n, t in zip(nodes, traces)})
+    assert step(spec, state).traces() == {3: traces[3]}
+    dense, _ = extract_blocks(spec, np.diag(traces).astype(complex))
+    assert dense.traces() == {3: traces[3]}
+
+
 def test_spec_copies_operators_once():
     rng = np.random.default_rng(9)
     b1, c1 = random_kraus_family(2, 2, rng)
@@ -1302,11 +1404,13 @@ def test_find_steady_state_compiles_one_plan_per_occupancy(monkeypatch):
     assert sizes == [*range(1, 21), 21]
     targets, fans, chunks = spec._full_plan
     arrays = [targets, fans]
-    for k, k_dag, gather, back, slices in chunks:
-        arrays += [k, k_dag, gather, back, *(a for *_, rows, shared in slices
-                                       for a in (rows, shared))]
+    for *parts, slices in chunks:  # K, K^dag, gather, back, level slices
+        arrays += [*parts, *(a for level in slices for a in level)]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    assert len(arrays) > 4 and not any(a.flags.writeable for a in arrays)
+    assert not any(a.flags.writeable for a in arrays)
+    # one stacked chunk: the plan holds its targets, gather index and K^dag stack
+    (_, k_dag, gather, _, _), = chunks
+    assert all(any(a is b for b in arrays) for a in (targets, gather, k_dag))
 
 
 def test_find_steady_state_tol_validation():
