@@ -17,11 +17,13 @@ can never build up, so storage stays at O(V d^2) instead of O((V d)^2).
 
 A WalkSpec is compiled once into edge arrays: ``_src`` holds each
 edge's source position, ``_out`` its target's row in ``_targets``,
-``_run`` its row's run of bytewise-equal operators along the stack,
+``_group`` its row's operator number, one per bytewise-distinct
+operator, ``_run`` its row's run of one number along the stack,
 ``_slot`` its index among its source's out-edges, and ``_ops`` is the
 read-only (E, d, d) operator stack (``transitions`` maps each edge to a
 view of its row), which ``validate_walk`` also reads, forming K^dag K
-once per ``_run``. Each distinct operator object is converted once. Level j
+once per ``_group`` number. Each distinct operator object is converted
+and numbered by its bytes once. Level j
 of the stack, one run of it, holds each target's j-th incoming edge by
 source position. ``_fan``, built at the first step, is a second, read-only
 copy of the operators: row block s of its (V, D*d, d) array stacks node
@@ -41,7 +43,7 @@ edge's (K rho) K^dag once: if tall, each level slice holding one
 operator (every site of a translation-invariant walk), as one product
 [K rho_1; ...; K rho_n] @ K^dag per slice; else, stacked, as one
 batched (G, n*d, d) @ (G, d, d) product over its distinct operators
-(``_group`` numbers them by bytes, ``_groups`` bounds the padding),
+(numbered by ``_group``, ``_groups`` bounds the padding),
 each operator's K rho rows stacked tall, padded to n rows and taken
 back to level order, or with n = 1 per edge where grouping would not
 halve the products. These see the same shared operand as the
@@ -133,7 +135,10 @@ class WalkSpec:
                 edges are implicit zero operators. After construction
                 the values are read-only views into the operator stack.
 
-    Specs compare and hash by identity.
+    Compiling numbers the distinct operators by their bytes (-0.0 and
+    0.0 differ) into the read-only ``_group``, a number per stack row,
+    whose runs along the stack are ``_run``. Specs compare and hash by
+    identity.
     """
 
     nodes: tuple
@@ -170,20 +175,22 @@ class WalkSpec:
         ts = tgt[by_target]
         rank = np.arange(ts.size) - np.searchsorted(ts, ts)
         order = by_target[np.lexsort((ts, rank))]
-        # the one (E, d, d) stack in stack order; shared operators stacked once
-        if len(mats) < len(ids):
-            number = dict(zip(distinct, range(len(mats)))).__getitem__
-            ops = np.array(mats).take(np.fromiter(map(number, ids), np.intp, len(ids))[order], 0)
-        else:  # an object per edge
-            ops = np.array([mats[k] for k in order.tolist()] or np.empty((0, d, d), complex))
-        ops.setflags(write=False)
+        # each distinct object's number by its operator's bytes, so that
+        # -0.0 and 0.0 are different operators; a row's number is its
+        # object's, and the (E, d, d) stack gathers the objects in stack order
+        by_bytes = {}
+        numbers = np.array([by_bytes.setdefault(m.tobytes(), len(by_bytes)) for m in mats],
+                           np.intp)
+        obj = np.fromiter(map(dict(zip(distinct, range(len(mats)))).__getitem__, ids),
+                          np.intp, len(ids))[order]
+        ops = np.array(mats, complex).reshape(-1, d, d).take(obj, 0)
+        group = numbers[obj]
+        for array in ops, group:
+            array.setflags(write=False)
         views = dict.fromkeys(self.transitions)  # insertion order; values: row views
         views.update(zip(map(edges.__getitem__, order.tolist()), ops))
-        # each row's run of equal operators along the stack, compared by
-        # bytes so that -0.0 and 0.0 are different operators
-        bits = ops.view(np.uint64)
-        starts = np.ones(len(ids), dtype=bool)
-        starts[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2))
+        # each row's run of equal operators along the stack
+        runs = np.cumsum(np.diff(group, prepend=group[:1]) != 0)
         # where each level starts, then the edge count; the reached
         # targets are the output rows of a step with every node occupied
         levels = np.concatenate(([0], np.cumsum(np.bincount(rank))))
@@ -196,9 +203,9 @@ class WalkSpec:
         slot[by_src] = np.arange(ss.size) - np.searchsorted(ss, ss)
         for name, value in (
                 ("nodes", nodes), ("transitions", views), ("_index", index),
-                ("_src", src), ("_ops", ops), ("_levels", levels),
-                ("_run", np.cumsum(starts) - 1), ("_slot", slot),
-                ("_targets", targets), ("_out", np.searchsorted(targets, tgt[order]))):
+                ("_src", src), ("_ops", ops), ("_levels", levels), ("_group", group),
+                ("_run", runs), ("_slot", slot), ("_targets", targets),
+                ("_out", np.searchsorted(targets, tgt[order]))):
             object.__setattr__(self, name, value)
 
     @property
@@ -223,21 +230,6 @@ class WalkSpec:
         fan = fan.reshape(v, width * d, d)
         fan.setflags(write=False)
         return fan
-
-    @cached_property
-    def _group(self) -> np.ndarray:
-        """Read-only index of each row's distinct operator, numbered by
-        first appearance in the stack and compared by bytes like ``_run``.
-
-        Built by the first plan with a level slice of mixed operators,
-        from the ``_run`` heads, so validating a spec does not pay for it.
-        """
-        heads = self._ops[np.flatnonzero(np.diff(self._run, prepend=-1))]
-        number = {}
-        group = np.array([number.setdefault(op.tobytes(), len(number))
-                          for op in heads], dtype=np.intp)[self._run]
-        group.setflags(write=False)
-        return group
 
     @cached_property
     def _full_plan(self) -> tuple:
@@ -273,18 +265,24 @@ class ValidationReport:
                 + ("accepted" if self.ok else "rejected"))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_walk(spec: WalkSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the per-node completeness relation sum_K K^dag K = I.
 
     Each node adds its edges' K^dag K onto a zero sum in stack order (by
     rank, then target position); its residual is the largest entry of
     |sum - I|, so a node with no outgoing edges has residual 1 (the zero
-    map loses all probability). K^dag K is formed once per ``_run``.
+    map loses all probability). K^dag K is formed once per distinct
+    operator (``_group``). A K whose products overflow has an inf or NaN
+    residual, which fails any tol, and raises no warning.
     """
     tol = _real(tol, "tol", 0, open_interval=True)
     order = np.argsort(spec._slot, kind="stable")  # level j: each source's j-th edge
-    heads = spec._ops[np.flatnonzero(np.diff(spec._run, prepend=-1))]  # each run's first row
-    terms = (heads.conj().transpose(0, 2, 1) @ heads).take(spec._run[order], 0)
+    group = spec._group
+    rows = np.empty(int(group.max(initial=-1)) + 1, dtype=np.intp)
+    rows[group] = np.arange(group.size)  # a row of each distinct operator
+    heads = spec._ops[rows]
+    terms = (heads.conj().transpose(0, 2, 1) @ heads).take(group[order], 0)
     src = spec._src[order]
     sums = np.zeros((spec.node_count, spec.dim, spec.dim), dtype=complex)
     # one indexed add per level: a level's sources are distinct

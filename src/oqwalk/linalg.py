@@ -14,7 +14,8 @@ a two-qubit register, and the basis order is |00>, |01>, |10>, |11>.
 Every argument's check lives here, each message starting with its name:
 ``_real`` and ``_count`` check scalars, ``_matrix`` and ``_vector``
 arrays (``<name> must be a square matrix, got shape S``, ``is not
-finite``, ``has dimension m, expected d``), ``_ket`` unit vectors
+finite``, ``has dimension m, expected d``, and the TypeError ``must
+hold numbers`` for a bool, str or bytes entry), ``_ket`` unit vectors
 (``<name> is not normalized``), ``_unitarity_errors`` unitarity.
 """
 
@@ -100,8 +101,30 @@ def _count(n, name: str, low: int) -> int:
     return n
 
 
-def _complex(a) -> np.ndarray:
-    """np.asarray(a, dtype=complex); ValueError for an int past the float range."""
+_NON_NUMBER_KINDS = {"b": "bool", "U": "str", "S": "bytes"}
+
+
+def _non_number(a) -> str | None:
+    """'bool', 'str' or 'bytes' for a bool, str or bytes entry at any depth
+    of a's lists, tuples and object arrays, else None. Checked by entry,
+    since numpy makes [1, True] an int array."""
+    kind = a.dtype.kind if isinstance(a, np.ndarray) else "O"
+    if kind != "O":
+        return _NON_NUMBER_KINDS.get(kind)
+    if isinstance(a, (list, tuple, np.ndarray)):
+        return next(filter(None, map(_non_number, getattr(a, "flat", a))), None)
+    if isinstance(a, (bool, np.bool_)):
+        return "bool"
+    return "str" if isinstance(a, str) else "bytes" if isinstance(a, bytes) else None
+
+
+def _complex(a, name: str) -> np.ndarray:
+    """np.asarray(a, dtype=complex). TypeError for a bool, str or bytes
+    entry, which numpy would take as 0 or 1 or parse as a number;
+    ValueError for an int past the float range."""
+    kind = _non_number(a)
+    if kind:
+        raise TypeError(f"{name} must hold numbers, got a {kind} entry")
     try:
         return np.asarray(a, dtype=complex)
     except OverflowError:
@@ -110,7 +133,7 @@ def _complex(a) -> np.ndarray:
 
 def _matrix(a, name: str, dim: int | None = None) -> np.ndarray:
     """a as a square complex matrix with finite entries, of dimension dim if given."""
-    m = _complex(a)
+    m = _complex(a, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if dim is not None and m.shape[0] != dim:
@@ -122,7 +145,7 @@ def _matrix(a, name: str, dim: int | None = None) -> np.ndarray:
 
 def _vector(v, name: str, dim: int | None = None) -> np.ndarray:
     """v flattened to a finite complex vector, of dimension dim when given."""
-    v = _complex(v).reshape(-1)
+    v = _complex(v, name).reshape(-1)
     if dim is not None and v.size != dim:
         raise ValueError(f"{name} has dimension {v.size}, expected {dim}")
     if not np.isfinite(v).all():
@@ -228,9 +251,11 @@ def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.linalg.eigvalsh(a)[0] >= -tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _unitarity_errors(u: np.ndarray) -> np.ndarray:
     """The largest entry of |U^dag U - I| and of |U U^dag - I| for each U
-    in a (..., d, d) stack, from one batched product (U^dag, U) @ (U, U^dag)."""
+    in a (..., d, d) stack, from one batched product (U^dag, U) @ (U, U^dag).
+    A product that overflows gives an inf or NaN error, without a warning."""
     pair = np.stack((u, np.swapaxes(u.conj(), -1, -2)), axis=-3)
     return np.abs(pair[..., ::-1, :, :] @ pair - np.eye(u.shape[-1])).max(axis=(-3, -2, -1))
 

@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -512,6 +513,23 @@ def test_main_names_the_unitaries_entry(capsys, command, t_final, unitaries, mes
     argv = ["--scenario", "dqc", "--set", "omega=0.5", "--set", f"T={t_final}",
             "--set", f"unitaries={unitaries}"]
     assert main([command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--scenario", "gate", "--set", "gate=[[1e308,0],[0,1e308]]", "--set", "p=0.5",
+      "--steps", "1"], "gate must be unitary"),
+    (["validate", "--scenario", "dqc", "--set", "omega=0.5", "--set", "T=1",
+      "--set", "unitaries=[[[1e200,0],[0,1]]]"], "unitaries[0] must be unitary"),
+])
+def test_main_huge_gate_literal_prints_one_error_line(capsys, argv, message):
+    # U^dag U overflows: a RuntimeWarning would print its own stderr lines
+    # before the error: line, so none may be raised
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert [str(w.message) for w in raised] == []
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
 

@@ -1,4 +1,5 @@
 from collections import Counter
+import warnings
 
 import numpy as np
 import pytest
@@ -191,9 +192,10 @@ def _as_operator_error(op) -> str:
     # a non-square operator
     ((1, 2), {(1, 2): _EYE, (2, 1): np.ones((2, 3))},
      "operator on edge (2 -> 1) must be a square matrix, got shape (2, 3)"),
-    # a ragged operator and a string: as_operator's own message
+    # a ragged operator: as_operator's own message; an empty one
     ((1, 2), {(1, 2): _EYE, (2, 1): [[1, 0], [0]]}, _as_operator_error([[1, 0], [0]])),
-    ((1, 2), {(1, 2): _EYE, (2, 1): "eye"}, _as_operator_error("eye")),
+    ((1, 2), {(1, 2): _EYE, (2, 1): np.empty((0, 0))},
+     "operator on edge (2 -> 1) must be a square matrix, got shape (0, 0)"),
     # an int past the float range
     ((1, 2), {(1, 2): _EYE, (2, 1): [[10 ** 400, 0], [0, 1]]},
      "entries must be finite: an int is past the float range"),
@@ -234,6 +236,20 @@ def test_validate_rejects_overcomplete_family():
     assert not report.ok
     assert abs(report.residuals[1] - 1.0) < 1e-12
     assert abs(report.residuals[2] - 1.0) < 1e-12
+
+
+def test_validate_rejects_an_overflowing_operator_without_warning():
+    # K^dag K of a huge but finite K overflows: an inf or NaN residual,
+    # which fails, and no RuntimeWarning
+    huge = np.array([[1e200, 0], [0, 1]])
+    for op in (huge, huge * (1 + 1j)):
+        spec = two_node_spec(op, np.eye(2), np.eye(2), np.zeros((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_walk(spec)
+        assert not report.ok
+        assert not np.isfinite(report.residuals[1]) and report.residuals[2] == 0
+        assert "node 1: residual " in str(report) and "[FAIL]" in str(report)
 
 
 def test_validation_report_text_with_percent_labels_and_failures():
@@ -766,20 +782,43 @@ def test_step_matches_reference_with_repeated_operators_in_mixed_slices(monkeypa
 
 
 def test_spec_runs_of_equal_operators():
-    # _run numbers the runs of bytewise-equal rows of the operator stack
+    # _group numbers each row's operator by its bytes, so that rows of one
+    # number are the byte-equal ones; _run numbers the runs of _group
     def byte_runs(spec):
         rows = [op.tobytes() for op in spec._ops]
         new = [k == 0 or rows[k] != rows[k - 1] for k in range(len(rows))]
         return np.cumsum(new, dtype=np.intp) - 1
 
+    def byte_numbers(spec):
+        number = {}
+        return [number.setdefault(op.tobytes(), len(number)) for op in spec._ops]
+
+    from oqwalk.scenarios import build_dqc_chain
+
     signed = signed_zero_spec()
     empty = WalkSpec(nodes=(1, 2), dim=2, transitions={})
+    # repeated literal gates: byte-equal rows from distinct objects
+    literal = [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
+    repeated, _ = build_dqc_chain([literal[k % 2] for k in range(6)], 0.5)
     cases = [(label, spec) for label, spec, _ in scenario_cases()]
-    for label, spec in [*cases, ("signed zero", signed), ("no edges", empty)]:
-        assert spec._run.shape == spec._src.shape, label
+    for label, spec in [*cases, ("signed zero", signed), ("no edges", empty),
+                        ("repeated literals", repeated)]:
+        group = spec._group
+        assert group.shape == spec._run.shape == spec._src.shape, label
+        assert not group.flags.writeable, label
+        # one number per byte-distinct operator: the two split rows alike
+        pairs = set(zip(group.tolist(), byte_numbers(spec)))
+        assert len(pairs) == len(set(group.tolist())) == len(set(byte_numbers(spec))), label
         assert np.array_equal(spec._run, byte_runs(spec)), label
+        runs = np.cumsum(np.diff(group, prepend=group[:1]) != 0)
+        assert np.array_equal(spec._run, runs), label
     assert signed._run.tolist() == [0, 0, 1]  # stack (3->1), (1->2), (2->3)
-    assert empty._run.size == 0
+    assert signed._group[0] == signed._group[1] != signed._group[2]
+    assert empty._run.size == empty._group.size == 0
+    # each literal converts to its own array, so the 14 edges carry 14
+    # objects, of 4 operators: X both ways, Z forward, Z back (a -0.0
+    # imaginary part from the adjoint's conj) and the end identities
+    assert sorted(Counter(repeated._group.tolist()).values()) == [2, 3, 3, 6]
     assert step(empty, mixed_state(1, 2)).blocks == {}
     state = WalkerState({2: outer(basis_ket(2, 0))})
     for _ in range(4):
@@ -940,7 +979,6 @@ def test_fanned_one_operator_plan_holds_no_k_stack():
         k, k_dag, _, back, slices = chunks[0]
         assert k is None and k_dag is None and back is None
         assert all(shared is not None for *_, shared in slices)
-    assert "_group" not in vars(spec)  # no plan needed the operator index
 
 
 def per_edge_plan(monkeypatch, spec, pos) -> tuple:

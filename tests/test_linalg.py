@@ -15,6 +15,7 @@ from oqwalk.core import (
     full_map_step,
     iter_run,
     mixed_state,
+    pure_state,
     run,
     validate_walk,
 )
@@ -408,6 +409,7 @@ ARRAYS = {
     "pure_fidelity.psi": ("psi", "vector", 2, lambda v: pure_fidelity(_HALF, v)),
     "extract_blocks.full": ("full matrix", "matrix", 4, lambda v: extract_blocks(_SPEC, v)),
     "full_map_step.full": ("full matrix", "matrix", 4, lambda v: full_map_step(_SPEC, v)),
+    "pure_state.psi": ("psi", "vector", None, lambda v: pure_state(1, v)),
     "as_operator.a": ("a", "matrix", None, as_operator),
     "kron.a": ("a", "matrix", None, lambda v: kron(v, PAULI_X)),
     "kron.b": ("b", "matrix", None, lambda v: kron(PAULI_X, v)),
@@ -439,6 +441,26 @@ def test_array_inputs_reject_what_is_not_their_shape(entry):
         with pytest.raises(ValueError) as caught:
             call(value)
         assert str(caught.value).startswith(name + " "), (value, caught.value)
+
+
+# bool, str and bytes entries, which numpy would take as 0 or 1 or parse:
+# in lists (numpy makes [1, True] ints), in object arrays and as the dtype
+# of an array. Each matrix's first row is the vector case; scalars are both
+NOT_NUMBERS = [[["0", "1"], ["1", "0"]], [[False, True], [True, False]],
+               [[1, True], [0, 1]], [[b"1", 0], [0, 1]], np.eye(2, dtype=bool),
+               np.array([["1", "0"], ["0", "1"]]), np.array([[True, 0], [0, 1]], dtype=object),
+               [np.array([False, True]), np.eye(2)[1]]]
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAYS))
+def test_array_inputs_reject_entries_that_are_not_numbers(entry):
+    name, kind, _, call = ARRAYS[entry]
+    values = NOT_NUMBERS if kind == "matrix" else [value[0] for value in NOT_NUMBERS]
+    for value in values + [True, np.bool_(False), "1", b"1"]:
+        with pytest.raises(TypeError) as caught:
+            call(value)
+        assert str(caught.value).startswith(name + " must hold numbers, got a "), (
+            value, caught.value)
 
 
 # numpy scalars, 0-d arrays and ints past 2**63 that the entry points
