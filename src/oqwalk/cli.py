@@ -31,6 +31,7 @@ and usage errors raise ``ConfigError``. It and a walk that ``run`` or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -543,7 +544,10 @@ def _document_from_args(args) -> dict:
     return doc
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The ``oqw`` parser, built once per process: each option it adds
+    asks for the terminal size. Parsing leaves it unchanged."""
     parser = _Parser(prog="oqw",
                      description="Open-quantum-walk simulator")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -563,9 +567,12 @@ def main(argv=None) -> int:
             sub.add_argument("--record-every", type=int, default=None)
             sub.add_argument("--format", choices=("csv", "json"), default=None)
     subs.add_parser("scenarios", help="list scenarios and parameters")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "scenarios":
             for name, (params, _) in SCENARIOS.items():
                 print(f"{name}: " + "; ".join(map(_describe, params)))

@@ -35,20 +35,26 @@ the k traces; ``WalkerState._pruned`` alone drops blocks of trace not
 above PRUNE_TRACE. A step's plan (``_plan``) holds what depends only on
 which nodes are occupied; every node occupied is one such set, whose
 plan the spec compiles once (``_full_plan``). The executor forms the K
-rho K^dag products with matmuls, adds the levels in order onto a -0.0
-seed and returns rows over the spec's node tuple. A step whose products
-fit one chunk forms K rho as one [K_1; ...; K_D] rho per occupied
-source; larger steps form it one matrix per edge. A chunk forms each
-edge's (K rho) K^dag once: if tall, each level slice holding one
-operator (every site of a translation-invariant walk), as one product
-[K rho_1; ...; K rho_n] @ K^dag per slice; else, stacked, as one
-batched (G, n*d, d) @ (G, d, d) product over its distinct operators
-(numbered by ``_group``, ``_groups`` bounds the padding),
-each operator's K rho rows stacked tall, padded to n rows and taken
-back to level order, or with n = 1 per edge where grouping would not
-halve the products. These see the same shared operand as the
-per-matrix products, only more rows of the other one, and BLAS gives
-them the same bits (tests/test_core.py checks the premises by name).
+rho K^dag products with matmuls and sums them level by level into rows
+over the spec's node tuple: level 0 writes its targets' first terms in
+place, and later levels add theirs. Only a plan in which some reached
+target's rank-0 source is unoccupied (its used level-0 edges fewer than
+its reached targets) fills the output with -0.0 first, an exact
+additive identity (-0.0 + x has the bits of x); the full plan never
+does. A step whose products fit one chunk forms K rho as one
+[K_1; ...; K_D] rho per occupied source; larger steps form it one
+matrix per edge, reading the blocks as a view of the state's stack
+where their rows are consecutive. A chunk forms each edge's (K rho)
+K^dag once: if tall, each level slice holding one operator (every site
+of a translation-invariant walk), as one product [K rho_1; ...; K
+rho_n] @ K^dag per slice; else, stacked, as one batched (G, n*d, d) @
+(G, d, d) product over its distinct operators (numbered by ``_group``,
+``_groups`` bounds the padding), each operator's K rho rows stacked
+tall, padded to n rows and taken back to level order, or with n = 1
+per edge where grouping would not halve the products. These see the
+same shared operand as the per-matrix products, only more rows of the
+other one, and BLAS gives them the same bits (tests/test_core.py
+checks the premises by name).
 The other grouping, K [rho_1 ... rho_n], changes bits and is not used.
 ``iter_run`` yields a run's snapshots as it makes them, holding one
 state; ``run`` lists them.
@@ -57,7 +63,8 @@ state; ``run`` lists them.
 differences of the stored per-node traces, less a rounding slack, bound
 the trace distance of the last two states from below, so the per-node
 differences and their eigenvalues are computed only once that bound no
-longer rules convergence out.
+longer rules convergence out. Each iterate's total trace is summed once
+and carried to the next iteration's bound.
 
 The dense full-space map (``full_map_step``) implements the same
 dynamics on the complete V*d x V*d density matrix and is kept as a
@@ -83,16 +90,20 @@ Node = Hashable
 PRUNE_TRACE = 1e-15
 
 # Bytes of K rho K^dag products a step forms at once. Each chunk also
-# holds the gathered blocks and one partial product of the same size,
-# so its transient memory stays near 3x this whatever d and the edge
-# count are. A plan adds at most one conjugate copy of its operators;
-# only a chunk that forms K rho per edge holds K, a view of the stack
-# where its rows are consecutive (every ungrouped chunk of the full
-# plan), else a copy of at most twice its edges. A step whose occupied
-# sources' fan rows (k * D * d^2 entries) fit one chunk forms K rho per
-# source, from that one chunk-sized product; ``_fan`` is compiled only
-# when its zero padding also fits one chunk, so a node of far larger
-# out-degree than the rest does not cost O(V * D) stored operators.
+# holds the gathered blocks (a view of the state's rows where they are
+# consecutive) and one partial product of the same size, so its
+# transient memory stays near 3x this whatever d and the edge count
+# are. The output, one block per reached target, is written in place by
+# level 0 and filled with -0.0 first only when a target's first used
+# edge lies above level 0. A plan adds at most one conjugate copy of
+# its operators; only a chunk that forms K rho per edge holds K, a view
+# of the stack where its rows are consecutive (every ungrouped chunk of
+# the full plan), else a copy of at most twice its edges. A step whose
+# occupied sources' fan rows (k * D * d^2 entries) fit one chunk forms
+# K rho per source, from that one chunk-sized product; ``_fan`` is
+# compiled only when its zero padding also fits one chunk, so a node of
+# far larger out-degree than the rest does not cost O(V * D) stored
+# operators.
 _CHUNK_BYTES = 1 << 17
 
 # Iteration cap of find_steady_state (and of ``oqw steady``).
@@ -331,9 +342,9 @@ class WalkerState:
     @classmethod
     def _pruned(cls, nodes: tuple, pos: np.ndarray, rho: np.ndarray) -> "WalkerState":
         """The rows (nodes, positions, blocks) of trace above PRUNE_TRACE."""
-        tr = np.trace(rho, axis1=1, axis2=2).real
-        keep = tr > PRUNE_TRACE
-        if not keep.all():
+        tr = rho.trace(axis1=1, axis2=2).real
+        if tr.size and not tr.min() > PRUNE_TRACE:  # NaN too
+            keep = tr > PRUNE_TRACE
             pos, rho, tr = pos[keep], rho[keep], tr[keep]
         return cls._from_rows(nodes, pos, rho, tr)
 
@@ -371,7 +382,7 @@ class WalkerState:
         return pos, [occ[nodes[k]] for k in pos]
 
     def total_trace(self) -> float:
-        # builtin sum(): it feeds only _trace_bound's slack, twice per steady iteration
+        # builtin sum(): it feeds only _trace_bound's slack, once per steady iteration
         return float(sum(self._tr.tolist()))
 
     def __repr__(self) -> str:
@@ -412,16 +423,17 @@ def _difference(a: WalkerState, b: WalkerState, x: np.ndarray,
     return diff
 
 
-def _trace_bound(a: WalkerState, b: WalkerState, dim: int) -> float:
+def _trace_bound(a: WalkerState, b: WalkerState, dim: int, total: float) -> float:
     """A lower bound on state_trace_distance(a, b) from the stored traces.
 
     Half the summed |tr a_i - tr b_i| over the nodes either state
-    occupies, less the rounding slack _TRACE_SLACK * dim * eps *
-    (sum tr a + sum tr b); holds for positive blocks of dimension dim.
+    occupies, less the rounding slack _TRACE_SLACK * dim * eps * total,
+    total being a.total_trace() + b.total_trace(); holds for positive
+    blocks of dimension dim. Rows of one plan (one positions array)
+    subtract directly.
     """
-    gap = _difference(a, b, a._tr, b._tr)
-    slack = _TRACE_SLACK * dim * _EPS * (a.total_trace() + b.total_trace())
-    return 0.5 * float(np.abs(gap).sum()) - slack
+    gap = a._tr - b._tr if a._pos is b._pos else _difference(a, b, a._tr, b._tr)
+    return 0.5 * float(np.abs(gap).sum()) - _TRACE_SLACK * dim * _EPS * total
 
 
 def state_trace_distance(a: WalkerState, b: WalkerState) -> float:
@@ -464,7 +476,7 @@ def _span(index: np.ndarray) -> np.ndarray | slice:
 
 
 def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
-    """(reached targets, fans, chunks) of a step from occupied positions pos.
+    """(reached targets, fans, chunks, level0) of a step from occupied positions pos.
 
     fans: the occupied sources' fan rows, or None past one chunk. Per
     chunk of the used edges (source occupied), in stack order: K if it
@@ -472,7 +484,11 @@ def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
     index, back (None, or each edge's row in the padded product ``_groups``
     lays out, at most min(per_chunk, twice its edges) rows in group
     order) and, per level slice, (lo, hi) in the chunk, output rows and,
-    if tall, its K^dag. Consecutive rows are slices (``_span``)."""
+    if tall, its K^dag. Consecutive rows are slices (``_span``), and so
+    is a per-edge gather index whose every step is 1. level0: the used
+    level-0 edges, the first in stack order, one per target whose rank-0
+    source is occupied; fewer than the reached targets when some
+    target's first used edge lies above level 0."""
     ops, d = spec._ops, spec.dim
     per_chunk = max(1, _CHUNK_BYTES // (16 * d ** 2))
     # each edge's source as a row of rho (-1: source unoccupied)
@@ -518,11 +534,16 @@ def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
                 pad, back, firsts = grouped
                 index = used[e0:e1]
                 rows, heads, gather = index[pad], index[firsts], gather[pad]
-        k = ops[rows] if fans is None else None
+        k = None
+        if fans is None:
+            k = ops[rows]
+            if (np.diff(gather) == 1).all():  # consecutive rows of rho: a view
+                gather = slice(gather[0], gather[-1] + 1)
         # K^dag: transposed views of conj copies, as the tall-product test takes
         k_dag = ops[heads].conj().transpose(0, 2, 1) if stacked else None
         chunks.append((k, k_dag, gather, back, slices))
-    return targets, fans, chunks
+    level0 = bounds[1] if len(bounds) > 1 else 0  # a spec without edges has no level
+    return targets, fans, chunks, level0
 
 
 def _groups(group: np.ndarray, limit: int) -> tuple | None:
@@ -563,30 +584,43 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
     """Advance the walk by one step.
 
     The block landing on each target node is the sum over its incoming
-    edges of K rho K^dag, accumulated in ascending source position onto
-    a -0.0 seed (an exact additive identity, so each block has the bits
-    of its terms added in that order, signed zeros included). Only
+    edges of K rho K^dag, accumulated in ascending source position: the
+    first term written in place, the rest added, so each block has the
+    bits of its terms added in that order, signed zeros included. A
+    target whose first term comes after level 0 starts from a -0.0
+    seed, an exact additive identity. Only
     edges whose source is occupied are evaluated, in the products the
     step's plan lays out (``_full_plan`` when every node is occupied).
     Blocks whose trace is not above PRUNE_TRACE are dropped.
     """
     pos, rho = _rows(spec, state)
-    targets, fans, chunks = (spec._full_plan if pos.size == spec.node_count
-                             else _plan(spec, pos))
+    targets, fans, chunks, level0 = (spec._full_plan if pos.size == spec.node_count
+                                     else _plan(spec, pos))
     d = spec.dim
-    acc = np.full((targets.size, d, d), complex(-0.0, -0.0))
+    shape = (targets.size, d, d)
+    # level 0 writes each of its targets' first term in place; a target
+    # it misses adds its first term onto the -0.0 seed
+    acc = np.empty(shape, complex) if level0 == targets.size else np.full(
+        shape, complex(-0.0, -0.0))
     for k, k_dag, gather, back, slices in chunks:
         # take(): the copy fancy indexing makes, about twice as fast on small blocks
-        half = (k @ rho.take(gather, 0) if fans is None
-                else (fans @ rho).reshape(-1, d, d).take(gather, 0))
+        if fans is not None:
+            half = (fans @ rho).reshape(-1, d, d).take(gather, 0)
+        else:  # a slice of consecutive rows: a view
+            half = k @ (rho[gather] if isinstance(gather, slice) else rho.take(gather, 0))
         stacked = None  # a tall chunk's slices each carry their K^dag
         if k_dag is not None:  # stacked: (G, n*d, d) @ (G, d, d), n = 1 per edge
             stacked = (half.reshape(len(k_dag), -1, d) @ k_dag).reshape(-1, d, d)
             if back is not None:  # from padded group order to level order
                 stacked = stacked.take(back, 0)
         for lo, hi, rows, shared in slices:
-            acc[rows] += stacked[lo:hi] if shared is None else (
+            term = stacked[lo:hi] if shared is None else (
                 half[lo:hi].reshape(-1, d) @ shared).reshape(-1, d, d)
+            if level0 > 0:  # the first level0 used edges are level 0's
+                acc[rows] = term
+                level0 -= hi - lo
+            else:
+                acc[rows] += term
     return WalkerState._pruned(spec.nodes, targets, acc)
 
 
@@ -648,15 +682,17 @@ def find_steady_state(spec: WalkSpec, initial: WalkerState,
     tol = _real(tol, "tol", 0, open_interval=True)
     max_iter = _count(max_iter, "max_iter", 1)
     skip_above = tol * (1 + _BOUND_MARGIN)
-    state = initial
+    state, total = initial, initial.total_trace()
     residual = float("inf")
     for n in range(1, max_iter + 1):
         nxt = step(spec, state)
-        if n == max_iter or _trace_bound(nxt, state, spec.dim) <= skip_above:
+        nxt_total = nxt.total_trace()  # each state's total is summed once
+        if (n == max_iter
+                or _trace_bound(nxt, state, spec.dim, nxt_total + total) <= skip_above):
             residual = state_trace_distance(nxt, state)
             if residual <= tol:
                 return SteadyStateResult(nxt, n, True, residual)
-        state = nxt
+        state, total = nxt, nxt_total
     return SteadyStateResult(state, max_iter, False, residual)
 
 

@@ -759,6 +759,39 @@ def test_main_help_exits_zero(capsys, argv):
     assert captured.out.startswith("usage: oqw") and captured.err == ""
 
 
+def test_main_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    # main parses with one parser per process: no call's --set values or
+    # -o path reach a later call, and -h leaves every call with status 0
+    from oqwalk import cli
+
+    assert cli._parser() is cli._parser()
+    gate = ["--scenario", "gate", "--set", "gate=X"]
+    assert main(["validate", *gate, "--set", "p=0.5", "--set", "bogus=3"]) == 1
+    assert capsys.readouterr().err == \
+        "error: unknown parameter(s) for scenario 'gate': bogus\n"
+    assert main(["validate", *gate, "--set", "p=0.5"]) == 0
+    assert capsys.readouterr().out.endswith("accepted\n")
+    assert main(["validate", *gate]) == 1  # p=0.5 is gone too
+    assert capsys.readouterr().err.startswith("error: ")
+    out = tmp_path / "gate.json"
+    assert main(["steady", *gate, "--set", "p=0.5", "-o", str(out)]) == 0
+    written = out.read_text()
+    out.unlink()
+    assert capsys.readouterr().out == ""
+    assert main(["steady", *gate, "--set", "p=0.5"]) == 0
+    assert capsys.readouterr().out == written and not out.exists()
+    helps = {}
+    for _ in range(3):
+        for argv in (["-h"], ["run", "-h"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            captured = capsys.readouterr()
+            assert captured.out.startswith("usage: oqw") and captured.err == ""
+            assert helps.setdefault(argv[0], captured.out) == captured.out
+    assert "--steps" in helps["run"] and "--steps" not in helps["-h"]
+
+
 @pytest.mark.parametrize("doc", [
     {"scenario": "gate", "gate": "H", "p": 0.3},
     {"scenario": "state_prep"},

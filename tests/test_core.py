@@ -746,6 +746,63 @@ def test_grouped_product_matches_per_matrix_product(dim):
                 f"group {g} under {blas_build()}; step() would change bits")
 
 
+# entries whose sum with -0.0 must keep their bits: signed zeros,
+# subnormals, the smallest normal, infinities and quiet NaNs of both signs
+_FIRST_TERM_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, np.finfo(float).tiny,
+                       -np.finfo(float).tiny, 1.0, -2.5, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@pytest.mark.parametrize("chunk", ["default", "tiny"])
+def test_assigned_first_term_matches_term_added_to_seed(monkeypatch, chunk):
+    # step() writes each target's level-0 term into its row and fills
+    # the -0.0 seed only when some target's first term lies above level
+    # 0. That keeps the engine's bits only if -0.0 + x has the bits of x
+    # for every x, by a row index as well as by a slice
+    re, im = np.meshgrid(_FIRST_TERM_ENTRIES, _FIRST_TERM_ENTRIES)
+    terms = np.empty(re.size, complex)  # every (re, im) pair
+    terms.real, terms.imag = re.ravel(), im.ravel()
+    for dim in (1, 2, 3):
+        k = terms.size // dim ** 2
+        block = terms[:k * dim ** 2].reshape(k, dim, dim)
+        for rows in (slice(0, k), np.random.default_rng(dim).permutation(k)):
+            seeded = np.full(block.shape, complex(-0.0, -0.0))
+            seeded[rows] += block
+            assigned = np.empty(block.shape, complex)
+            assigned[rows] = block
+            assert assigned.tobytes() == seeded.tobytes(), (
+                f"-0.0 + x is not x at d={dim} under {blas_build()}; step() would change bits")
+    # a step against the per-node loop (first term assigned) on blocks
+    # with subnormal entries and Pauli terms that make signed zeros:
+    # every node occupied, where level 0 writes every target, and
+    # nodes 0 and 2 empty, where target 2's first term (from node 1)
+    # lands on the seed; at a one-edge chunk level 0 spans chunks
+    from oqwalk.linalg import PAULI_Y, PAULI_Z
+
+    if chunk == "tiny":
+        monkeypatch.setattr(core, "_CHUNK_BYTES", 16)
+    s = np.sqrt(0.5)
+    spec = WalkSpec(nodes=(0, 1, 2, 3, 4), dim=2, transitions={
+        (0, 2): s * PAULI_Y, (0, 1): s * PAULI_Z, (1, 2): s * PAULI_X, (1, 3): s * PAULI_Y,
+        (2, 4): s * PAULI_Z, (2, 3): s * PAULI_Y, (3, 2): s * PAULI_X, (3, 0): s * PAULI_Y,
+        (4, 0): PAULI_Y})
+    blocks = {0: np.diag([0.3, 0.1]), 1: [[0.2, 3e-310], [3e-310, 0.1]],
+              2: np.diag([0.1, 0.0]), 3: [[0.1, -1e-320j], [1e-320j, 0.05]],
+              4: np.diag([0.05, 0.0])}
+    seeded = subnormal = 0
+    for occupied in ((0, 1, 2, 3, 4), (1, 3, 4)):
+        state = WalkerState({n: blocks[n] for n in occupied})
+        pos = np.array(occupied)
+        targets, _, _, level0 = spec._full_plan if pos.size == 5 else core._plan(spec, pos)
+        seeded += level0 < targets.size
+        for _ in range(6):
+            expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+            state = step(spec, state)
+            assert_same_blocks(state.blocks, expected)
+            parts = np.stack(list(state.blocks.values())).view(float)
+            subnormal += np.count_nonzero(parts[abs(parts) < np.finfo(float).tiny])
+    assert seeded == 1 and subnormal
+
+
 def repeated_operator_spec(rng, n_nodes: int, dim: int) -> WalkSpec:
     """Random graph whose nodes share two Kraus families: node i sends
     family i % 2 to three random targets, half the edges holding a copy
@@ -957,7 +1014,7 @@ def test_step_matches_reference_with_every_edge_used_and_a_node_empty(monkeypatc
         monkeypatch.setattr(core, "_CHUNK_BYTES", 16)
     for spec in specs:
         assert set(spec._src.tolist()) == set(range(spec.node_count - 1))
-        targets, fans, _ = core._plan(spec, np.arange(spec.node_count - 1))
+        targets, fans, _, _ = core._plan(spec, np.arange(spec.node_count - 1))
         assert np.array_equal(targets, spec._targets)
         assert (fans is not None) == (chunk == "default")
         for _ in range(4):
@@ -974,7 +1031,7 @@ def test_fanned_one_operator_plan_holds_no_k_stack():
         state = step(spec, state)
         pos = np.flatnonzero([n in state.blocks for n in spec.nodes])
         assert 1 < pos.size < spec.node_count
-        _, fans, chunks = core._plan(spec, pos)
+        _, fans, chunks, _ = core._plan(spec, pos)
         assert fans is not None and len(chunks) == 1
         k, k_dag, _, back, slices = chunks[0]
         assert k is None and k_dag is None and back is None
@@ -986,6 +1043,11 @@ def per_edge_plan(monkeypatch, spec, pos) -> tuple:
     with monkeypatch.context() as patch:
         patch.setattr(core, "_groups", lambda group, limit: None)
         return core._plan(spec, pos)
+
+
+def as_rows(index) -> np.ndarray:
+    """A plan's row index as an array, a slice as its rows."""
+    return np.arange(index.start, index.stop) if isinstance(index, slice) else index
 
 
 def same_array(a, b) -> bool:
@@ -1000,7 +1062,7 @@ def assert_regroups(plan, flat, per_chunk) -> int:
     group order: back takes its K rho rows (and K) to flat's, and row
     back // n of its K^dag stack is flat's. Returns the grouped count."""
     assert same_array(plan[0], flat[0]) and same_array(plan[1], flat[1])
-    assert len(plan[2]) == len(flat[2])
+    assert len(plan[2]) == len(flat[2]) and plan[3] == flat[3]
     grouped = 0
     for (k, k_dag, gather, back, slices), (fk, fk_dag, fgather, fback, fslices) in zip(
             plan[2], flat[2]):
@@ -1013,6 +1075,7 @@ def assert_regroups(plan, flat, per_chunk) -> int:
             assert same_array(k_dag, fk_dag)
             continue
         grouped += 1
+        gather, fgather = as_rows(gather), as_rows(fgather)
         edges, products = fgather.size, len(k_dag)
         n = gather.size // products
         assert gather.size == products * n <= min(per_chunk, 2 * edges)
@@ -1092,6 +1155,7 @@ def assert_tall_or_stacked(plan, label):
         assert [lo for lo, *_ in slices] == [0, *(hi for _, hi, *_ in slices[:-1])], where
         covered = [np.arange(lo, hi) for lo, hi, _, shared in slices if shared is not None]
         if k_dag is not None:  # the (G, n*d, d) product's rows: one per gathered K rho
+            gather = as_rows(gather)
             assert gather.size % len(k_dag) == 0, where
             real = np.arange(gather.size) if back is None else back
             assert real.size == edges and np.unique(real).size == edges, where
@@ -1134,22 +1198,27 @@ def test_plan_chunks_form_each_k_dag_product_once(monkeypatch, chunk):
 
 def test_plan_holds_k_only_per_edge_and_as_views_of_the_stack():
     # a chunk that forms K rho per source holds no K; the full plan's
-    # per-edge K are views of the operator stack, not copies
+    # per-edge K are views of the operator stack, not copies, and a
+    # per-edge gather of consecutive rows of rho is a slice
     rng = np.random.default_rng(67)
-    fanned = viewed = 0
+    fanned = viewed = sliced = 0
     for label, spec in plan_cases(rng):
         for pos in (np.arange(spec.node_count), np.arange(0, spec.node_count, 2)):
-            _, fans, chunks = core._plan(spec, pos)
+            _, fans, chunks, _ = core._plan(spec, pos)
             if fans is not None:
                 fanned += 1
                 assert all(k is None for k, *_ in chunks), label
-        _, fans, chunks = spec._full_plan
+        _, fans, chunks, _ = spec._full_plan
         if fans is None:
-            for k, _, _, back, _ in chunks:
+            for k, _, gather, back, _ in chunks:
                 if back is None:  # a grouped chunk's K is in padded group order
                     assert np.shares_memory(k, spec._ops), label
                     viewed += 1
-    assert fanned and viewed >= 12  # the d = 32 chain alone has 13 chunks
+                rows = as_rows(gather)
+                assert isinstance(gather, slice) == bool((np.diff(rows) == 1).all()), label
+                sliced += isinstance(gather, slice)
+    # the d = 32 chain alone has 13 chunks, 10 of them on consecutive rows
+    assert fanned and viewed >= 12 and sliced >= 10
 
 
 def test_step_and_extract_blocks_prune_alike():
@@ -1162,6 +1231,20 @@ def test_step_and_extract_blocks_prune_alike():
     assert step(spec, state).traces() == {3: traces[3]}
     dense, _ = extract_blocks(spec, np.diag(traces).astype(complex))
     assert dense.traces() == {3: traces[3]}
+
+
+def test_step_drops_a_block_whose_trace_is_nan():
+    # an operator whose products overflow: node 0's trace reads inf after
+    # one step and NaN (inf * 0) after two; NaN is not above PRUNE_TRACE
+    spec = WalkSpec(nodes=(0, 1), dim=2, transitions={
+        (0, 0): np.diag([1e200, 1.0]), (1, 1): np.eye(2)})
+    state = WalkerState({0: np.eye(2) / 2, 1: np.eye(2) / 2})
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = step(spec, state)
+        assert state.traces() == {0: np.inf, 1: 1.0}
+        op = spec.transitions[(0, 0)]
+        assert np.isnan(np.trace(op @ state.blocks[0] @ op.conj().T))
+        assert step(spec, state).traces() == {1: 1.0}
 
 
 def test_spec_copies_operators_once():
@@ -1381,6 +1464,36 @@ def test_find_steady_state_matches_plain_loop(spec, initial):
     assert_same_blocks(result.state.blocks, state.blocks)
 
 
+def test_find_steady_state_matches_plain_loop_on_every_builder(monkeypatch):
+    # every builder from its canonical start, and a spec without edges
+    # (no levels) from one node and from every node: the plain
+    # loop's stop, residual bits and blocks. The trace bound subtracts
+    # two rows of one plan directly and lines up any other pair with
+    # _difference; occupied sets that grow, shrink or fill run both
+    paths = Counter()
+    bound = core._trace_bound
+
+    def recording(a, b, dim, total):
+        paths[a._pos is b._pos] += 1
+        assert total == a.total_trace() + b.total_trace()
+        return bound(a, b, dim, total)
+
+    monkeypatch.setattr(core, "_trace_bound", recording)
+    empty = WalkSpec(nodes=(1, 2, 3), dim=2, transitions={})
+    every = WalkerState({n: np.eye(2) / 6 for n in empty.nodes})
+    assert step(empty, every).blocks == {} == reference_step(empty, every.blocks, PRUNE_TRACE)
+    cases = [*scenario_cases(), ("no edges, one node", empty, mixed_state(2, 2)),
+             ("no edges, every node", empty, every)]
+    for label, spec, initial in cases:
+        state, iterations, converged, residuals = plain_steady_loop(spec, initial, 1e-10, 400)
+        result = find_steady_state(spec, initial, tol=1e-10, max_iter=400)
+        assert (result.iterations, result.converged) == (iterations, converged), label
+        assert converged or label == "line", label  # the line walk has no fixed point
+        assert result.residual == residuals[-1], label
+        assert_same_blocks(result.state.blocks, state.blocks)
+    assert paths[True] and paths[False]
+
+
 @pytest.mark.parametrize("omega,t_final", [(0.5, 5), (0.8, 20)])
 def test_find_steady_state_stops_where_bound_meets_tol(omega, t_final):
     # tol is an exact residual of the plain loop, at the iteration where
@@ -1396,7 +1509,7 @@ def test_find_steady_state_stops_where_bound_meets_tol(omega, t_final):
     while not residuals or residuals[-1] > 1e-10:
         nxt = step(spec, state)
         residuals.append(state_trace_distance(nxt, state))
-        ratios.append(core._trace_bound(nxt, state, spec.dim) / residuals[-1])
+        ratios.append(trace_bound(nxt, state, spec.dim) / residuals[-1])
         state = nxt
     k = int(np.argmax(ratios))
     assert abs(ratios[k] - 1) < 1e-12
@@ -1440,7 +1553,7 @@ def test_find_steady_state_compiles_one_plan_per_occupancy(monkeypatch):
     result = find_steady_state(spec, initial)
     assert result.converged and result.iterations > 1000
     assert sizes == [*range(1, 21), 21]
-    targets, fans, chunks = spec._full_plan
+    targets, fans, chunks, _ = spec._full_plan
     arrays = [targets, fans]
     for *parts, slices in chunks:  # K, K^dag, gather, back, level slices
         arrays += [*parts, *(a for level in slices for a in level)]
@@ -1513,6 +1626,11 @@ def test_state_trace_distance_matches_dense_and_per_node_sum():
                 assert got == expected
 
 
+def trace_bound(a: WalkerState, b: WalkerState, dim: int) -> float:
+    """core._trace_bound(a, b, dim) with the two states' summed total traces."""
+    return core._trace_bound(a, b, dim, a.total_trace() + b.total_trace())
+
+
 def rows_state(nodes: tuple, pos, rho) -> WalkerState:
     rho = np.array(rho, dtype=complex)
     return WalkerState._from_rows(nodes, np.asarray(pos, dtype=np.intp), rho,
@@ -1559,7 +1677,7 @@ def test_trace_bound_never_exceeds_trace_distance(dim):
         a = rows_state(nodes, pos, a)
         for x, y in ((a, b), (b, a)):
             exact = state_trace_distance(x, y)
-            bound = core._trace_bound(x, y, dim)
+            bound = trace_bound(x, y, dim)
             assert bound <= exact
             slack = core._TRACE_SLACK * dim * core._EPS * (
                 x.total_trace() + y.total_trace())
@@ -1576,9 +1694,20 @@ def test_trace_bound_never_exceeds_trace_distance(dim):
             copy = rows_state(tuple(list(nodes)), b._pos, b._rho)
             assert copy._nodes is not a._nodes
             assert state_trace_distance(a, copy) == state_trace_distance(a, b)
-            assert core._trace_bound(a, copy, dim) == core._trace_bound(a, b, dim)
+            assert trace_bound(a, copy, dim) == trace_bound(a, b, dim)
+        if kind in (2, 3, 4):  # one positions array: the direct subtraction
+            assert a._pos is b._pos
+            apart = rows_state(nodes, b._pos.copy(), b._rho)
+            assert trace_bound(a, apart, dim) == trace_bound(a, b, dim)
+            assert trace_bound(apart, a, dim) == trace_bound(b, a, dim)
+        # as many rows at other positions: the traces line up by node
+        moved = rows_state(nodes, np.sort((a._pos + 1) % 10), a._rho)
+        tm, ta = moved.traces(), a.traces()
+        gap = sum(abs(ta.get(n, 0.0) - tm.get(n, 0.0)) for n in nodes)
+        slack = core._TRACE_SLACK * dim * core._EPS * (a.total_trace() + moved.total_trace())
+        assert trace_bound(a, moved, dim) == pytest.approx(0.5 * gap - slack, rel=1e-12)
     # equal states: the bound is the negative slack
-    assert core._trace_bound(a, a, dim) < 0 == state_trace_distance(a, a)
+    assert trace_bound(a, a, dim) < 0 == state_trace_distance(a, a)
 
 
 def test_walker_state_blocks_are_a_new_dict_on_each_access():
