@@ -63,8 +63,7 @@ state; ``run`` lists them.
 differences of the stored per-node traces, less a rounding slack, bound
 the trace distance of the last two states from below, so the per-node
 differences and their eigenvalues are computed only once that bound no
-longer rules convergence out. Each iterate's total trace is summed once
-and carried to the next iteration's bound.
+longer rules convergence out.
 
 The dense full-space map (``full_map_step``) implements the same
 dynamics on the complete V*d x V*d density matrix and is kept as a
@@ -382,7 +381,7 @@ class WalkerState:
         return pos, [occ[nodes[k]] for k in pos]
 
     def total_trace(self) -> float:
-        # builtin sum(): it feeds only _trace_bound's slack, once per steady iteration
+        # builtin sum(): it feeds only _trace_bound's slack, twice per steady iteration
         return float(sum(self._tr.tolist()))
 
     def __repr__(self) -> str:
@@ -423,17 +422,16 @@ def _difference(a: WalkerState, b: WalkerState, x: np.ndarray,
     return diff
 
 
-def _trace_bound(a: WalkerState, b: WalkerState, dim: int, total: float) -> float:
+def _trace_bound(a: WalkerState, b: WalkerState, dim: int) -> float:
     """A lower bound on state_trace_distance(a, b) from the stored traces.
 
     Half the summed |tr a_i - tr b_i| over the nodes either state
-    occupies, less the rounding slack _TRACE_SLACK * dim * eps * total,
-    total being a.total_trace() + b.total_trace(); holds for positive
-    blocks of dimension dim. Rows of one plan (one positions array)
-    subtract directly.
+    occupies, less the rounding slack _TRACE_SLACK * dim * eps *
+    (sum tr a + sum tr b); holds for positive blocks of dimension dim.
     """
-    gap = a._tr - b._tr if a._pos is b._pos else _difference(a, b, a._tr, b._tr)
-    return 0.5 * float(np.abs(gap).sum()) - _TRACE_SLACK * dim * _EPS * total
+    gap = _difference(a, b, a._tr, b._tr)
+    slack = _TRACE_SLACK * dim * _EPS * (a.total_trace() + b.total_trace())
+    return 0.5 * float(np.abs(gap).sum()) - slack
 
 
 def state_trace_distance(a: WalkerState, b: WalkerState) -> float:
@@ -682,17 +680,15 @@ def find_steady_state(spec: WalkSpec, initial: WalkerState,
     tol = _real(tol, "tol", 0, open_interval=True)
     max_iter = _count(max_iter, "max_iter", 1)
     skip_above = tol * (1 + _BOUND_MARGIN)
-    state, total = initial, initial.total_trace()
+    state = initial
     residual = float("inf")
     for n in range(1, max_iter + 1):
         nxt = step(spec, state)
-        nxt_total = nxt.total_trace()  # each state's total is summed once
-        if (n == max_iter
-                or _trace_bound(nxt, state, spec.dim, nxt_total + total) <= skip_above):
+        if n == max_iter or _trace_bound(nxt, state, spec.dim) <= skip_above:
             residual = state_trace_distance(nxt, state)
             if residual <= tol:
                 return SteadyStateResult(nxt, n, True, residual)
-        state, total = nxt, nxt_total
+        state = nxt
     return SteadyStateResult(state, max_iter, False, residual)
 
 

@@ -1467,16 +1467,16 @@ def test_find_steady_state_matches_plain_loop(spec, initial):
 def test_find_steady_state_matches_plain_loop_on_every_builder(monkeypatch):
     # every builder from its canonical start, and a spec without edges
     # (no levels) from one node and from every node: the plain
-    # loop's stop, residual bits and blocks. The trace bound subtracts
-    # two rows of one plan directly and lines up any other pair with
-    # _difference; occupied sets that grow, shrink or fill run both
+    # loop's stop, residual bits and blocks. The trace bound lines the
+    # traces up with _difference, which subtracts rows at equal positions
+    # directly and fills the union of positions otherwise; occupied sets
+    # that grow, shrink or fill run both
     paths = Counter()
     bound = core._trace_bound
 
-    def recording(a, b, dim, total):
-        paths[a._pos is b._pos] += 1
-        assert total == a.total_trace() + b.total_trace()
-        return bound(a, b, dim, total)
+    def recording(a, b, dim):
+        paths[np.array_equal(a._pos, b._pos)] += 1
+        return bound(a, b, dim)
 
     monkeypatch.setattr(core, "_trace_bound", recording)
     empty = WalkSpec(nodes=(1, 2, 3), dim=2, transitions={})
@@ -1509,7 +1509,7 @@ def test_find_steady_state_stops_where_bound_meets_tol(omega, t_final):
     while not residuals or residuals[-1] > 1e-10:
         nxt = step(spec, state)
         residuals.append(state_trace_distance(nxt, state))
-        ratios.append(trace_bound(nxt, state, spec.dim) / residuals[-1])
+        ratios.append(core._trace_bound(nxt, state, spec.dim) / residuals[-1])
         state = nxt
     k = int(np.argmax(ratios))
     assert abs(ratios[k] - 1) < 1e-12
@@ -1626,11 +1626,6 @@ def test_state_trace_distance_matches_dense_and_per_node_sum():
                 assert got == expected
 
 
-def trace_bound(a: WalkerState, b: WalkerState, dim: int) -> float:
-    """core._trace_bound(a, b, dim) with the two states' summed total traces."""
-    return core._trace_bound(a, b, dim, a.total_trace() + b.total_trace())
-
-
 def rows_state(nodes: tuple, pos, rho) -> WalkerState:
     rho = np.array(rho, dtype=complex)
     return WalkerState._from_rows(nodes, np.asarray(pos, dtype=np.intp), rho,
@@ -1677,7 +1672,7 @@ def test_trace_bound_never_exceeds_trace_distance(dim):
         a = rows_state(nodes, pos, a)
         for x, y in ((a, b), (b, a)):
             exact = state_trace_distance(x, y)
-            bound = trace_bound(x, y, dim)
+            bound = core._trace_bound(x, y, dim)
             assert bound <= exact
             slack = core._TRACE_SLACK * dim * core._EPS * (
                 x.total_trace() + y.total_trace())
@@ -1694,20 +1689,20 @@ def test_trace_bound_never_exceeds_trace_distance(dim):
             copy = rows_state(tuple(list(nodes)), b._pos, b._rho)
             assert copy._nodes is not a._nodes
             assert state_trace_distance(a, copy) == state_trace_distance(a, b)
-            assert trace_bound(a, copy, dim) == trace_bound(a, b, dim)
-        if kind in (2, 3, 4):  # one positions array: the direct subtraction
+            assert core._trace_bound(a, copy, dim) == core._trace_bound(a, b, dim)
+        if kind in (2, 3, 4):  # one positions array, or a copy: both subtract directly
             assert a._pos is b._pos
             apart = rows_state(nodes, b._pos.copy(), b._rho)
-            assert trace_bound(a, apart, dim) == trace_bound(a, b, dim)
-            assert trace_bound(apart, a, dim) == trace_bound(b, a, dim)
+            assert core._trace_bound(a, apart, dim) == core._trace_bound(a, b, dim)
+            assert core._trace_bound(apart, a, dim) == core._trace_bound(b, a, dim)
         # as many rows at other positions: the traces line up by node
         moved = rows_state(nodes, np.sort((a._pos + 1) % 10), a._rho)
         tm, ta = moved.traces(), a.traces()
         gap = sum(abs(ta.get(n, 0.0) - tm.get(n, 0.0)) for n in nodes)
         slack = core._TRACE_SLACK * dim * core._EPS * (a.total_trace() + moved.total_trace())
-        assert trace_bound(a, moved, dim) == pytest.approx(0.5 * gap - slack, rel=1e-12)
+        assert core._trace_bound(a, moved, dim) == pytest.approx(0.5 * gap - slack, rel=1e-12)
     # equal states: the bound is the negative slack
-    assert trace_bound(a, a, dim) < 0 == state_trace_distance(a, a)
+    assert core._trace_bound(a, a, dim) < 0 == state_trace_distance(a, a)
 
 
 def test_walker_state_blocks_are_a_new_dict_on_each_access():
