@@ -15,20 +15,22 @@ One step maps the block at node i to
 which keeps the state block-diagonal in position: position coherences
 can never build up, so storage stays at O(V d^2) instead of O((V d)^2).
 
-A WalkSpec is compiled once into edge arrays: ``_src`` holds each
-edge's source position, ``_out`` its target's row in ``_targets``,
-``_group`` its row's operator number, one per bytewise-distinct
-operator, ``_run`` its row's run of one number along the stack,
-``_slot`` its index among its source's out-edges, and ``_ops`` is the
-read-only (E, d, d) operator stack (``transitions`` maps each edge to a
-view of its row), which ``validate_walk`` also reads, forming K^dag K
-once per ``_group`` number. Each distinct operator object is converted
-and numbered by its bytes once. Level j
-of the stack, one run of it, holds each target's j-th incoming edge by
-source position. ``_fan``, built at the first step, is a second, read-only
-copy of the operators: row block s of its (V, D*d, d) array stacks node
-s's out-operators [K_1; ...; K_D] by slot, zero rows padding nodes of
-smaller out-degree.
+A WalkSpec is compiled once into edge arrays over its edge stack:
+``_src`` holds each edge's source position, ``_out`` its target's row
+in ``_targets``, ``_group`` its operator's number, ``_run`` its row's
+run of one number along the stack and ``_slot`` its index among its
+source's out-edges. The operators themselves are stored once each:
+``_ops`` is the read-only (G, d, d) store of the G bytewise-distinct
+operators, numbered in first use, and a number is its operator's row,
+so ``_ops[_group]`` is the per-edge stack. ``transitions`` maps each
+edge to its operator's row view, one view object shared by all the
+edges of a number. ``validate_walk`` forms K^dag K once per row of the
+store. Each distinct operator object is converted and numbered by its
+bytes once. Level j of the stack, one run of it, holds each target's
+j-th incoming edge by source position. ``_fan``, built at the first
+step, is a second, read-only copy of the operators: row block s of its
+(V, D*d, d) array stacks node s's out-operators [K_1; ...; K_D] by
+slot, zero rows padding nodes of smaller out-degree.
 A WalkerState has one form, compact rows: a node tuple, the ascending
 positions of the occupied nodes in it, one (k, d, d) block stack and
 the k traces; ``WalkerState._pruned`` alone drops blocks of trace not
@@ -88,21 +90,22 @@ Node = Hashable
 # step; keeps line-walk storage proportional to the reachable window.
 PRUNE_TRACE = 1e-15
 
-# Bytes of K rho K^dag products a step forms at once. Each chunk also
-# holds the gathered blocks (a view of the state's rows where they are
-# consecutive) and one partial product of the same size, so its
+# Bytes of K rho K^dag products a step forms at once, one per edge. Each
+# chunk also holds the gathered blocks (a view of the state's rows where
+# they are consecutive) and one partial product of the same size, so its
 # transient memory stays near 3x this whatever d and the edge count
-# are. The output, one block per reached target, is written in place by
-# level 0 and filled with -0.0 first only when a target's first used
-# edge lies above level 0. A plan adds at most one conjugate copy of
-# its operators; only a chunk that forms K rho per edge holds K, a view
-# of the stack where its rows are consecutive (every ungrouped chunk of
-# the full plan), else a copy of at most twice its edges. A step whose
-# occupied sources' fan rows (k * D * d^2 entries) fit one chunk forms
-# K rho per source, from that one chunk-sized product; ``_fan`` is
-# compiled only when its zero padding also fits one chunk, so a node of
-# far larger out-degree than the rest does not cost O(V * D) stored
-# operators.
+# are; a grouped chunk pads its rows to at most twice its edges, which
+# doubles each of the three, so 6x bounds it. The output, one block per
+# reached target, is written in place by level 0 and filled with -0.0
+# first only when a target's first used edge lies above level 0. A plan
+# adds at most one conjugate copy of its operators; only a chunk that
+# forms K rho per edge holds K, a view of the store ``_ops`` where its
+# operator numbers step by 1, else a copy of at most twice its edges. A
+# step whose occupied sources' fan rows (k * D * d^2 entries) fit one
+# chunk forms K rho per source, from that one chunk-sized product;
+# ``_fan`` is compiled only when its zero padding also fits one chunk,
+# so a node of far larger out-degree than the rest does not cost
+# O(V * D) stored operators.
 _CHUNK_BYTES = 1 << 17
 
 # Iteration cap of find_steady_state (and of ``oqw steady``).
@@ -143,12 +146,14 @@ class WalkSpec:
     dim         internal Hilbert-space dimension, shared by all operators
     transitions (source, target) -> dim x dim complex matrix; absent
                 edges are implicit zero operators. After construction
-                the values are read-only views into the operator stack.
+                each value is the read-only row view of its operator in
+                the store, one view object per distinct operator.
 
     Compiling numbers the distinct operators by their bytes (-0.0 and
-    0.0 differ) into the read-only ``_group``, a number per stack row,
-    whose runs along the stack are ``_run``. Specs compare and hash by
-    identity.
+    0.0 differ) in first use and keeps each once: row g of the read-only
+    (G, d, d) store ``_ops`` is operator g, and the read-only ``_group``
+    holds each stack row's number, whose runs along the stack are
+    ``_run``. Specs compare and hash by identity.
     """
 
     nodes: tuple
@@ -185,20 +190,20 @@ class WalkSpec:
         ts = tgt[by_target]
         rank = np.arange(ts.size) - np.searchsorted(ts, ts)
         order = by_target[np.lexsort((ts, rank))]
-        # each distinct object's number by its operator's bytes, so that
-        # -0.0 and 0.0 are different operators; a row's number is its
-        # object's, and the (E, d, d) stack gathers the objects in stack order
+        # each distinct object's number by its operator's bytes, in first
+        # use, so that -0.0 and 0.0 are different operators; the (G, d, d)
+        # store holds each number's operator once (one of its byte-equal
+        # arrays), and an edge's number is its object's
         by_bytes = {}
-        numbers = np.array([by_bytes.setdefault(m.tobytes(), len(by_bytes)) for m in mats],
-                           np.intp)
-        obj = np.fromiter(map(dict(zip(distinct, range(len(mats)))).__getitem__, ids),
-                          np.intp, len(ids))[order]
-        ops = np.array(mats, complex).reshape(-1, d, d).take(obj, 0)
-        group = numbers[obj]
+        numbers = [by_bytes.setdefault(m.tobytes(), len(by_bytes)) for m in mats]
+        ops = np.array([*dict(zip(numbers, mats)).values()] or np.empty((0, d, d)), complex)
+        per_edge = np.fromiter(map(dict(zip(distinct, numbers)).__getitem__, ids),
+                               np.intp, len(ids))  # in insertion order
+        group = per_edge[order]
         for array in ops, group:
             array.setflags(write=False)
-        views = dict.fromkeys(self.transitions)  # insertion order; values: row views
-        views.update(zip(map(edges.__getitem__, order.tolist()), ops))
+        rows = list(ops)  # one read-only view per number, shared by its edges
+        views = dict(zip(edges, map(rows.__getitem__, per_edge.tolist())))
         # each row's run of equal operators along the stack
         runs = np.cumsum(np.diff(group, prepend=group[:1]) != 0)
         # where each level starts, then the edge count; the reached
@@ -236,7 +241,7 @@ class WalkSpec:
         if (v * width - self._slot.size) * 16 * d ** 2 > _CHUNK_BYTES:
             return None
         fan = np.zeros((v, width, d, d), dtype=complex)
-        fan[self._src, self._slot] = self._ops
+        fan[self._src, self._slot] = self._ops[self._group]
         fan = fan.reshape(v, width * d, d)
         fan.setflags(write=False)
         return fan
@@ -283,16 +288,14 @@ def validate_walk(spec: WalkSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     rank, then target position); its residual is the largest entry of
     |sum - I|, so a node with no outgoing edges has residual 1 (the zero
     map loses all probability). K^dag K is formed once per distinct
-    operator (``_group``). A K whose products overflow has an inf or NaN
+    operator, a row of the store ``_ops``, and taken by each edge's
+    number (``_group``). A K whose products overflow has an inf or NaN
     residual, which fails any tol, and raises no warning.
     """
     tol = _real(tol, "tol", 0, open_interval=True)
     order = np.argsort(spec._slot, kind="stable")  # level j: each source's j-th edge
-    group = spec._group
-    rows = np.empty(int(group.max(initial=-1)) + 1, dtype=np.intp)
-    rows[group] = np.arange(group.size)  # a row of each distinct operator
-    heads = spec._ops[rows]
-    terms = (heads.conj().transpose(0, 2, 1) @ heads).take(group[order], 0)
+    ops = spec._ops
+    terms = (ops.conj().transpose(0, 2, 1) @ ops).take(spec._group[order], 0)
     src = spec._src[order]
     sums = np.zeros((spec.node_count, spec.dim, spec.dim), dtype=complex)
     # one indexed add per level: a level's sources are distinct
@@ -473,6 +476,15 @@ def _span(index: np.ndarray) -> np.ndarray | slice:
     return index
 
 
+def _steps(index: np.ndarray) -> np.ndarray | slice:
+    """A non-empty index as a slice when its every step is 1, so that
+    indexing with it makes a view, else itself. Unlike ``_span``, right
+    for repeated and descending rows too."""
+    if (np.diff(index) == 1).all():
+        return slice(index[0], index[-1] + 1)
+    return index
+
+
 def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
     """(reached targets, fans, chunks, level0) of a step from occupied positions pos.
 
@@ -480,10 +492,12 @@ def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
     chunk of the used edges (source occupied), in stack order: K if it
     forms K rho per edge, its K^dag stack if stacked, the K rho gather
     index, back (None, or each edge's row in the padded product ``_groups``
-    lays out, at most min(per_chunk, twice its edges) rows in group
-    order) and, per level slice, (lo, hi) in the chunk, output rows and,
-    if tall, its K^dag. Consecutive rows are slices (``_span``), and so
-    is a per-edge gather index whose every step is 1. level0: the used
+    lays out, in group order, of at most twice as many rows as edges)
+    and, per level slice, (lo, hi) in the chunk, output rows and, if tall, its
+    K^dag. K and K^dag are read from the store ``_ops`` by operator
+    number. Consecutive output and fan rows are slices (``_span``), and
+    so are K and a per-edge gather index whose every step is 1
+    (``_steps``): views of ``_ops`` and of rho. level0: the used
     level-0 edges, the first in stack order, one per target whose rank-0
     source is occupied; fewer than the reached targets when some
     target's first used edge lies above level 0."""
@@ -494,7 +508,7 @@ def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
     row_of[pos] = np.arange(pos.size)
     src = row_of[spec._src]
     used = np.flatnonzero(src >= 0)  # each used edge's row of the stack
-    src, run, out = src[used], spec._run[used], spec._out[used]
+    src, run, out, group = src[used], spec._run[used], spec._out[used], spec._group[used]
     # the reached targets, and each used edge's row among them
     reached = np.zeros(spec._targets.size, dtype=bool)
     reached[out] = True
@@ -519,24 +533,21 @@ def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
         for lo, hi in zip(bounds, bounds[1:]):
             lo, hi = max(lo, e0), min(hi, e1)
             if lo < hi:
-                shared = ops[used[lo]].conj().T if run[lo] == run[hi - 1] else None
+                shared = ops[group[lo]].conj().T if run[lo] == run[hi - 1] else None
                 stacked = stacked or shared is None
                 slices.append((lo - e0, hi - e0, _span(out[lo:hi]), shared))
         gather, back = src[e0:e1], None
-        rows = heads = _span(used[e0:e1])  # the chunk's rows of the stack
+        numbers = heads = group[e0:e1]  # the chunk's operators
         if stacked:  # every slice reads one stacked product: per distinct
             # operator where _groups at least halves the products, else per edge
             slices = [(*level[:3], None) for level in slices]
-            grouped = _groups(spec._group[rows], min(per_chunk, 2 * (e1 - e0)))
+            grouped = _groups(numbers, 2 * (e1 - e0))
             if grouped:  # K rho rows in padded group order
                 pad, back, firsts = grouped
-                index = used[e0:e1]
-                rows, heads, gather = index[pad], index[firsts], gather[pad]
+                numbers, heads, gather = numbers[pad], numbers[firsts], gather[pad]
         k = None
-        if fans is None:
-            k = ops[rows]
-            if (np.diff(gather) == 1).all():  # consecutive rows of rho: a view
-                gather = slice(gather[0], gather[-1] + 1)
+        if fans is None:  # consecutive operators and rows of rho: views
+            k, gather = ops[_steps(numbers)], _steps(gather)
         # K^dag: transposed views of conj copies, as the tall-product test takes
         k_dag = ops[heads].conj().transpose(0, 2, 1) if stacked else None
         chunks.append((k, k_dag, gather, back, slices))

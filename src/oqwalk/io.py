@@ -103,14 +103,17 @@ def spec_from_dict(data: dict) -> WalkSpec:
     if not isinstance(entries, list):
         raise ValueError(
             f"spec 'transitions' must be a list, got {type(entries).__name__}")
-    transitions = {}
+    # seen: the first array of each shape and bytes, shared by the edges
+    # whose literals equal it, so that the spec converts it once
+    transitions, seen = {}, {}
     for k, entry in enumerate(entries):
         what = f"transition {k}"
         key = tuple(_label(_get(entry, end, what), f"{what} {end!r}")
                     for end in ("from", "to"))
         if key in transitions:
             raise ValueError(f"{what} repeats the edge {key[0]!r} -> {key[1]!r}")
-        transitions[key] = _matrix(_get(entry, "matrix", what), what)
+        m = _matrix(_get(entry, "matrix", what), what)
+        transitions[key] = seen.setdefault((m.shape, m.tobytes()), m)
     return WalkSpec(nodes=tuple(_label(n, "node label") for n in nodes),
                     dim=dim, transitions=transitions)
 

@@ -86,8 +86,9 @@ def signed_zero_spec() -> WalkSpec:
 
 
 def reference_compile(nodes, dim, transitions) -> tuple:
-    """A spec's compiled arrays, built edge by edge: (_ops, _src, _run,
-    _slot, _levels) as lists or arrays, and the edges in stack order.
+    """A spec's compiled arrays, built edge by edge: the per-edge operator
+    stack _ops[_group], _src, _run, _slot and _levels as lists or arrays,
+    and the edges in stack order.
 
     Stack order is (rank, target position), an edge's rank its index
     among its target's incoming edges by source position. Each operator
@@ -114,9 +115,16 @@ def reference_compile(nodes, dim, transitions) -> tuple:
 
 def assert_compiled_like_reference(spec, nodes, dim, transitions, label):
     ops, src, run, slot, levels, stacked = reference_compile(nodes, dim, transitions)
-    assert spec._ops.shape == ops.shape, label
-    assert spec._ops.tobytes() == ops.tobytes(), label
-    assert not spec._ops.flags.writeable, label
+    store, group = spec._ops, spec._group
+    per_edge = store[group]
+    assert per_edge.shape == ops.shape, label
+    assert per_edge.tobytes() == ops.tobytes(), label
+    # the store: one read-only row per byte-distinct operator
+    assert store.shape[1:] == (dim, dim) and not store.flags.writeable, label
+    assert len({row.tobytes() for row in store}) == len(store), label
+    # numbered in first use, by insertion order
+    number = dict(zip(stacked, group.tolist()))
+    assert [*dict.fromkeys(map(number.get, transitions))] == [*range(len(store))], label
     assert spec._src.tolist() == src, label
     assert spec._run.tolist() == run, label
     assert spec._slot.tolist() == slot, label
@@ -124,9 +132,11 @@ def assert_compiled_like_reference(spec, nodes, dim, transitions, label):
     assert list(spec.transitions) == list(transitions), label  # insertion order
     for row, edge in enumerate(stacked):
         view = spec.transitions[edge]
-        assert view.base is spec._ops, (label, edge)  # a view into the one stack
-        assert view.ctypes.data == spec._ops[row].ctypes.data, (label, edge)
+        assert view.base is store and not view.flags.writeable, (label, edge)
+        assert view.ctypes.data == store[group[row]].ctypes.data, (label, edge)
         assert view.tobytes() == ops[row].tobytes(), (label, edge)
+    # one view object per operator, shared by all its edges
+    assert len({id(view) for view in spec.transitions.values()}) == len(store), label
 
 
 def test_spec_compiles_like_a_per_edge_reference(monkeypatch):
@@ -312,7 +322,8 @@ def test_validate_matches_per_node_loop(dim):
 def per_edge_residuals(spec: WalkSpec) -> np.ndarray:
     """validate_walk's residuals from one K^dag K product per edge, each
     source's terms added in stack order onto a zero sum."""
-    terms = spec._ops.conj().transpose(0, 2, 1) @ spec._ops
+    ops = spec._ops[spec._group]  # the per-edge stack
+    terms = ops.conj().transpose(0, 2, 1) @ ops
     sums = np.zeros((spec.node_count, spec.dim, spec.dim), dtype=complex)
     for row, source in enumerate(spec._src.tolist()):
         sums[source] += terms[row]
@@ -320,8 +331,8 @@ def per_edge_residuals(spec: WalkSpec) -> np.ndarray:
 
 
 def test_validate_matches_per_edge_products_bitwise():
-    # K^dag K is formed once per run of equal operators: the same product
-    # of the same bytes, so the residuals keep every bit
+    # K^dag K is formed once per stored operator: the same product of the
+    # same bytes, so the residuals keep every bit
     rng = np.random.default_rng(17)
     cases = [(label, spec) for label, spec, _ in scenario_cases()]
     cases += [("line 50", build_line_walk(np.arccos(0.8), 50)[0]),
@@ -829,7 +840,7 @@ def test_step_matches_reference_with_repeated_operators_in_mixed_slices(monkeypa
     for dim in (1, 2, 3):
         spec = repeated_operator_spec(rng, 20, dim)  # plans are built at first use
         assert validate_walk(spec).ok
-        assert len({op.tobytes() for op in spec._ops}) == 6
+        assert len(spec._ops) == 6
         for occupied in (20, 7, 1):
             state = WalkerState(random_block_state(spec.nodes, dim, rng, occupied))
             for _ in range(6):
@@ -842,13 +853,13 @@ def test_spec_runs_of_equal_operators():
     # _group numbers each row's operator by its bytes, so that rows of one
     # number are the byte-equal ones; _run numbers the runs of _group
     def byte_runs(spec):
-        rows = [op.tobytes() for op in spec._ops]
+        rows = [op.tobytes() for op in spec._ops[spec._group]]
         new = [k == 0 or rows[k] != rows[k - 1] for k in range(len(rows))]
         return np.cumsum(new, dtype=np.intp) - 1
 
     def byte_numbers(spec):
         number = {}
-        return [number.setdefault(op.tobytes(), len(number)) for op in spec._ops]
+        return [number.setdefault(op.tobytes(), len(number)) for op in spec._ops[spec._group]]
 
     from oqwalk.scenarios import build_dqc_chain
 
@@ -930,7 +941,7 @@ def test_spec_fans_out_operators_by_source():
         assert not fan.flags.writeable, label
         blocks = fan.reshape(v, width, d, d)
         seen = Counter()
-        for row, (src, op) in enumerate(zip(spec._src.tolist(), spec._ops)):
+        for row, (src, op) in enumerate(zip(spec._src.tolist(), spec._ops[spec._group])):
             assert spec._slot[row] == seen[src], label
             assert blocks[src, seen[src]].tobytes() == op.tobytes(), label
             seen[src] += 1
@@ -1057,7 +1068,7 @@ def same_array(a, b) -> bool:
     return b is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_regroups(plan, flat, per_chunk) -> int:
+def assert_regroups(plan, flat) -> int:
     """plan's chunks are flat's per-edge chunks, a grouped one in padded
     group order: back takes its K rho rows (and K) to flat's, and row
     back // n of its K^dag stack is flat's. Returns the grouped count."""
@@ -1078,7 +1089,7 @@ def assert_regroups(plan, flat, per_chunk) -> int:
         gather, fgather = as_rows(gather), as_rows(fgather)
         edges, products = fgather.size, len(k_dag)
         n = gather.size // products
-        assert gather.size == products * n <= min(per_chunk, 2 * edges)
+        assert gather.size == products * n <= 2 * edges  # padded to at most twice
         assert 2 * products <= edges  # at least halves the K^dag products
         assert all(s[3] is None for s in slices)
         assert same_array(gather[back], fgather)
@@ -1110,9 +1121,9 @@ def test_plan_groups_mixed_chunks_by_distinct_operator(monkeypatch):
     every = np.arange(21)
     for seed, products, rows in ((0, 10, 80), (11, 14, 70)):
         spec, _ = build_dqc_chain(benchmark_gates(seed), 0.5)
-        assert len({op.tobytes() for op in spec._ops}) == 10
+        assert len(spec._ops) == 10
         flat = per_edge_plan(monkeypatch, spec, every)
-        assert assert_regroups(spec._full_plan, flat, 2048) == 1
+        assert assert_regroups(spec._full_plan, flat) == 1
         _, k_dag, gather, back, _ = spec._full_plan[2][0]
         assert (len(k_dag), gather.size) == (products, rows), seed
         assert not (back.flags.writeable or gather.flags.writeable)
@@ -1122,7 +1133,7 @@ def test_plan_groups_mixed_chunks_by_distinct_operator(monkeypatch):
     spec, _ = build_dqc_chain([random_unitary(32, rng) for _ in range(48)], 0.5)
     for pos in (every[:2], np.arange(30), np.arange(spec.node_count)):
         assert assert_regroups(core._plan(spec, pos), per_edge_plan(
-            monkeypatch, spec, pos), 8) == 0
+            monkeypatch, spec, pos)) == 0
 
 
 @pytest.mark.parametrize("chunk", ["default", "small"])
@@ -1135,11 +1146,10 @@ def test_plan_groups_repeated_operators_within_bounds(monkeypatch, chunk):
     grouped = 0
     for dim in (1, 2, 3):
         spec = repeated_operator_spec(rng, 20, dim)
-        per_chunk = max(1, core._CHUNK_BYTES // (16 * dim ** 2))
         for occupied in (20, 12, 5):
             pos = np.sort(rng.choice(20, size=occupied, replace=False))
             grouped += assert_regroups(core._plan(spec, pos), per_edge_plan(
-                monkeypatch, spec, pos), per_chunk)
+                monkeypatch, spec, pos))
     assert grouped >= 3
 
 
@@ -1198,10 +1208,12 @@ def test_plan_chunks_form_each_k_dag_product_once(monkeypatch, chunk):
 
 def test_plan_holds_k_only_per_edge_and_as_views_of_the_stack():
     # a chunk that forms K rho per source holds no K; the full plan's
-    # per-edge K are views of the operator stack, not copies, and a
-    # per-edge gather of consecutive rows of rho is a slice
+    # per-edge K is a view of the operator store exactly where the
+    # chunk's operator numbers step by 1, and a per-edge gather of
+    # consecutive rows of rho is a slice
     rng = np.random.default_rng(67)
-    fanned = viewed = sliced = 0
+    fanned = sliced = 0
+    viewed = Counter()
     for label, spec in plan_cases(rng):
         for pos in (np.arange(spec.node_count), np.arange(0, spec.node_count, 2)):
             _, fans, chunks, _ = core._plan(spec, pos)
@@ -1210,15 +1222,69 @@ def test_plan_holds_k_only_per_edge_and_as_views_of_the_stack():
                 assert all(k is None for k, *_ in chunks), label
         _, fans, chunks, _ = spec._full_plan
         if fans is None:
-            for k, _, gather, back, _ in chunks:
+            e0 = 0
+            for k, _, gather, back, slices in chunks:
+                e1 = e0 + slices[-1][1]  # the full plan uses every edge
                 if back is None:  # a grouped chunk's K is in padded group order
-                    assert np.shares_memory(k, spec._ops), label
-                    viewed += 1
+                    numbers = spec._group[e0:e1]
+                    assert k.tobytes() == spec._ops[numbers].tobytes(), label
+                    steps = bool((np.diff(numbers) == 1).all())
+                    assert np.shares_memory(k, spec._ops) == steps, label
+                    viewed[label] += steps
                 rows = as_rows(gather)
                 assert isinstance(gather, slice) == bool((np.diff(rows) == 1).all()), label
                 sliced += isinstance(gather, slice)
-    # the d = 32 chain alone has 13 chunks, 10 of them on consecutive rows
-    assert fanned and viewed >= 12 and sliced >= 10
+                e0 = e1
+    # the d = 32 chain alone has 13 chunks, 12 of them on consecutive
+    # operators and 10 on consecutive rows
+    assert fanned and viewed["d=32 chain"] >= 12 and sliced >= 10
+
+
+def test_step_matches_reference_with_repeated_numbers_in_a_per_edge_chunk(monkeypatch):
+    # unitary self-loops inserted so that the stack's operator numbers
+    # read [0, 1, 0, 3, 2, 1]; at four edges per chunk the first chunk's
+    # numbers [0, 1, 0, 3] span rows 0 to 3 end to end, yet its K is not
+    # those rows: it must be taken, not sliced
+    monkeypatch.setattr(core, "_CHUNK_BYTES", 4 * 16 * 2 ** 2)
+    rng = np.random.default_rng(71)
+    a, b, c, d = (random_unitary(2, rng) for _ in range(4))
+    spec = WalkSpec(nodes=tuple(range(6)), dim=2, transitions={
+        (0, 0): a, (1, 1): b, (4, 4): c, (3, 3): d, (2, 2): a, (5, 5): b})
+    assert spec._group.tolist() == [0, 1, 0, 3, 2, 1]
+    for occupied in (6, 5):
+        pos = np.arange(occupied)
+        _, fans, chunks, _ = core._plan(spec, pos)
+        k, k_dag, _, back, _ = chunks[0]
+        assert fans is None and k_dag is not None and back is None
+        assert k.tobytes() == spec._ops[[0, 1, 0, 3]].tobytes()
+        state = WalkerState(random_block_state(pos.tolist(), 2, rng))
+        for _ in range(3):
+            expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+            state = step(spec, state)
+            assert_same_blocks(state.blocks, expected)
+
+
+def test_plan_groups_a_full_chunk_of_a_long_repeated_gate_chain(monkeypatch):
+    # a d = 2 chain of four gates repeated: 8 distinct operators, so a
+    # full chunk of 2048 edges groups into 8 products of at most twice
+    # its edges, and the one chunk of 2002 edges (T = 1000) too
+    from oqwalk.linalg import HADAMARD, S_GATE, T_GATE
+    from oqwalk.scenarios import build_dqc_chain
+
+    rng = np.random.default_rng(73)
+    for t_final, sizes in ((1500, [2048, 954]), (1000, [2002])):
+        spec, _ = build_dqc_chain([HADAMARD, PAULI_X, S_GATE, T_GATE] * (t_final // 4), 0.5)
+        assert len(spec._ops) == 8
+        plan = spec._full_plan
+        assert [chunk[4][-1][1] for chunk in plan[2]] == sizes
+        _, k_dag, gather, _, _ = plan[2][0]
+        assert len(k_dag) == 8 and gather.size <= 2 * sizes[0], t_final
+        assert_regroups(plan, per_edge_plan(monkeypatch, spec, np.arange(spec.node_count)))
+        state = WalkerState(random_block_state(spec.nodes, 2, rng))
+        for _ in range(2):
+            expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+            state = step(spec, state)
+            assert_same_blocks(state.blocks, expected)
 
 
 def test_step_and_extract_blocks_prune_alike():

@@ -51,6 +51,39 @@ def test_spec_round_trip_string_nodes():
         assert np.max(np.abs(back.transitions[key] - op)) <= 1e-15
 
 
+def test_spec_round_trip_compiles_each_operator_once(monkeypatch):
+    # a loaded spec shares one array among the byte-equal matrix
+    # literals, so it converts each distinct operator once and compiles
+    # to the bytes of the spec it was written from
+    from oqwalk import core
+    from oqwalk.scenarios import build_dqc_chain
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return matrix(*args)
+
+    matrix = core._matrix
+    monkeypatch.setattr(core, "_matrix", counting)
+    literal = [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
+    specs = [build_line_walk(np.arccos(0.8), 20)[0], build_bell_grid(),
+             build_dqc_chain([literal[k % 2] for k in range(6)], 0.5)[0]]
+    for spec in specs:
+        text = spec_to_json(spec)
+        calls.clear()
+        back = spec_from_json(text)
+        assert len(calls) == len(spec._ops) < len(spec.transitions)
+        for name in ("_ops", "_group", "_src", "_slot", "_out"):
+            assert getattr(back, name).tobytes() == getattr(spec, name).tobytes(), name
+    # equal bytes in another shape are another matrix
+    doc = {"nodes": [0, 1], "dim": 2, "transitions": [
+        {"from": 0, "to": 1, "matrix": [[1, 0], [0, 1]]},
+        {"from": 1, "to": 0, "matrix": [[1, 0, 0, 1]]}]}
+    with pytest.raises(ValueError, match=r"edge \(1 -> 0\) must be a square matrix"):
+        spec_from_dict(doc)
+
+
 def test_state_round_trip_with_node_collection():
     spec = build_gate_walk(PAULI_X, 0.3)
     state = WalkerState(random_block_state([1, 2], 2, np.random.default_rng(6)))
