@@ -58,13 +58,12 @@ def test_spec_round_trip_compiles_each_operator_once(monkeypatch):
     from oqwalk import core
     from oqwalk.scenarios import build_dqc_chain
 
-    calls = []
+    calls, matrix = [], core._matrix
 
     def counting(*args):
         calls.append(args[1])
         return matrix(*args)
 
-    matrix = core._matrix
     monkeypatch.setattr(core, "_matrix", counting)
     literal = [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
     specs = [build_line_walk(np.arccos(0.8), 20)[0], build_bell_grid(),
