@@ -15,22 +15,28 @@ One step maps the block at node i to
 which keeps the state block-diagonal in position: position coherences
 can never build up, so storage stays at O(V d^2) instead of O((V d)^2).
 
-A WalkSpec is compiled once into edge arrays over its edge stack:
-``_src`` holds each edge's source position, ``_out`` its target's row
-in ``_targets``, ``_group`` its operator's number, ``_run`` its row's
-run of one number along the stack and ``_slot`` its index among its
-source's out-edges. The operators themselves are stored once each:
+A WalkSpec has two front ends and one compile. ``WalkSpec(nodes, dim,
+transitions)`` maps its dict to an operator table (the distinct operator
+objects, and each edge's source and target positions and object number,
+in insertion order); the line, transport, gate and dqc builders hand
+such a table to ``WalkSpec._table`` as index arrays. The compile turns the
+table into edge arrays over the edge stack: ``_src`` holds each edge's
+source position, ``_out`` its target's row in ``_targets``, ``_group``
+its operator's number, ``_run`` its row's run of one number along the
+stack, ``_slot`` its index among its source's out-edges and ``_order``
+its insertion index. The operators themselves are stored once each:
 ``_ops`` is the read-only (G, d, d) store of the G bytewise-distinct
 operators, numbered in first use, and a number is its operator's row,
-so ``_ops[_group]`` is the per-edge stack. ``transitions`` maps each
-edge to its operator's row view, one view object shared by all the
-edges of a number. ``validate_walk`` forms K^dag K once per row of the
-store. Each distinct operator object is converted and numbered by its
-bytes once. Level j of the stack, one run of it, holds each target's
-j-th incoming edge by source position. ``_fan``, built at the first
-step, is a second, read-only copy of the operators: row block s of its
-(V, D*d, d) array stacks node s's out-operators [K_1; ...; K_D] by
-slot, zero rows padding nodes of smaller out-degree.
+so ``_ops[_group]`` is the per-edge stack. ``transitions``, built from
+these arrays on first access (validating, stepping and iterating never
+read it), maps each edge to its operator's row view, one view object
+shared by all the edges of a number. ``validate_walk`` forms K^dag K
+once per row of the store. Each listed operator is converted and
+numbered by its bytes once. Level j of the stack, one run of it, holds
+each target's j-th incoming edge by source position. ``_fan``, built at
+the first step, is a second, read-only copy of the operators: row block
+s of its (V, D*d, d) array stacks node s's out-operators [K_1; ...;
+K_D] by slot, zero rows padding nodes of smaller out-degree.
 A WalkerState has one form, compact rows: a node tuple, the ascending
 positions of the occupied nodes in it, one (k, d, d) block stack and
 the k traces; ``WalkerState._pruned`` alone drops blocks of trace not
@@ -75,7 +81,7 @@ brute-force cross-check of the block evolution.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Hashable, Iterator
 
@@ -137,7 +143,6 @@ _TRACE_SLACK = 8
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True, eq=False)
 class WalkSpec:
     """A walk graph with one transition operator per directed edge.
 
@@ -145,65 +150,95 @@ class WalkSpec:
                 serialization order; builders list them sorted)
     dim         internal Hilbert-space dimension, shared by all operators
     transitions (source, target) -> dim x dim complex matrix; absent
-                edges are implicit zero operators. After construction
-                each value is the read-only row view of its operator in
-                the store, one view object per distinct operator.
+                edges are implicit zero operators.
 
-    Compiling numbers the distinct operators by their bytes (-0.0 and
-    0.0 differ) in first use and keeps each once: row g of the read-only
-    (G, d, d) store ``_ops`` is operator g, and the read-only ``_group``
-    holds each stack row's number, whose runs along the stack are
-    ``_run``. Specs compare and hash by identity.
+    Two front ends feed one compile. This constructor maps its dict to
+    an operator table: each distinct operator object once, by first use,
+    and each edge's source and target positions and object number, in
+    insertion order. The builders of long walks hand such a table to
+    ``_table`` directly. The compile converts each operator once,
+    numbers the distinct operators by their bytes (-0.0 and 0.0 differ)
+    in first use and keeps each once: row g of the read-only (G, d, d)
+    store ``_ops`` is operator g, and the read-only ``_group`` holds
+    each stack row's number, whose runs along the stack are ``_run``.
+    ``transitions`` is built from those arrays on first access, which
+    validating, running and iterating a spec never make: the same edges
+    in insertion order, each mapped to the read-only row view of its
+    operator in the store, one view object per number. Specs are frozen
+    and compare and hash by identity.
     """
 
-    nodes: tuple
-    dim: int
-    transitions: dict
-
-    def __post_init__(self):
-        nodes = tuple(self.nodes)
-        if not nodes:
-            raise ValueError("a walk needs at least one node")
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("duplicate node labels")
-        object.__setattr__(self, "dim", d := _count(self.dim, "dim", 1))
-        index = {n: k for k, n in enumerate(nodes)}
-        edges, given = list(self.transitions), list(self.transitions.values())
+    def __init__(self, nodes: tuple, dim: int, transitions: dict):
+        index = self._set_nodes(nodes, dim)
+        edges, given = list(transitions), list(transitions.values())
         # each distinct operator object, by first use, converted once
         distinct = dict(zip(ids := list(map(id, given)), given))
+        number = dict(zip(distinct, range(len(distinct))))
         try:  # KeyError: an unknown node; TypeError, ValueError: a bad key or operator
-            src = np.array([index[s] for s, _ in edges], dtype=np.intp)
-            tgt = np.array([index[t] for _, t in edges], dtype=np.intp)
-            mats = [_matrix(op, "operator", d) for op in distinct.values()]
-        except (KeyError, TypeError, ValueError):
-            mats = None
-        if mats is None:
-            for (s, t), op in self.transitions.items():  # raise the first bad edge's error
-                if s not in index or t not in index:
-                    raise ValueError(f"edge ({s!r} -> {t!r}) uses unknown nodes")
-                _matrix(op, f"operator on edge ({s!r} -> {t!r})", d)
+            self._compile(list(distinct.values()), [index[s] for s, _ in edges],
+                          [index[t] for _, t in edges], list(map(number.get, ids)))
+            return
+        except (KeyError, TypeError, ValueError) as exc:
+            error = exc
+        for (s, t), op in transitions.items():  # raise the first bad edge's error
+            if s not in index or t not in index:
+                raise ValueError(f"edge ({s!r} -> {t!r}) uses unknown nodes")
+            _matrix(op, f"operator on edge ({s!r} -> {t!r})", self.dim)
+        raise error
+
+    @classmethod
+    def _table(cls, nodes: tuple, dim: int, operators, source, target,
+               number) -> "WalkSpec":
+        """The spec whose edge k, in insertion order, runs from node
+        position source[k] to target[k] and carries operators[number[k]].
+        The edges are distinct and the operators listed in first use, each
+        used (else ValueError); byte-equal operators share a number."""
+        spec = cls.__new__(cls)
+        spec._set_nodes(nodes, dim)
+        spec._compile(operators, source, target, number)
+        return spec
+
+    def _set_nodes(self, nodes, dim) -> dict:
+        """Check and set ``nodes`` and ``dim``; return the position of each label."""
+        nodes = tuple(nodes)
+        if not nodes:
+            raise ValueError("a walk needs at least one node")
+        index = {n: k for k, n in enumerate(nodes)}
+        if len(index) != len(nodes):
+            raise ValueError("duplicate node labels")
+        for name, value in ("nodes", nodes), ("dim", _count(dim, "dim", 1)), ("_index", index):
+            object.__setattr__(self, name, value)
+        return index
+
+    def _compile(self, operators, source, target, number) -> None:
+        """Compile an operator table (see ``_table``) into the edge arrays."""
+        d = self.dim
+        mats = [_matrix(op, "operator", d) for op in operators]
+        src, tgt, obj = (np.asarray(a, dtype=np.intp) for a in (source, target, number))
         # Stack order is (rank, target position), an edge's rank its index
         # among its target's incoming edges by source position: level j is
         # one run of the stack with distinct targets, and step() adds each
         # target's terms in ascending source order, bitwise reproducibly.
         by_target = np.lexsort((src, tgt))
-        ts = tgt[by_target]
+        ts, ss = tgt[by_target], src[by_target]
         rank = np.arange(ts.size) - np.searchsorted(ts, ts)
+        if ((rank[1:] > 0) & (ss[1:] == ss[:-1])).any():  # a source twice on one target
+            raise ValueError("an edge repeats")
         order = by_target[np.lexsort((ts, rank))]
-        # each distinct object's number by its operator's bytes, in first
-        # use, so that -0.0 and 0.0 are different operators; the (G, d, d)
-        # store holds each number's operator once (one of its byte-equal
-        # arrays), and an edge's number is its object's
+        # each operator's number by its bytes, in first use, so that -0.0
+        # and 0.0 are different operators; the (G, d, d) store holds each
+        # number's operator once (one of its byte-equal arrays)
         by_bytes = {}
         numbers = [by_bytes.setdefault(m.tobytes(), len(by_bytes)) for m in mats]
         ops = np.array([*dict(zip(numbers, mats)).values()] or np.empty((0, d, d)), complex)
-        per_edge = np.fromiter(map(dict(zip(distinct, numbers)).__getitem__, ids),
-                               np.intp, len(ids))  # in insertion order
+        per_edge = np.array(numbers, dtype=np.intp)[obj]  # in insertion order
+        # first use: the numbers so far rise by at most 1 at each edge, to G - 1
+        top = np.maximum.accumulate(np.concatenate(([-1], per_edge)))
+        if (np.diff(top) > 1).any() or top[-1] != len(ops) - 1:
+            raise ValueError("operators must be listed in first use, each used")
         group = per_edge[order]
         for array in ops, group:
             array.setflags(write=False)
-        rows = list(ops)  # one read-only view per number, shared by its edges
-        views = dict(zip(edges, map(rows.__getitem__, per_edge.tolist())))
         # each row's run of equal operators along the stack
         runs = np.cumsum(np.diff(group, prepend=group[:1]) != 0)
         # where each level starts, then the edge count; the reached
@@ -217,11 +252,28 @@ class WalkSpec:
         slot = np.empty_like(by_src)
         slot[by_src] = np.arange(ss.size) - np.searchsorted(ss, ss)
         for name, value in (
-                ("nodes", nodes), ("transitions", views), ("_index", index),
                 ("_src", src), ("_ops", ops), ("_levels", levels), ("_group", group),
                 ("_run", runs), ("_slot", slot), ("_targets", targets),
-                ("_out", np.searchsorted(targets, tgt[order]))):
+                ("_out", np.searchsorted(targets, tgt[order])), ("_order", order)):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def transitions(self) -> dict:
+        """(source, target) -> the read-only row view of its operator in
+        ``_ops``, in insertion order (``_order`` holds each stack row's
+        insertion index), one view object per number."""
+        row = np.empty_like(self._order)
+        row[self._order] = np.arange(row.size)  # each edge's stack row
+        label, views = self.nodes.__getitem__, list(self._ops)
+        edges = zip(map(label, self._src[row].tolist()),
+                    map(label, self._targets[self._out[row]].tolist()))
+        return dict(zip(edges, map(views.__getitem__, self._group[row].tolist())))
 
     @property
     def node_count(self) -> int:

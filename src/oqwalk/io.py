@@ -57,12 +57,21 @@ def ket_from_json(data) -> np.ndarray:
 
 
 def spec_to_dict(spec: WalkSpec) -> dict:
+    """The spec's nodes, dim and one entry per edge, in insertion order.
+
+    Each operator is converted once (its edges share one view object), and
+    every edge gets its own copy of the nested lists, so that editing one
+    edge's matrix in the document changes no other edge.
+    """
+    transitions = spec.transitions
+    rows = {id(op): op for op in transitions.values()}
+    rows = {key: matrix_to_json(op) for key, op in rows.items()}
     return {
         "nodes": list(spec.nodes),
         "dim": spec.dim,
         "transitions": [
-            {"from": src, "to": tgt, "matrix": matrix_to_json(op)}
-            for (src, tgt), op in spec.transitions.items()
+            {"from": src, "to": tgt, "matrix": [list(map(list, row)) for row in rows[id(op)]]}
+            for (src, tgt), op in transitions.items()
         ],
     }
 

@@ -60,17 +60,15 @@ def _chain(mats: list, forward: float, nodes) -> WalkSpec:
     """Register chain: hop k -> k+1 applies sqrt(forward) * mats[k], the
     hop back undoes it with sqrt(1 - forward) * mats[k]^dag, and scaled
     identities keep the leftover weight at both ends."""
-    nodes = tuple(nodes)
     back = 1.0 - forward
     eye = np.eye(mats[0].shape[0], dtype=complex)
-    transitions = {}
-    for k, u in enumerate(mats):
-        transitions[(nodes[k], nodes[k + 1])] = math.sqrt(forward) * u
-    for k, u in enumerate(mats):
-        transitions[(nodes[k + 1], nodes[k])] = math.sqrt(back) * u.conj().T
-    transitions[(nodes[0], nodes[0])] = math.sqrt(back) * eye
-    transitions[(nodes[-1], nodes[-1])] = math.sqrt(forward) * eye
-    return WalkSpec(nodes=nodes, dim=eye.shape[0], transitions=transitions)
+    t, k = len(mats), np.arange(len(mats))
+    operators = [*(math.sqrt(forward) * u for u in mats),
+                 *(math.sqrt(back) * u.conj().T for u in mats),
+                 math.sqrt(back) * eye, math.sqrt(forward) * eye]
+    # the forward hops, the hops back, then the stays at both ends
+    return WalkSpec._table(nodes, eye.shape[0], operators, np.concatenate((k, k + 1, [0, t])),
+                           np.concatenate((k + 1, k, [0, t])), np.arange(2 * t + 2))
 
 
 def line_hop_operators(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -99,13 +97,13 @@ def build_line_walk(theta: float, window: int) -> tuple[WalkSpec, WalkerState]:
     """
     window = _count(window, "window", 1)
     right, left = line_hop_operators(_real(theta, "theta"))
-    sites = list(range(-window, window + 1))
-    n = len(sites)
-    transitions = {}
-    for k, site in enumerate(sites):
-        transitions[(site, sites[(k + 1) % n])] = right
-        transitions[(site, sites[(k - 1) % n])] = left
-    spec = WalkSpec(nodes=tuple(sites), dim=2, transitions=transitions)
+    # the sites before any array, so a window too large to build fails
+    # at once with MemoryError or OverflowError
+    sites = tuple(range(-window, window + 1))
+    k = np.arange(n := len(sites))
+    # site k hops right onto k + 1, then left onto k - 1, around the ring
+    spec = WalkSpec._table(sites, 2, (right, left), k.repeat(2),
+                           ((k[:, None] + (1, -1)) % n).ravel(), np.tile((0, 1), n))
     return spec, mixed_state(0, 2)
 
 
@@ -233,12 +231,12 @@ def build_transport_chain(
     nodes = tuple(range(1, n_nodes + 1))
     forward = math.sqrt(q) * outer(psi2) + outer(psi1)
     convert = math.sqrt(p) * outer(psi1, psi2)
-    transitions = {}
-    for site in range(1, n_nodes):
-        transitions[(site, site + 1)] = forward
-        transitions[(site, site)] = convert
-    transitions[(n_nodes, n_nodes)] = np.eye(2, dtype=complex)
-    spec = WalkSpec(nodes=nodes, dim=2, transitions=transitions)
+    # sites 1..N-1 hop forward, then stay; site N stays
+    k, last = np.arange(n_nodes - 1), n_nodes - 1
+    source = np.append(k.repeat(2), last)
+    target = np.append((k[:, None] + (1, 0)).ravel(), last)
+    spec = WalkSpec._table(nodes, 2, (forward, convert, np.eye(2, dtype=complex)),
+                           source, target, np.append(np.tile((0, 1), last), 2))
     return spec, mixed_state(1, 2)
 
 

@@ -821,3 +821,26 @@ def test_main_rejected_walk_names_worst_node(tmp_path, capsys, doc):
     assert main(["validate", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out == f"{report}\n"
+
+
+def test_cli_never_builds_a_specs_transitions(monkeypatch, capsys):
+    # run, steady and validate read the compiled arrays only: the
+    # transitions dict, built on first access, stays unbuilt
+    import shlex
+
+    from oqwalk import cli
+    from test_digests import COMMANDS
+
+    specs = []
+
+    def recording(cfg):
+        plan = build_plan(cfg)
+        specs.append(plan.spec)
+        return plan
+
+    monkeypatch.setattr(cli, "build_plan", recording)
+    for command in COMMANDS:
+        specs.clear()
+        assert main(shlex.split(command)) in (0, 2), command
+        assert len(specs) == 1 and "transitions" not in vars(specs[0]), command
+    capsys.readouterr()

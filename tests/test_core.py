@@ -139,18 +139,11 @@ def assert_compiled_like_reference(spec, nodes, dim, transitions, label):
     assert len({id(view) for view in spec.transitions.values()}) == len(store), label
 
 
-def test_spec_compiles_like_a_per_edge_reference(monkeypatch):
-    from oqwalk import scenarios
-
-    inputs = []  # each builder's WalkSpec arguments, operator objects kept
-
-    def recording(nodes, dim, transitions):
-        inputs.append((tuple(nodes), dim, dict(transitions)))
-        return WalkSpec(nodes=nodes, dim=dim, transitions=transitions)
-
-    monkeypatch.setattr(scenarios, "WalkSpec", recording)
+def test_spec_compiles_like_a_per_edge_reference():
+    # each builder's spec against the reference compile of its own public
+    # transitions (builders of long walks hand the engine arrays, not a dict)
     cases = [(label, spec) for label, spec, _ in scenario_cases()]
-    assert len(inputs) == len(cases)
+    inputs = [(spec.nodes, spec.dim, dict(spec.transitions)) for _, spec in cases]
     line_ops = inputs[0][2].values()
     assert len({id(op) for op in line_ops}) == 2 < len(line_ops)  # shared objects
 
@@ -177,6 +170,64 @@ def test_spec_compiles_like_a_per_edge_reference(monkeypatch):
     for (label, spec), (nodes, dim, transitions) in zip(cases, inputs):
         assert spec.nodes == nodes and spec.dim == dim, label
         assert_compiled_like_reference(spec, nodes, dim, transitions, label)
+
+
+# the compiled arrays both front ends must agree on, byte for byte
+COMPILED = ("_src", "_ops", "_group", "_run", "_levels", "_slot", "_targets", "_out")
+
+
+def test_table_built_specs_equal_dict_built_specs_of_their_edges():
+    from oqwalk.linalg import HADAMARD
+    from oqwalk.scenarios import build_dqc_chain
+
+    cases = [(label, spec) for label, spec, _ in scenario_cases()]
+    # repeated gates: numbering by bytes dedupes the chain's operators
+    repeated = build_dqc_chain([HADAMARD, PAULI_X] * 3, 0.7)[0]
+    assert len(repeated._ops) == 6 < len(repeated.transitions) == 14
+    cases.append(("dqc, repeated gates", repeated))
+    for label, spec in cases:
+        # the same edges in the same order, one operator object per edge
+        edges = {edge: op.copy() for edge, op in spec.transitions.items()}
+        built = WalkSpec(spec.nodes, spec.dim, edges)
+        for name in COMPILED:
+            ours, theirs = getattr(spec, name), getattr(built, name)
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, (label, name)
+            assert ours.tobytes() == theirs.tobytes(), (label, name)
+        # each edge's value: a read-only view of the store at its number's row
+        for one in spec, built:
+            assert_compiled_like_reference(one, spec.nodes, spec.dim, edges, label)
+
+
+def test_table_rejects_repeated_edges_and_operators_out_of_first_use():
+    a, b = np.eye(2), PAULI_X
+    table = WalkSpec._table((1, 2), 2, (a, b), (0, 1), (1, 0), (0, 1))
+    assert list(table.transitions) == [(1, 2), (2, 1)]
+    assert np.array_equal(table.transitions[(2, 1)], b)
+    for operators, source, target, number in (
+            ((a, b), (0, 0, 1), (1, 1, 0), (0, 1, 1)),  # the edge 1 -> 2 twice
+            ((a, b), (0, 1), (1, 0), (1, 0)),  # b used before a
+            ((a, b), (0, 1), (1, 0), (0, 0)),  # b unused
+            ((a,), (), (), ())):  # no edges, one operator
+        with pytest.raises(ValueError):
+            WalkSpec._table((1, 2), 2, operators, source, target, number)
+    # byte-equal operators listed apart share a number
+    twin = WalkSpec._table((1, 2), 2, (a, b, a.copy()), (0, 1, 1), (1, 0, 1), (0, 1, 2))
+    assert len(twin._ops) == 2 and twin.transitions[(2, 2)] is twin.transitions[(1, 2)]
+
+
+def test_spec_is_frozen_and_keeps_its_signature():
+    from dataclasses import FrozenInstanceError
+
+    edges = {(1, 2): PAULI_X, (2, 1): PAULI_X}
+    spec = WalkSpec((1, 2), 2, edges)
+    for name, value in ("nodes", (3,)), ("dim", 3), ("transitions", {}), ("_ops", None):
+        with pytest.raises(FrozenInstanceError):
+            setattr(spec, name, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(spec, name)
+    assert spec.nodes == (1, 2) and spec.dim == 2 and list(spec.transitions) == list(edges)
+    # the transitions of a spec are built once, on first access
+    assert spec.transitions is spec.transitions
 
 
 _EYE = np.eye(2)

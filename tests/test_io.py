@@ -181,3 +181,35 @@ def test_state_from_dict_rejects_malformed(data, nodes):
     with pytest.raises(ValueError) as info:
         state_from_dict(data, nodes)
     assert str(info.value) and "\n" not in str(info.value)
+
+
+def test_spec_to_json_converts_each_operator_once_and_copies_per_edge(monkeypatch):
+    from oqwalk import io as oqio
+    from oqwalk.scenarios import (build_dqc_chain, build_state_prep,
+                                  build_transport_chain)
+
+    specs = [build_line_walk(np.arccos(0.8), 9)[0], build_gate_walk(PAULI_X, 0.3),
+             build_state_prep(0.7, 2.1, 0.4), build_bell_grid(),
+             build_transport_chain(7, 0.36)[0],
+             build_dqc_chain([PAULI_X, [[0, 1j], [1j, 0]]] * 3, 0.6)[0]]
+    calls, convert = [], oqio.matrix_to_json
+
+    def counting(m):
+        calls.append(1)
+        return convert(m)
+
+    monkeypatch.setattr(oqio, "matrix_to_json", counting)
+    for spec in specs:
+        calls.clear()
+        doc = oqio.spec_to_dict(spec)
+        assert len(calls) == len(spec._ops) <= len(spec.transitions)
+        # the bytes of one conversion per edge
+        per_edge = {"nodes": list(spec.nodes), "dim": spec.dim, "transitions": [
+            {"from": s, "to": t, "matrix": convert(op)}
+            for (s, t), op in spec.transitions.items()]}
+        assert spec_to_json(spec) == json.dumps(per_edge)
+        # every edge's nested lists are its own
+        lists = [doc["transitions"]] + [e["matrix"] for e in doc["transitions"]]
+        lists += [row for e in doc["transitions"] for row in e["matrix"]]
+        lists += [z for e in doc["transitions"] for row in e["matrix"] for z in row]
+        assert len({id(x) for x in lists}) == len(lists)
