@@ -20,14 +20,15 @@ transitions)`` maps its dict to an operator table (the distinct operator
 objects, and each edge's source and target positions and object number,
 in insertion order); the line, transport, gate and dqc builders hand
 such a table to ``WalkSpec._table`` as index arrays. The compile turns the
-table into edge arrays over the edge stack: ``_src`` holds each edge's
-source position, ``_out`` its target's row in ``_targets``, ``_group``
-its operator's number, ``_run`` its row's run of one number along the
-stack, ``_slot`` its index among its source's out-edges and ``_order``
-its insertion index. The operators themselves are stored once each:
-``_ops`` is the read-only (G, d, d) store of the G bytewise-distinct
-operators, numbered in first use, and a number is its operator's row,
-so ``_ops[_group]`` is the per-edge stack. ``transitions``, built from
+table into edge arrays over the edge stack, each row one compiled edge
+as (source, target, number) positions: ``_src`` and ``_tgt`` hold its
+source and target node positions, ``_group`` its operator's number,
+``_run`` its row's run of one number along the stack, ``_slot`` its
+index among its source's out-edges and ``_order`` its insertion index.
+The operators themselves are stored once each: ``_ops`` is the
+read-only (G, d, d) store of the G bytewise-distinct operators,
+numbered in first use, and a number is its operator's row, so
+``_ops[_group]`` is the per-edge stack. ``transitions``, built from
 these arrays on first access (validating, stepping and iterating never
 read it), maps each edge to its operator's row view, one view object
 shared by all the edges of a number. ``validate_walk`` forms K^dag K
@@ -156,11 +157,13 @@ class WalkSpec:
     an operator table: each distinct operator object once, by first use,
     and each edge's source and target positions and object number, in
     insertion order. The builders of long walks hand such a table to
-    ``_table`` directly. The compile converts each operator once,
-    numbers the distinct operators by their bytes (-0.0 and 0.0 differ)
-    in first use and keeps each once: row g of the read-only (G, d, d)
-    store ``_ops`` is operator g, and the read-only ``_group`` holds
-    each stack row's number, whose runs along the stack are ``_run``.
+    ``_table`` directly. The compile keeps each edge as one stack row of
+    (source, target, number) positions, ``_src``, ``_tgt`` and
+    ``_group``. It converts each operator once, numbers the distinct
+    operators by their bytes (-0.0 and 0.0 differ) in first use and
+    keeps each once: row g of the read-only (G, d, d) store ``_ops`` is
+    operator g, and the read-only ``_group`` holds each stack row's
+    number, whose runs along the stack are ``_run``.
     ``transitions`` is built from those arrays on first access, which
     validating, running and iterating a spec never make: the same edges
     in insertion order, each mapped to the read-only row view of its
@@ -211,7 +214,9 @@ class WalkSpec:
         return index
 
     def _compile(self, operators, source, target, number) -> None:
-        """Compile an operator table (see ``_table``) into the edge arrays."""
+        """Compile an operator table (see ``_table``) into the edge arrays:
+        one stack row per edge, its (source, target, number) positions in
+        ``_src``, ``_tgt`` and ``_group``."""
         d = self.dim
         mats = [_matrix(op, "operator", d) for op in operators]
         src, tgt, obj = (np.asarray(a, dtype=np.intp) for a in (source, target, number))
@@ -241,10 +246,8 @@ class WalkSpec:
             array.setflags(write=False)
         # each row's run of equal operators along the stack
         runs = np.cumsum(np.diff(group, prepend=group[:1]) != 0)
-        # where each level starts, then the edge count; the reached
-        # targets are the output rows of a step with every node occupied
+        # where each level starts, then the edge count
         levels = np.concatenate(([0], np.cumsum(np.bincount(rank))))
-        targets = ts[rank == 0]
         # each row's slot among its source's out-edges, in stack order
         src = src[order]
         by_src = np.argsort(src, kind="stable")
@@ -253,8 +256,7 @@ class WalkSpec:
         slot[by_src] = np.arange(ss.size) - np.searchsorted(ss, ss)
         for name, value in (
                 ("_src", src), ("_ops", ops), ("_levels", levels), ("_group", group),
-                ("_run", runs), ("_slot", slot), ("_targets", targets),
-                ("_out", np.searchsorted(targets, tgt[order])), ("_order", order)):
+                ("_run", runs), ("_slot", slot), ("_tgt", tgt[order]), ("_order", order)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -272,7 +274,7 @@ class WalkSpec:
         row[self._order] = np.arange(row.size)  # each edge's stack row
         label, views = self.nodes.__getitem__, list(self._ops)
         edges = zip(map(label, self._src[row].tolist()),
-                    map(label, self._targets[self._out[row]].tolist()))
+                    map(label, self._tgt[row].tolist()))
         return dict(zip(edges, map(views.__getitem__, self._group[row].tolist())))
 
     @property
@@ -540,9 +542,12 @@ def _steps(index: np.ndarray) -> np.ndarray | slice:
 def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
     """(reached targets, fans, chunks, level0) of a step from occupied positions pos.
 
-    fans: the occupied sources' fan rows, or None past one chunk. Per
-    chunk of the used edges (source occupied), in stack order: K if it
-    forms K rho per edge, its K^dag stack if stacked, the K rho gather
+    A used edge is a stack row whose source position (``_src``) is in
+    pos; the reached targets are the ascending node positions of the
+    used edges' targets (``_tgt``), and an edge's output row is its
+    target's index among them. fans: the occupied sources' fan rows, or
+    None past one chunk. Per chunk of the used edges, in stack order: K
+    if it forms K rho per edge, its K^dag stack if stacked, the K rho gather
     index, back (None, or each edge's row in the padded product ``_groups``
     lays out, in group order, of at most twice as many rows as edges)
     and, per level slice, (lo, hi) in the chunk, output rows and, if tall, its
@@ -560,13 +565,13 @@ def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
     row_of[pos] = np.arange(pos.size)
     src = row_of[spec._src]
     used = np.flatnonzero(src >= 0)  # each used edge's row of the stack
-    src, run, out, group = src[used], spec._run[used], spec._out[used], spec._group[used]
-    # the reached targets, and each used edge's row among them
-    reached = np.zeros(spec._targets.size, dtype=bool)
-    reached[out] = True
-    reached = np.flatnonzero(reached)
-    row_of[reached] = np.arange(reached.size)  # src is read: reuse row_of
-    targets, out = spec._targets[reached], row_of[out]
+    src, run, tgt, group = src[used], spec._run[used], spec._tgt[used], spec._group[used]
+    # the reached targets' positions, and each used edge's row among them
+    reached = np.zeros(spec.node_count, dtype=bool)
+    reached[tgt] = True
+    targets = np.flatnonzero(reached)
+    row_of[targets] = np.arange(targets.size)  # src is read: reuse row_of
+    out = row_of[tgt]
     fan, fans = spec._fan, None
     if fan is not None and pos.size * fan.shape[1] <= per_chunk * d:
         # the occupied sources' fan rows fit one chunk, so the used edges

@@ -1,8 +1,9 @@
 """Independent brute-force oracles and random-input generators.
 
 Nothing here reuses the block-evolution engine: the path enumeration
-multiplies operator sequences directly, and the binomial oracle is
-plain combinatorics. Tests compare engine output against these.
+multiplies operator sequences directly, the binomial oracle is plain
+combinatorics, and the gauge only rewrites a spec's operators. Tests
+compare engine output against these.
 """
 
 from __future__ import annotations
@@ -78,6 +79,21 @@ def reference_step(spec, blocks: dict, prune: float) -> dict:
         if acc is not None and float(np.trace(acc).real) > prune:
             out[target] = acc
     return out
+
+
+def gauge(spec, unitaries: dict):
+    """The walk with the operator K on each edge s -> t replaced by
+    U_t K U_s^dag, where unitaries maps each node v to its unitary U_v.
+
+    Completeness holds again, and every block of the gauged walk evolves
+    as U_v rho_v U_v^dag of the original's, exactly, for any graph, d and
+    step count. Reads only ``spec.nodes``, ``spec.dim`` and
+    ``spec.transitions``, and builds the gauged walk with the spec's own
+    public constructor.
+    """
+    return type(spec)(spec.nodes, spec.dim, {
+        (s, t): unitaries[t] @ op @ unitaries[s].conj().T
+        for (s, t), op in spec.transitions.items()})
 
 
 def enumerate_hop_paths(rho0: np.ndarray, right: np.ndarray,

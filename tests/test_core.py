@@ -26,6 +26,7 @@ from oqwalk.scenarios import build_gate_walk, build_line_walk
 
 from oracles import (
     enumerate_hop_paths,
+    gauge,
     random_block_state,
     random_density,
     random_kraus_family,
@@ -87,8 +88,8 @@ def signed_zero_spec() -> WalkSpec:
 
 def reference_compile(nodes, dim, transitions) -> tuple:
     """A spec's compiled arrays, built edge by edge: the per-edge operator
-    stack _ops[_group], _src, _run, _slot and _levels as lists or arrays,
-    and the edges in stack order.
+    stack _ops[_group], _src, _tgt, _run, _slot and _levels as lists or
+    arrays, and the edges in stack order.
 
     Stack order is (rank, target position), an edge's rank its index
     among its target's incoming edges by source position. Each operator
@@ -110,11 +111,12 @@ def reference_compile(nodes, dim, transitions) -> tuple:
         slot.append(seen[src[k]])
         seen[src[k]] += 1
     levels = [sum(r < j for r in rank) for j in range(max(rank, default=-1) + 2)]
-    return ops, [src[k] for k in order], run, slot, levels, [edges[k] for k in order]
+    return (ops, [src[k] for k in order], [tgt[k] for k in order], run, slot, levels,
+            [edges[k] for k in order])
 
 
 def assert_compiled_like_reference(spec, nodes, dim, transitions, label):
-    ops, src, run, slot, levels, stacked = reference_compile(nodes, dim, transitions)
+    ops, src, tgt, run, slot, levels, stacked = reference_compile(nodes, dim, transitions)
     store, group = spec._ops, spec._group
     per_edge = store[group]
     assert per_edge.shape == ops.shape, label
@@ -126,6 +128,7 @@ def assert_compiled_like_reference(spec, nodes, dim, transitions, label):
     number = dict(zip(stacked, group.tolist()))
     assert [*dict.fromkeys(map(number.get, transitions))] == [*range(len(store))], label
     assert spec._src.tolist() == src, label
+    assert spec._tgt.tolist() == tgt, label
     assert spec._run.tolist() == run, label
     assert spec._slot.tolist() == slot, label
     assert spec._levels.tolist() == levels, label
@@ -173,7 +176,7 @@ def test_spec_compiles_like_a_per_edge_reference():
 
 
 # the compiled arrays both front ends must agree on, byte for byte
-COMPILED = ("_src", "_ops", "_group", "_run", "_levels", "_slot", "_targets", "_out")
+COMPILED = ("_src", "_tgt", "_ops", "_group", "_run", "_levels", "_slot")
 
 
 def test_table_built_specs_equal_dict_built_specs_of_their_edges():
@@ -684,6 +687,107 @@ def test_step_matches_dense_map_on_random_graphs():
                     assert np.max(np.abs(a - b)) <= 1e-12
 
 
+def closed_random_graph(rng, n_nodes: int, dim: int) -> WalkSpec:
+    """Random walk graph on 0..n_nodes-1 that loses no trace: every node
+    sends a complete Kraus family of 1 to 4 operators to distinct random
+    targets, itself allowed. Edges are inserted in random order."""
+    edges = []
+    for src in range(n_nodes):
+        k = int(rng.integers(1, 5))
+        targets = rng.choice(n_nodes, size=k, replace=False).tolist()
+        edges += zip(((src, tgt) for tgt in targets), random_kraus_family(dim, k, rng))
+    order = rng.permutation(len(edges))
+    return WalkSpec(tuple(range(n_nodes)), dim, dict(edges[k] for k in order))
+
+
+def gauge_cases(rng) -> list:
+    """(label, spec, initial state, unitary by node): every scenario walk
+    and closed random graphs at d = 2, 3 and 8 under Haar unitaries, and
+    the line walk and a chain of repeated gates under a gauge that
+    repeats (U_v = U_{v mod 2}, v the node's position), whose byte-equal
+    gauged operators group."""
+    from oqwalk.linalg import HADAMARD
+    from oqwalk.scenarios import build_dqc_chain
+
+    cases = scenario_cases()
+    for dim in (2, 3, 8):
+        spec = closed_random_graph(rng, 8, dim)
+        cases.append((f"random d={dim}", spec,
+                      WalkerState(random_block_state(spec.nodes, dim, rng, 3))))
+    out = [(label, spec, start, {n: random_unitary(spec.dim, rng) for n in spec.nodes})
+           for label, spec, start in cases]
+    pair = [random_unitary(2, rng) for _ in range(2)]
+    for label, spec, start in (cases[0], ("dqc, repeated gates",
+                                          *build_dqc_chain([HADAMARD, PAULI_X] * 3, 0.7))):
+        out.append((f"{label}, repeating gauge", spec, start,
+                    {n: pair[k % 2] for k, n in enumerate(spec.nodes)}))
+    return out
+
+
+def assert_blocks_close(got: dict, expected: dict, tol: float, label):
+    """Equal node sets but for blocks of trace below 1e-14 (they may
+    prune differently), and entries within tol."""
+    for node in got.keys() | expected.keys():
+        if node in got and node in expected:
+            assert np.abs(got[node] - expected[node]).max() <= tol, (label, node)
+        else:
+            block = got.get(node, expected.get(node))
+            assert np.trace(block).real < 1e-14, (label, node)
+
+
+@pytest.mark.parametrize("chunk", ["default", "tiny"])
+def test_gauged_walk_turns_each_block_by_its_unitary(monkeypatch, chunk):
+    # K on s -> t replaced by U_t K U_s^dag: after 200 steps each block of
+    # the gauged walk is U_v rho_v U_v^dag of the original's, whatever
+    # the graph and d, at the default and at a one-edge chunk
+    if chunk == "tiny":
+        monkeypatch.setattr(core, "_CHUNK_BYTES", 16)
+    rng = np.random.default_rng(79)
+    grouped = []
+    for label, spec, start, u in gauge_cases(rng):
+        gauged = gauge(spec, u)
+        assert validate_walk(gauged).ok, label
+        state, turned = start, WalkerState(
+            {n: u[n] @ b @ u[n].conj().T for n, b in start.blocks.items()})
+        for _ in range(200):
+            state, turned = step(spec, state), step(gauged, turned)
+        assert state.blocks, label
+        assert_blocks_close(turned.blocks, {
+            n: u[n] @ b @ u[n].conj().T for n, b in state.blocks.items()}, 1e-13, label)
+        if any(back is not None for _, _, _, back, _ in gauged._full_plan[2]):
+            grouped.append(label)
+    # grouped chunks on operators that no two edges share as objects
+    assert grouped == ([] if chunk == "tiny" else
+                       ["line, repeating gauge", "dqc, repeated gates, repeating gauge"])
+
+
+@pytest.mark.parametrize("chunk", ["default", "tiny"])
+def test_relabeled_walk_keeps_every_block(monkeypatch, chunk):
+    # the node tuple and the transitions order shuffled: the blocks match
+    # by label, bitwise where each target sums at most two terms (a + b
+    # has the bits of b + a), else to 1e-14
+    if chunk == "tiny":
+        monkeypatch.setattr(core, "_CHUNK_BYTES", 16)
+    rng = np.random.default_rng(83)
+    exact = 0
+    for label, spec, start, _ in gauge_cases(rng):
+        nodes = tuple(spec.nodes[k] for k in rng.permutation(spec.node_count))
+        edges = list(spec.transitions.items())
+        shuffled = WalkSpec(nodes, spec.dim, dict(edges[k] for k in rng.permutation(len(edges))))
+        a = b = start
+        for _ in range(200):
+            a, b = step(spec, a), step(shuffled, b)
+        assert a.blocks, label
+        if max(Counter(t for _, t in spec.transitions).values()) <= 2:
+            exact += 1
+            assert b.blocks.keys() == a.blocks.keys(), label
+            for node, block in a.blocks.items():
+                assert b.blocks[node].tobytes() == block.tobytes(), (label, node)
+        else:
+            assert_blocks_close(b.blocks, a.blocks, 1e-14, label)
+    assert exact >= 3
+
+
 def test_step_prunes_negligible_blocks():
     # weight at site 5 stays below PRUNE_TRACE after the step, so its
     # only targets 4 and 6 are dropped
@@ -1077,7 +1181,7 @@ def test_step_matches_reference_with_every_edge_used_and_a_node_empty(monkeypatc
     for spec in specs:
         assert set(spec._src.tolist()) == set(range(spec.node_count - 1))
         targets, fans, _, _ = core._plan(spec, np.arange(spec.node_count - 1))
-        assert np.array_equal(targets, spec._targets)
+        assert np.array_equal(targets, np.unique(spec._tgt))
         assert (fans is not None) == (chunk == "default")
         for _ in range(4):
             blocks = random_block_state(spec.nodes[:-1], spec.dim, rng)
@@ -1295,24 +1399,38 @@ def test_step_matches_reference_with_repeated_numbers_in_a_per_edge_chunk(monkey
     # unitary self-loops inserted so that the stack's operator numbers
     # read [0, 1, 0, 3, 2, 1]; at four edges per chunk the first chunk's
     # numbers [0, 1, 0, 3] span rows 0 to 3 end to end, yet its K is not
-    # those rows: it must be taken, not sliced
-    monkeypatch.setattr(core, "_CHUNK_BYTES", 4 * 16 * 2 ** 2)
+    # those rows: it must be taken, not sliced. Ten self-loops whose first
+    # chunk of eight edges holds operator counts [5, 1, 1, 1]: one
+    # product per operator pads past 16 rows, so _groups cuts the groups
+    # into pieces of (16 - 8) // 4 + 1 = 3 rows, and 5 products do not
+    # halve 8, so that chunk too forms one product per edge
     rng = np.random.default_rng(71)
     a, b, c, d = (random_unitary(2, rng) for _ in range(4))
-    spec = WalkSpec(nodes=tuple(range(6)), dim=2, transitions={
-        (0, 0): a, (1, 1): b, (4, 4): c, (3, 3): d, (2, 2): a, (5, 5): b})
-    assert spec._group.tolist() == [0, 1, 0, 3, 2, 1]
-    for occupied in (6, 5):
-        pos = np.arange(occupied)
-        _, fans, chunks, _ = core._plan(spec, pos)
-        k, k_dag, _, back, _ = chunks[0]
-        assert fans is None and k_dag is not None and back is None
-        assert k.tobytes() == spec._ops[[0, 1, 0, 3]].tobytes()
-        state = WalkerState(random_block_state(pos.tolist(), 2, rng))
-        for _ in range(3):
-            expected = reference_step(spec, state.blocks, PRUNE_TRACE)
-            state = step(spec, state)
-            assert_same_blocks(state.blocks, expected)
+    cases = [(4, {(0, 0): a, (1, 1): b, (4, 4): c, (3, 3): d, (2, 2): a, (5, 5): b},
+              [0, 1, 0, 3, 2, 1]),
+             (8, {(n, n): op for n, op in enumerate([a, a, b, a, c, a, d, a, b, c])},
+              [0, 0, 1, 0, 2, 0, 3, 0, 1, 2])]
+    for per_chunk, transitions, numbers in cases:
+        monkeypatch.setattr(core, "_CHUNK_BYTES", per_chunk * 16 * 2 ** 2)
+        v = len(transitions)
+        spec = WalkSpec(nodes=tuple(range(v)), dim=2, transitions=transitions)
+        assert spec._group.tolist() == numbers
+        first = spec._group[:per_chunk]
+        # past the early out (at most half as many operators as edges) only
+        # when eight edges hold four operators
+        assert (2 * np.unique(first).size <= per_chunk) == (per_chunk == 8)
+        assert core._groups(first, 2 * per_chunk) is None
+        for occupied in (v, v - 1):
+            pos = np.arange(occupied)
+            _, fans, chunks, _ = core._plan(spec, pos)
+            k, k_dag, _, back, _ = chunks[0]
+            assert fans is None and k_dag is not None and back is None
+            assert k.tobytes() == spec._ops[first].tobytes()
+            state = WalkerState(random_block_state(pos.tolist(), 2, rng))
+            for _ in range(3):
+                expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+                state = step(spec, state)
+                assert_same_blocks(state.blocks, expected)
 
 
 def test_plan_groups_a_full_chunk_of_a_long_repeated_gate_chain(monkeypatch):
@@ -1906,6 +2024,8 @@ def test_walker_state_traces_equal_per_block_traces():
 def test_empty_walker_state():
     spec = random_graph_spec(np.random.default_rng(8), 5, 3)
     empty = WalkerState({})
+    assert repr(empty) == "WalkerState({})"
+    assert repr(mixed_state("a", 1)) == "WalkerState({'a': array([[1.+0.j]])})"
     out = step(spec, empty)
     assert out.blocks == {} and out.traces(spec.nodes) == {}
     assert state_trace_distance(empty, empty) == 0.0

@@ -73,7 +73,7 @@ def test_spec_round_trip_compiles_each_operator_once(monkeypatch):
         calls.clear()
         back = spec_from_json(text)
         assert len(calls) == len(spec._ops) < len(spec.transitions)
-        for name in ("_ops", "_group", "_src", "_slot", "_out"):
+        for name in ("_ops", "_group", "_src", "_slot", "_tgt"):
             assert getattr(back, name).tobytes() == getattr(spec, name).tobytes(), name
     # equal bytes in another shape are another matrix
     doc = {"nodes": [0, 1], "dim": 2, "transitions": [

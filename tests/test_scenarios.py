@@ -181,7 +181,7 @@ def test_gate_walk_is_the_one_gate_dqc_chain(p):
         chain, _ = build_dqc_chain([gate], p)
         assert gate_spec.nodes == (1, 2) and chain.nodes == (0, 1)
         assert gate_spec._ops.tobytes() == chain._ops.tobytes()
-        for name in ("_src", "_levels", "_group", "_run", "_slot", "_targets", "_out"):
+        for name in ("_src", "_tgt", "_levels", "_group", "_run", "_slot"):
             assert np.array_equal(getattr(gate_spec, name), getattr(chain, name))
 
 
