@@ -32,12 +32,16 @@ numbered in first use, and a number is its operator's row, so
 these arrays on first access (validating, stepping and iterating never
 read it), maps each edge to its operator's row view, one view object
 shared by all the edges of a number. ``validate_walk`` forms K^dag K
-once per row of the store. Each listed operator is converted and
-numbered by its bytes once. Level j of the stack, one run of it, holds
-each target's j-th incoming edge by source position. ``_fan``, built at
-the first step, is a second, read-only copy of the operators: row block
-s of its (V, D*d, d) array stacks node s's out-operators [K_1; ...;
-K_D] by slot, zero rows padding nodes of smaller out-degree.
+once per row of the store. Each operator is checked where it enters:
+the dict front end checks and converts each distinct object at its
+first edge, the builders check their own inputs, and the compile,
+which converts nothing again, checks the store once for its shape and
+finiteness and numbers each listed operator by its bytes. Level j of
+the stack, one run of it, holds each target's j-th incoming edge by
+source position. ``_fan``, built at the first step, is a second,
+read-only copy of the operators: row block s of its (V, D*d, d) array
+stacks node s's out-operators [K_1; ...; K_D] by slot, zero rows
+padding nodes of smaller out-degree.
 A WalkerState has one form, compact rows: a node tuple, the ascending
 positions of the occupied nodes in it, one (k, d, d) block stack and
 the k traces; ``WalkerState._pruned`` alone drops blocks of trace not
@@ -150,20 +154,23 @@ class WalkSpec:
     nodes       ordered node labels (order fixes all summation and
                 serialization order; builders list them sorted)
     dim         internal Hilbert-space dimension, shared by all operators
-    transitions (source, target) -> dim x dim complex matrix; absent
-                edges are implicit zero operators.
+    transitions mapping (source, target) -> dim x dim complex matrix;
+                absent edges are implicit zero operators.
 
     Two front ends feed one compile. This constructor maps its dict to
-    an operator table: each distinct operator object once, by first use,
-    and each edge's source and target positions and object number, in
-    insertion order. The builders of long walks hand such a table to
+    an operator table in one pass, in insertion order: each edge's
+    nodes are checked, each distinct operator object is checked and
+    converted at its first edge, and each edge's source and target
+    positions and object number are listed. The builders of long walks
+    hand such a table, of operators their own input rules checked, to
     ``_table`` directly. The compile keeps each edge as one stack row of
     (source, target, number) positions, ``_src``, ``_tgt`` and
-    ``_group``. It converts each operator once, numbers the distinct
-    operators by their bytes (-0.0 and 0.0 differ) in first use and
-    keeps each once: row g of the read-only (G, d, d) store ``_ops`` is
-    operator g, and the read-only ``_group`` holds each stack row's
-    number, whose runs along the stack are ``_run``.
+    ``_group``. It numbers the operators by their bytes (-0.0 and 0.0
+    differ) in first use, without converting them again, and keeps each
+    distinct one once, checking that store for shape and finiteness:
+    row g of the read-only (G, d, d) store ``_ops`` is operator g, and
+    the read-only ``_group`` holds each stack row's number, whose runs
+    along the stack are ``_run``.
     ``transitions`` is built from those arrays on first access, which
     validating, running and iterating a spec never make: the same edges
     in insertion order, each mapped to the read-only row view of its
@@ -173,27 +180,30 @@ class WalkSpec:
 
     def __init__(self, nodes: tuple, dim: int, transitions: dict):
         index = self._set_nodes(nodes, dim)
-        edges, given = list(transitions), list(transitions.values())
-        # each distinct operator object, by first use, converted once
-        distinct = dict(zip(ids := list(map(id, given)), given))
-        number = dict(zip(distinct, range(len(distinct))))
-        try:  # KeyError: an unknown node; TypeError, ValueError: a bad key or operator
-            self._compile(list(distinct.values()), [index[s] for s, _ in edges],
-                          [index[t] for _, t in edges], list(map(number.get, ids)))
-            return
-        except (KeyError, TypeError, ValueError) as exc:
-            error = exc
-        for (s, t), op in transitions.items():  # raise the first bad edge's error
+        if not isinstance(transitions, Mapping):
+            raise TypeError(f"transitions must be a mapping, got {type(transitions).__name__}")
+        # one pass in insertion order: each edge's nodes, then its operator
+        # object, checked and converted at its first edge (kept with its
+        # number, so that its id stays its own)
+        objects, mats, source, target, number = {}, [], [], [], []
+        for (s, t), op in transitions.items():
             if s not in index or t not in index:
                 raise ValueError(f"edge ({s!r} -> {t!r}) uses unknown nodes")
-            _matrix(op, f"operator on edge ({s!r} -> {t!r})", self.dim)
-        raise error
+            if id(op) not in objects:
+                mats.append(_matrix(op, f"operator on edge ({s!r} -> {t!r})", self.dim))
+                objects[id(op)] = len(objects), op
+            source.append(index[s])
+            target.append(index[t])
+            number.append(objects[id(op)][0])
+        self._compile(mats, source, target, number)
 
     @classmethod
     def _table(cls, nodes: tuple, dim: int, operators, source, target,
                number) -> "WalkSpec":
         """The spec whose edge k, in insertion order, runs from node
         position source[k] to target[k] and carries operators[number[k]].
+        The operators are complex (d, d) arrays the caller has checked;
+        their store must be finite and of that shape (else ValueError).
         The edges are distinct and the operators listed in first use, each
         used (else ValueError); byte-equal operators share a number."""
         spec = cls.__new__(cls)
@@ -216,9 +226,18 @@ class WalkSpec:
     def _compile(self, operators, source, target, number) -> None:
         """Compile an operator table (see ``_table``) into the edge arrays:
         one stack row per edge, its (source, target, number) positions in
-        ``_src``, ``_tgt`` and ``_group``."""
+        ``_src``, ``_tgt`` and ``_group``. The operators are taken as
+        given; only their (G, d, d) store ``_ops`` is checked, once."""
         d = self.dim
-        mats = [_matrix(op, "operator", d) for op in operators]
+        # each operator's number by its bytes, in first use, so that -0.0
+        # and 0.0 are different operators; the (G, d, d) store holds each
+        # number's operator once (one of its byte-equal arrays) and is
+        # checked once, since the operators themselves come checked
+        by_bytes = {}
+        numbers = [by_bytes.setdefault(m.tobytes(), len(by_bytes)) for m in operators]
+        ops = np.array([*dict(zip(numbers, operators)).values()] or np.empty((0, d, d)), complex)
+        if ops.shape[1:] != (d, d) or not np.isfinite(ops).all():
+            raise ValueError(f"operators must be finite {d} x {d} matrices")
         src, tgt, obj = (np.asarray(a, dtype=np.intp) for a in (source, target, number))
         # Stack order is (rank, target position), an edge's rank its index
         # among its target's incoming edges by source position: level j is
@@ -230,12 +249,6 @@ class WalkSpec:
         if ((rank[1:] > 0) & (ss[1:] == ss[:-1])).any():  # a source twice on one target
             raise ValueError("an edge repeats")
         order = by_target[np.lexsort((ts, rank))]
-        # each operator's number by its bytes, in first use, so that -0.0
-        # and 0.0 are different operators; the (G, d, d) store holds each
-        # number's operator once (one of its byte-equal arrays)
-        by_bytes = {}
-        numbers = [by_bytes.setdefault(m.tobytes(), len(by_bytes)) for m in mats]
-        ops = np.array([*dict(zip(numbers, mats)).values()] or np.empty((0, d, d)), complex)
         per_edge = np.array(numbers, dtype=np.intp)[obj]  # in insertion order
         # first use: the numbers so far rise by at most 1 at each edge, to G - 1
         top = np.maximum.accumulate(np.concatenate(([-1], per_edge)))

@@ -287,6 +287,47 @@ def test_spec_reports_its_first_bad_edge(nodes, transitions, message):
     assert str(caught.value) == message
 
 
+def test_spec_checks_each_operator_once_where_it_enters(monkeypatch):
+    # the dict front end converts each distinct operator object once, at
+    # its first edge in insertion order; the compile converts none, so a
+    # builder's table reaches WalkSpec with no call at all (the states the
+    # builders return convert their blocks)
+    from oqwalk.linalg import CNOT, HADAMARD
+    from oqwalk.scenarios import build_dqc_chain, build_transport_chain
+
+    calls, matrix = [], core._matrix
+
+    def counting(*args):
+        calls.append(args[1])
+        return matrix(*args)
+
+    monkeypatch.setattr(core, "_matrix", counting)
+    hop, stay = [[0, 1], [1, 0]], np.eye(2)
+    WalkSpec((1, 2, 3), 2, {(3, 1): stay, (1, 2): PAULI_X, (2, 3): stay, (1, 1): hop,
+                            (2, 2): PAULI_X.copy(), (3, 3): hop, (2, 1): PAULI_X})
+    assert calls == ["operator on edge (3 -> 1)", "operator on edge (1 -> 2)",
+                     "operator on edge (1 -> 1)", "operator on edge (2 -> 2)"]
+    for label, build in (
+            ("line", lambda: build_line_walk(np.arccos(0.8), 12)),
+            ("gate", lambda: build_gate_walk(CNOT, 0.5)),
+            ("transport", lambda: build_transport_chain(9, 16 / 25)),
+            ("dqc", lambda: build_dqc_chain([HADAMARD, PAULI_X] * 3, 0.7))):
+        calls.clear()
+        build()
+        assert all(name.startswith("block at node ") for name in calls), (label, calls)
+
+
+@pytest.mark.parametrize("op", [np.array([[1, 0], [0, np.nan]], dtype=complex),
+                                np.array([[np.inf, 0], [0, 1]], dtype=complex),
+                                np.eye(3, dtype=complex)])
+def test_table_checks_its_operator_store(op):
+    # a table's operators come checked; the compile checks their (G, d, d)
+    # store once for its shape and finiteness
+    with pytest.raises(ValueError) as caught:
+        WalkSpec._table((1, 2), 2, (op,), (0, 1), (1, 0), (0, 0))
+    assert str(caught.value) == "operators must be finite 2 x 2 matrices"
+
+
 def test_validate_accepts_line_walk_exactly():
     spec, _ = build_line_walk(np.arccos(0.8), 4)
     report = validate_walk(spec)
@@ -2006,6 +2047,15 @@ def test_builders_name_their_unnormalized_kets():
 def test_walker_state_rejects_non_mappings(blocks):
     with pytest.raises(TypeError, match="must be a mapping"):
         WalkerState(blocks)
+
+
+@pytest.mark.parametrize("transitions", [[((1, 1), [[1]])], [], "ab", (1,), None,
+                                         np.eye(1)])
+def test_walk_spec_rejects_non_mappings(transitions):
+    with pytest.raises(TypeError) as caught:
+        WalkSpec((1,), 1, transitions)
+    assert str(caught.value) == (
+        f"transitions must be a mapping, got {type(transitions).__name__}")
 
 
 def test_walker_state_traces_equal_per_block_traces():
