@@ -32,7 +32,9 @@ numbered in first use, and a number is its operator's row, so
 these arrays on first access (validating, stepping and iterating never
 read it), maps each edge to its operator's row view, one view object
 shared by all the edges of a number. ``validate_walk`` forms K^dag K
-once per row of the store. Each operator is checked where it enters:
+once per row of the store and adds each level of source slots through a
+slice where its sources are consecutive; its report formats each
+distinct residual once. Each operator is checked where it enters:
 the dict front end checks and converts each distinct object at its
 first edge, the builders check their own inputs, and the compile,
 which converts nothing again, checks the store once for its shape and
@@ -329,7 +331,14 @@ class WalkSpec:
 
 @dataclass
 class ValidationReport:
-    """Per-node completeness residuals for a WalkSpec."""
+    """Per-node completeness residuals for a WalkSpec.
+
+    ``str`` prints one row per node in the dict's order, then accepted or
+    rejected. It formats each distinct residual once, 0.0 and -0.0 apart
+    and each NaN object on its own, and fills in the labels with one
+    %-format, so a walk whose nodes repeat their residuals (every node of
+    a translation-invariant walk) pays per value, not per node.
+    """
 
     residuals: dict
     tol: float
@@ -339,12 +348,17 @@ class ValidationReport:
         return all(r <= self.tol for r in self.residuals.values())
 
     def __str__(self) -> str:
-        # a row template per node, a % in its label escaped, and one %-format
-        tol, ok, fail = self.tol, ": residual %.3e [ok]\n", ": residual %.3e [FAIL]\n"
-        rows = "".join(["  node " + repr(node).replace("%", "%%") + (ok if r <= tol else fail)
-                        for node, r in self.residuals.items()])
-        return (f"completeness tolerance: {tol:g}\n" + rows % tuple(self.residuals.values())
-                + ("accepted" if self.ok else "rejected"))
+        # one row template per distinct residual, a zero keyed by its repr
+        # since 0.0 and -0.0 print differently, then one %-format fills in
+        # every label, so a % in a label needs no escaping
+        tol, values = self.tol, self.residuals.values()
+        keys = [r or repr(r) for r in values]
+        distinct = dict(zip(keys, values))
+        rows = {key: "  node %%r: residual %.3e [%s]\n" % (r, "ok" if r <= tol else "FAIL")
+                for key, r in distinct.items()}
+        return (f"completeness tolerance: {tol:g}\n"
+                + "".join(map(rows.__getitem__, keys)) % tuple(self.residuals)
+                + ("accepted" if all(r <= tol for r in distinct.values()) else "rejected"))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -356,19 +370,25 @@ def validate_walk(spec: WalkSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     |sum - I|, so a node with no outgoing edges has residual 1 (the zero
     map loses all probability). K^dag K is formed once per distinct
     operator, a row of the store ``_ops``, and taken by each edge's
-    number (``_group``). A K whose products overflow has an inf or NaN
-    residual, which fails any tol, and raises no warning.
+    number (``_group``). Level j, each source's j-th edge (``_slot``) by
+    source position, is added in one go: through a slice where its
+    sources are consecutive (every level of the line walk), else by
+    index, so memory stays O(E) whatever the out-degrees. A K whose
+    products overflow has an inf or NaN residual, which fails any tol,
+    and raises no warning.
     """
     tol = _real(tol, "tol", 0, open_interval=True)
-    order = np.argsort(spec._slot, kind="stable")  # level j: each source's j-th edge
+    # level j: each source's j-th edge, by source position
+    order = np.lexsort((spec._src, spec._slot))
     ops = spec._ops
     terms = (ops.conj().transpose(0, 2, 1) @ ops).take(spec._group[order], 0)
     src = spec._src[order]
     sums = np.zeros((spec.node_count, spec.dim, spec.dim), dtype=complex)
-    # one indexed add per level: a level's sources are distinct
+    # one add per level, its sources distinct and ascending: through a
+    # slice where they are consecutive, else an indexed add
     bounds = np.cumsum(np.bincount(spec._slot)).tolist()
     for lo, hi in zip([0, *bounds], bounds):
-        sums[src[lo:hi]] += terms[lo:hi]
+        sums[_span(src[lo:hi])] += terms[lo:hi]
     residuals = np.abs(sums - np.eye(spec.dim)).max(axis=(1, 2))
     return ValidationReport(dict(zip(spec.nodes, residuals.tolist())), tol)
 

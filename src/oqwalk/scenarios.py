@@ -63,12 +63,18 @@ def _chain(mats: list, forward: float, nodes) -> WalkSpec:
     back = 1.0 - forward
     eye = np.eye(mats[0].shape[0], dtype=complex)
     t, k = len(mats), np.arange(len(mats))
-    operators = [*(math.sqrt(forward) * u for u in mats),
-                 *(math.sqrt(back) * u.conj().T for u in mats),
+    # each distinct gate object once, in first use, so it is scaled once,
+    # and each register's gate number
+    gates = {id(u): u for u in mats}
+    number = {key: n for n, key in enumerate(gates)}
+    gate, g = np.array([number[id(u)] for u in mats], dtype=np.intp), len(gates)
+    operators = [*(math.sqrt(forward) * u for u in gates.values()),
+                 *(math.sqrt(back) * u.conj().T for u in gates.values()),
                  math.sqrt(back) * eye, math.sqrt(forward) * eye]
     # the forward hops, the hops back, then the stays at both ends
     return WalkSpec._table(nodes, eye.shape[0], operators, np.concatenate((k, k + 1, [0, t])),
-                           np.concatenate((k + 1, k, [0, t])), np.arange(2 * t + 2))
+                           np.concatenate((k + 1, k, [0, t])),
+                           np.concatenate((gate, gate + g, [2 * g, 2 * g + 1])))
 
 
 def line_hop_operators(theta: float) -> tuple[np.ndarray, np.ndarray]:

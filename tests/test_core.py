@@ -375,6 +375,48 @@ def test_validation_report_text_with_percent_labels_and_failures():
     assert str(ValidationReport({}, 1e-12)) == "completeness tolerance: 1e-12\naccepted"
 
 
+def per_node_text(report) -> str:
+    """A ValidationReport's text by the per-node formula: a row template
+    per node, a % in its label escaped, and one %-format of every residual."""
+    tol, ok, fail = report.tol, ": residual %.3e [ok]\n", ": residual %.3e [FAIL]\n"
+    rows = "".join(["  node " + repr(node).replace("%", "%%") + (ok if r <= tol else fail)
+                    for node, r in report.residuals.items()])
+    return (f"completeness tolerance: {tol:g}\n" + rows % tuple(report.residuals.values())
+            + ("accepted" if report.ok else "rejected"))
+
+
+def test_validation_report_text_matches_per_node_formula():
+    # the report formats each distinct residual once; its text is the
+    # per-node formula's, byte for byte
+    from oqwalk.core import ValidationReport
+
+    nan, inf, tol = float("nan"), float("inf"), 1e-12
+    labels = ["50%", "%%d", "{}", ("a", "%s"), (1, ("b", (2.5, "%r"))), "1", "01", 7, -3]
+    cases = [
+        dict.fromkeys(range(6), 2.5e-13) | {6: 0.5, 7: 2.5e-13, 8: 0.5},  # repeated
+        {k: (k + 1) * 1e-13 for k in range(30)},  # all distinct, both sides of tol
+        {1: 0.0, 2: -0.0, 3: 0.0, 4: -0.0},  # signed zeros, which print apart
+        {1: -0.0, 2: 0.0, 3: 1e-13, 4: -0.0},
+        {1: float("nan"), 2: float("nan"), 3: 0.0},  # distinct NaN objects
+        {1: nan, 2: 0.0, 3: nan},  # one NaN object on two nodes
+        {1: inf, 2: -inf, 3: tol, 4: inf, 5: tol},  # +-inf, exactly at tol
+        dict(zip(labels, [1e-13, 0.0, 2.0, -0.0, nan, tol, 1e-13, 0.0, 2.0])),
+        {},
+    ]
+    rng = np.random.default_rng(29)
+    pool = [0.0, -0.0, nan, float("nan"), inf, -inf, tol, 1e-13, 3e-12, 0.25, 1.0]
+    for size in rng.integers(1, 60, 40).tolist():  # seeded: labels and pool draws
+        keys = [*labels, *range(100, 100 + size)]
+        keys = [keys[k] for k in rng.permutation(len(keys))[:size].tolist()]
+        values = [pool[k] if k < len(pool) else float(rng.uniform(0, 2e-12))
+                  for k in rng.integers(0, len(pool) + 4, size).tolist()]
+        cases.append(dict(zip(keys, values)))
+    for residuals in cases:
+        for t in (tol, 0.5):
+            report = ValidationReport(residuals, t)
+            assert str(report) == per_node_text(report), residuals
+
+
 def _loop_residuals(spec: WalkSpec) -> dict:
     """Per-node max |sum K^dag K - I| over spec.transitions; 1.0 with no edges."""
     out = {}
@@ -438,6 +480,60 @@ def test_validate_matches_per_edge_products_bitwise():
         assert list(report.residuals) == list(spec.nodes), label
         got = np.array(list(report.residuals.values()))
         assert got.tobytes() == per_edge_residuals(spec).tobytes(), label
+
+
+def test_validate_adds_levels_by_slice_and_by_index_bitwise():
+    # validate_walk adds level j, each source's j-th edge by source
+    # position, through a slice where its sources are consecutive, else by
+    # index: both forms give the per-edge sums' bits
+    rng = np.random.default_rng(29)
+    graph = random_graph_spec(rng, 40, 2)  # shuffled; its last node has no out-edges
+    # the same walk with that node in the middle, so level 0 skips it
+    nodes = graph.nodes[20:] + graph.nodes[:20]
+    middle = WalkSpec(nodes=nodes, dim=2, transitions=graph.transitions)
+    huge = np.array([[1e200, 0], [0, 1]])
+    cases = [("random graph", graph), ("sink in the middle", middle),
+             # the ring's end nodes hold their edges in swapped stack levels
+             ("line 3", build_line_walk(np.arccos(0.6), 3)[0])]
+    cases += [(f"overflow {k}", two_node_spec(op, np.eye(2), np.eye(2), np.zeros((2, 2))))
+              for k, op in enumerate((huge, huge * (1 + 1j)))]
+    forms = set()
+    for label, spec in cases:
+        degree = np.bincount(spec._src, minlength=spec.node_count)
+        for j in range(degree.max()):
+            sources = np.flatnonzero(degree > j)
+            forms.add(int(sources[-1] - sources[0]) == sources.size - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow raises no warning
+            report = validate_walk(spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = per_edge_residuals(spec)
+        got = np.array(list(report.residuals.values()))
+        assert got.tobytes() == expected.tobytes(), label
+    assert forms == {True, False}  # some level of each form
+    assert not np.isfinite(got[0]) and not report.ok  # the last case overflows
+
+
+def test_validate_memory_stays_linear_in_edges_for_a_hub():
+    # node 0 hops to each of the V - 1 others, each of which hops back:
+    # out-degrees V - 1 and 1. validate_walk holds O(E) arrays, where a
+    # V x max-out-degree table would take ~V / 2 times E * d^2 * 16 bytes
+    import tracemalloc
+
+    v, d = 2000, 2
+    out, back = np.eye(d) / np.sqrt(v - 1), np.eye(d)
+    transitions = {(0, k): out for k in range(1, v)} | {(k, 0): back for k in range(1, v)}
+    spec = WalkSpec(nodes=tuple(range(v)), dim=d, transitions=transitions)
+    tracemalloc.start()
+    try:
+        report = validate_walk(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(transitions) * d ** 2 * 16
+    got = np.array(list(report.residuals.values()))
+    assert got.tobytes() == per_edge_residuals(spec).tobytes()
+    assert report.ok
 
 
 def test_validate_spec_without_edges():

@@ -4,6 +4,7 @@ import pytest
 from oqwalk.analysis import node_fidelity, occupation, readout_probability
 from oqwalk.core import (
     WalkerState,
+    WalkSpec,
     find_steady_state,
     mixed_state,
     pure_state,
@@ -183,6 +184,24 @@ def test_gate_walk_is_the_one_gate_dqc_chain(p):
         assert gate_spec._ops.tobytes() == chain._ops.tobytes()
         for name in ("_src", "_tgt", "_levels", "_group", "_run", "_slot"):
             assert np.array_equal(getattr(gate_spec, name), getattr(chain, name))
+
+
+def test_dqc_chain_compiles_like_its_per_register_dict():
+    # the chain scales each distinct gate object once; its spec is the
+    # dict-built one of every register's own scaled copies, byte for byte
+    rng = np.random.default_rng(31)
+    u = random_unitary(2, rng)
+    for gates in ([HADAMARD] * 5, [u, HADAMARD, u, u.copy(), PAULI_X, HADAMARD, u],
+                  [random_unitary(2, rng) for _ in range(4)]):
+        omega = 0.3
+        t = len(gates)
+        edges = {(k, k + 1): np.sqrt(omega) * g for k, g in enumerate(gates)}
+        edges |= {(k + 1, k): np.sqrt(1 - omega) * g.conj().T for k, g in enumerate(gates)}
+        edges |= {(0, 0): np.sqrt(1 - omega) * np.eye(2), (t, t): np.sqrt(omega) * np.eye(2)}
+        chain, _ = build_dqc_chain(gates, omega)
+        built = WalkSpec(tuple(range(t + 1)), 2, edges)
+        for name in ("_src", "_tgt", "_ops", "_group", "_run", "_levels", "_slot", "_order"):
+            assert getattr(chain, name).tobytes() == getattr(built, name).tobytes(), name
 
 
 def test_dqc_rejects_non_unitary():
