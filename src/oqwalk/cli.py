@@ -435,14 +435,18 @@ def emit_csv(snapshots, nodes: tuple) -> Iterator[str]:
         yield (s + s.join(map(rows.__getitem__, pos))) % tuple(tr) if pos else ""
 
 
+def _occupations(state: WalkerState, nodes: tuple) -> dict:
+    """Node label -> occupation rounded to 12 digits, over the spec's nodes."""
+    return {str(node): round(prob, 12) for node, prob in state.traces(nodes).items()}
+
+
 def emit_json(snapshots, nodes: tuple) -> Iterator[str]:
     """``json.dumps(payload, indent=2) + "\\n"`` of the (step, WalkerState)
     snapshots, a piece per snapshot: exact, as json escapes the newlines
     inside strings."""
     sep = "[\n  "
     for step_index, state in snapshots:
-        entry = {"step": step_index, "occupations": {
-            str(node): round(prob, 12) for node, prob in state.traces(nodes).items()}}
+        entry = {"step": step_index, "occupations": _occupations(state, nodes)}
         yield sep + json.dumps(entry, indent=2).replace("\n", "\n  ")
         sep = ",\n  "
     yield "[]\n" if sep == "[\n  " else "\n]\n"  # "[]" for no records
@@ -472,13 +476,12 @@ def execute(cfg: RunConfig) -> int:
             f"no steady state within {cfg.max_iter} iterations "
             f"(last residual {result.residual:.3e})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    occ = analysis.occupation(result.state, plan.spec.nodes)
     payload = {
         "scenario": cfg.scenario,
         "converged": True,
         "iterations": result.iterations,
         "residual": result.residual,
-        "occupation": {str(n): round(p, 12) for n, p in occ.items()},
+        "occupation": _occupations(result.state, plan.spec.nodes),
         "blocks": state_to_dict(result.state)["blocks"],
         "report": plan.steady_report(result.state),
     }

@@ -16,63 +16,69 @@ which keeps the state block-diagonal in position: position coherences
 can never build up, so storage stays at O(V d^2) instead of O((V d)^2).
 
 A WalkSpec has two front ends and one compile. ``WalkSpec(nodes, dim,
-transitions)`` maps its dict to an operator table (the distinct operator
-objects, and each edge's source and target positions and object number,
-in insertion order); the line, transport, gate and dqc builders hand
-such a table to ``WalkSpec._table`` as index arrays. The compile turns the
-table into edge arrays over the edge stack, each row one compiled edge
-as (source, target, number) positions: ``_src`` and ``_tgt`` hold its
-source and target node positions, ``_group`` its operator's number,
-``_run`` its row's run of one number along the stack, ``_slot`` its
-index among its source's out-edges and ``_order`` its insertion index.
-The operators themselves are stored once each: ``_ops`` is the
-read-only (G, d, d) store of the G bytewise-distinct operators,
-numbered in first use, and a number is its operator's row, so
-``_ops[_group]`` is the per-edge stack. ``transitions``, built from
-these arrays on first access (validating, stepping and iterating never
-read it), maps each edge to its operator's row view, one view object
-shared by all the edges of a number. ``validate_walk`` forms K^dag K
-once per row of the store and adds each level of source slots through a
-slice where its sources are consecutive; its report formats each
-distinct residual once. Each operator is checked where it enters:
-the dict front end checks and converts each distinct object at its
-first edge, the builders check their own inputs, and the compile,
-which converts nothing again, checks the store once for its shape and
-finiteness and numbers each listed operator by its bytes. Level j of
-the stack, one run of it, holds each target's j-th incoming edge by
-source position. ``_fan``, built at the first step, is a second,
-read-only copy of the operators: row block s of its (V, D*d, d) array
-stacks node s's out-operators [K_1; ...; K_D] by slot, zero rows
-padding nodes of smaller out-degree.
+transitions)`` maps its dict to an operator table in one pass, in
+insertion order: it checks each edge's nodes, checks and converts each
+distinct operator object at its first edge, and lists each edge's source
+and target positions and object number. The line, transport, gate and
+dqc builders check their own inputs and hand such a table to
+``WalkSpec._table`` as index arrays. The compile converts nothing again;
+it checks the operator store once, for shape and finiteness, and keeps
+one edge table, the stack, each row one edge as (source, target, number)
+positions: ``_src`` and ``_tgt`` hold its node positions, the read-only
+``_group`` its operator's number, ``_run`` its row's run of one number
+along the stack, ``_slot`` its index among its source's out-edges and
+``_order`` its insertion index. Stack order is (rank, target position),
+an edge's rank its index among its target's incoming edges by source
+position, so level j (``_levels`` bounds it), one run of the stack,
+holds each target's j-th incoming edge. The operators are numbered by
+their bytes in first use and stored once each: ``_ops`` is the read-only
+(G, d, d) store of the G bytewise-distinct operators, a number is its
+row, and ``_ops[_group]`` is the per-edge stack, which nothing keeps.
+``transitions``, built from these arrays on first access (validating,
+stepping and iterating never read it), maps each edge to its operator's
+row view, one view object shared by all the edges of a number.
+``validate_walk`` forms K^dag K once per row of the store and adds each
+level of source slots (``_slot``) through a slice where its sources are
+consecutive, else by index; its report formats each distinct residual
+once.
+
 A WalkerState has one form, compact rows: a node tuple, the ascending
 positions of the occupied nodes in it, one (k, d, d) block stack and
 the k traces; ``WalkerState._pruned`` alone drops blocks of trace not
-above PRUNE_TRACE. A step's plan (``_plan``) holds what depends only on
-which nodes are occupied; every node occupied is one such set, whose
-plan the spec compiles once (``_full_plan``). The executor forms the K
-rho K^dag products with matmuls and sums them level by level into rows
-over the spec's node tuple: level 0 writes its targets' first terms in
-place, and later levels add theirs. Only a plan in which some reached
-target's rank-0 source is unoccupied (its used level-0 edges fewer than
-its reached targets) fills the output with -0.0 first, an exact
-additive identity (-0.0 + x has the bits of x); the full plan never
-does. A step whose products fit one chunk forms K rho as one
-[K_1; ...; K_D] rho per occupied source; larger steps form it one
-matrix per edge, reading the blocks as a view of the state's stack
-where their rows are consecutive. A chunk forms each edge's (K rho)
-K^dag once: if tall, each level slice holding one operator (every site
-of a translation-invariant walk), as one product [K rho_1; ...; K
-rho_n] @ K^dag per slice; else, stacked, as one batched (G, n*d, d) @
-(G, d, d) product over its distinct operators (numbered by ``_group``,
-``_groups`` bounds the padding), each operator's K rho rows stacked
-tall, padded to n rows and taken back to level order, or with n = 1
-per edge where grouping would not halve the products. These see the
-same shared operand as the per-matrix products, only more rows of the
-other one, and BLAS gives them the same bits (tests/test_core.py
-checks the premises by name).
-The other grouping, K [rho_1 ... rho_n], changes bits and is not used.
-``iter_run`` yields a run's snapshots as it makes them, holding one
-state; ``run`` lists them.
+above PRUNE_TRACE.
+
+A step is a plan and an executor. ``_fan``, built at the first step, is
+a second, read-only copy of the operators: row block s of its
+(V, D*d, d) array stacks node s's out-operators [K_1; ...; K_D] by slot,
+zero rows padding nodes of smaller out-degree. The plan (``_plan``)
+holds what depends only on which nodes are occupied: the reached
+targets, the occupied sources' fan rows (a copy) where they fit one
+chunk, and per chunk of the used edges its operators, its K rho gather
+index and each level slice's output rows. Every node occupied is one
+such set, whose plan the spec compiles once (``_full_plan``). The
+executor forms the K rho K^dag products with matmuls and sums them
+level by level into rows over the spec's node tuple: level 0 writes its
+targets' first terms in place, and later levels add theirs. Only a plan
+in which some reached target's rank-0 source is unoccupied (its used
+level-0 edges fewer than its reached targets) fills the output with
+-0.0 first, an exact additive identity (-0.0 + x has the bits of x);
+the full plan never does. A step whose occupied sources' fan rows
+(k * D * d^2 entries) fit one chunk forms K rho as one [K_1; ...; K_D]
+rho per occupied source, one chunk-sized product; larger steps form it
+one matrix per edge, reading K as a view of the store where its
+numbers step by 1 and the blocks as a view of the state's stack where
+their rows are consecutive. A chunk forms each edge's (K rho) K^dag
+once: if tall, each level slice holding one operator (every site of a
+translation-invariant walk), as one product [K rho_1; ...; K rho_n] @
+K^dag per slice; else, stacked, as one batched (G, n*d, d) @ (G, d, d)
+product over its distinct operators, each operator's K rho rows stacked
+tall, padded to n rows (``_groups``) and taken back to level order, or
+with n = 1 per edge where grouping would not halve the products. These
+see the same shared operand as the per-matrix products, only more rows
+of the other one, and BLAS gives them the same bits (tests/test_core.py
+checks the premises by name). The other grouping, K [rho_1 ... rho_n],
+changes bits and is not used. ``iter_run`` yields a run's snapshots as
+it makes them, holding one state; ``run`` lists them.
 
 ``find_steady_state`` is power iteration of ``step``. Half the summed
 differences of the stored per-node traces, less a rounding slack, bound
@@ -104,21 +110,16 @@ Node = Hashable
 PRUNE_TRACE = 1e-15
 
 # Bytes of K rho K^dag products a step forms at once, one per edge. Each
-# chunk also holds the gathered blocks (a view of the state's rows where
-# they are consecutive) and one partial product of the same size, so its
-# transient memory stays near 3x this whatever d and the edge count
-# are; a grouped chunk pads its rows to at most twice its edges, which
-# doubles each of the three, so 6x bounds it. The output, one block per
-# reached target, is written in place by level 0 and filled with -0.0
-# first only when a target's first used edge lies above level 0. A plan
-# adds at most one conjugate copy of its operators; only a chunk that
-# forms K rho per edge holds K, a view of the store ``_ops`` where its
-# operator numbers step by 1, else a copy of at most twice its edges. A
-# step whose occupied sources' fan rows (k * D * d^2 entries) fit one
-# chunk forms K rho per source, from that one chunk-sized product;
-# ``_fan`` is compiled only when its zero padding also fits one chunk,
-# so a node of far larger out-degree than the rest does not cost
-# O(V * D) stored operators.
+# chunk also holds the gathered blocks and one partial product of the
+# same size, so its transient memory stays near 3x this whatever d and
+# the edge count are; a grouped chunk pads its rows to at most twice its
+# edges, which doubles each of the three, so 6x bounds it. A plan adds at
+# most one conjugate copy of its operators, a per-edge chunk's K where it
+# is no view of the store (a copy of at most twice its edges), and the
+# occupied sources' fan rows, copied only where they fit one chunk.
+# ``_fan`` is compiled only when its zero padding also fits one chunk, so
+# a node of far larger out-degree than the rest does not cost O(V * D)
+# stored operators.
 _CHUNK_BYTES = 1 << 17
 
 # Iteration cap of find_steady_state (and of ``oqw steady``).
@@ -159,24 +160,10 @@ class WalkSpec:
     transitions mapping (source, target) -> dim x dim complex matrix;
                 absent edges are implicit zero operators.
 
-    Two front ends feed one compile. This constructor maps its dict to
-    an operator table in one pass, in insertion order: each edge's
-    nodes are checked, each distinct operator object is checked and
-    converted at its first edge, and each edge's source and target
-    positions and object number are listed. The builders of long walks
-    hand such a table, of operators their own input rules checked, to
-    ``_table`` directly. The compile keeps each edge as one stack row of
-    (source, target, number) positions, ``_src``, ``_tgt`` and
-    ``_group``. It numbers the operators by their bytes (-0.0 and 0.0
-    differ) in first use, without converting them again, and keeps each
-    distinct one once, checking that store for shape and finiteness:
-    row g of the read-only (G, d, d) store ``_ops`` is operator g, and
-    the read-only ``_group`` holds each stack row's number, whose runs
-    along the stack are ``_run``.
-    ``transitions`` is built from those arrays on first access, which
-    validating, running and iterating a spec never make: the same edges
-    in insertion order, each mapped to the read-only row view of its
-    operator in the store, one view object per number. Specs are frozen
+    An error names the first edge, in insertion order, with an unknown
+    node or a bad operator; each distinct operator object is checked
+    once. ``transitions`` holds the same edges in insertion order,
+    each mapped to a read-only view of its operator. Specs are frozen
     and compare and hash by identity.
     """
 
@@ -226,25 +213,17 @@ class WalkSpec:
         return index
 
     def _compile(self, operators, source, target, number) -> None:
-        """Compile an operator table (see ``_table``) into the edge arrays:
-        one stack row per edge, its (source, target, number) positions in
-        ``_src``, ``_tgt`` and ``_group``. The operators are taken as
-        given; only their (G, d, d) store ``_ops`` is checked, once."""
+        """Compile an operator table (see ``_table``) into the edge arrays."""
         d = self.dim
-        # each operator's number by its bytes, in first use, so that -0.0
-        # and 0.0 are different operators; the (G, d, d) store holds each
-        # number's operator once (one of its byte-equal arrays) and is
-        # checked once, since the operators themselves come checked
+        # numbers by bytes, so that -0.0 and 0.0 are different operators
         by_bytes = {}
         numbers = [by_bytes.setdefault(m.tobytes(), len(by_bytes)) for m in operators]
         ops = np.array([*dict(zip(numbers, operators)).values()] or np.empty((0, d, d)), complex)
         if ops.shape[1:] != (d, d) or not np.isfinite(ops).all():
             raise ValueError(f"operators must be finite {d} x {d} matrices")
         src, tgt, obj = (np.asarray(a, dtype=np.intp) for a in (source, target, number))
-        # Stack order is (rank, target position), an edge's rank its index
-        # among its target's incoming edges by source position: level j is
-        # one run of the stack with distinct targets, and step() adds each
-        # target's terms in ascending source order, bitwise reproducibly.
+        # the stack's order makes step() add each target's terms in
+        # ascending source order, bitwise reproducibly
         by_target = np.lexsort((src, tgt))
         ts, ss = tgt[by_target], src[by_target]
         rank = np.arange(ts.size) - np.searchsorted(ts, ts)
@@ -282,9 +261,7 @@ class WalkSpec:
 
     @cached_property
     def transitions(self) -> dict:
-        """(source, target) -> the read-only row view of its operator in
-        ``_ops``, in insertion order (``_order`` holds each stack row's
-        insertion index), one view object per number."""
+        """(source, target) -> read-only view of its operator, in insertion order."""
         row = np.empty_like(self._order)
         row[self._order] = np.arange(row.size)  # each edge's stack row
         label, views = self.nodes.__getitem__, list(self._ops)
@@ -298,13 +275,9 @@ class WalkSpec:
 
     @cached_property
     def _fan(self) -> np.ndarray | None:
-        """Read-only (V, D*d, d) stack whose row block s holds node s's
-        out-operators by slot, zero rows padding nodes of smaller
-        out-degree; None when that padding would exceed one chunk.
-
-        Built on the first step that reads it, so validating a spec
-        does not pay for it.
-        """
+        """The read-only fan, or None when its padding would exceed one
+        chunk. Built on the first step that reads it, so validating a spec
+        does not pay for it."""
         v, d = self.node_count, self.dim
         width = int(self._slot.max(initial=-1)) + 1
         if (v * width - self._slot.size) * 16 * d ** 2 > _CHUNK_BYTES:
@@ -334,10 +307,8 @@ class ValidationReport:
     """Per-node completeness residuals for a WalkSpec.
 
     ``str`` prints one row per node in the dict's order, then accepted or
-    rejected. It formats each distinct residual once, 0.0 and -0.0 apart
-    and each NaN object on its own, and fills in the labels with one
-    %-format, so a walk whose nodes repeat their residuals (every node of
-    a translation-invariant walk) pays per value, not per node.
+    rejected; a walk whose nodes repeat their residuals (every node of a
+    translation-invariant walk) pays per value, not per node.
     """
 
     residuals: dict
@@ -348,9 +319,10 @@ class ValidationReport:
         return all(r <= self.tol for r in self.residuals.values())
 
     def __str__(self) -> str:
-        # one row template per distinct residual, a zero keyed by its repr
-        # since 0.0 and -0.0 print differently, then one %-format fills in
-        # every label, so a % in a label needs no escaping
+        # one row template per distinct residual (each NaN object its own),
+        # a zero keyed by its repr since 0.0 and -0.0 print differently,
+        # then one %-format fills in every label, so a % in a label needs
+        # no escaping
         tol, values = self.tol, self.residuals.values()
         keys = [r or repr(r) for r in values]
         distinct = dict(zip(keys, values))
@@ -368,14 +340,9 @@ def validate_walk(spec: WalkSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     Each node adds its edges' K^dag K onto a zero sum in stack order (by
     rank, then target position); its residual is the largest entry of
     |sum - I|, so a node with no outgoing edges has residual 1 (the zero
-    map loses all probability). K^dag K is formed once per distinct
-    operator, a row of the store ``_ops``, and taken by each edge's
-    number (``_group``). Level j, each source's j-th edge (``_slot``) by
-    source position, is added in one go: through a slice where its
-    sources are consecutive (every level of the line walk), else by
-    index, so memory stays O(E) whatever the out-degrees. A K whose
-    products overflow has an inf or NaN residual, which fails any tol,
-    and raises no warning.
+    map loses all probability). Memory stays O(E) whatever the
+    out-degrees. A K whose products overflow has an inf or NaN residual,
+    which fails any tol, and raises no warning.
     """
     tol = _real(tol, "tol", 0, open_interval=True)
     # level j: each source's j-th edge, by source position
@@ -384,8 +351,7 @@ def validate_walk(spec: WalkSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     terms = (ops.conj().transpose(0, 2, 1) @ ops).take(spec._group[order], 0)
     src = spec._src[order]
     sums = np.zeros((spec.node_count, spec.dim, spec.dim), dtype=complex)
-    # one add per level, its sources distinct and ascending: through a
-    # slice where they are consecutive, else an indexed add
+    # one add per level, its sources distinct and ascending
     bounds = np.cumsum(np.bincount(spec._slot)).tolist()
     for lo, hi in zip([0, *bounds], bounds):
         sums[_span(src[lo:hi])] += terms[lo:hi]
@@ -396,12 +362,10 @@ def validate_walk(spec: WalkSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
 class WalkerState:
     """Unnormalized positive blocks keyed by node; Tr(block) = occupation.
 
-    A state is compact rows: a tuple of node labels, the ascending
-    positions of the occupied nodes in it, one read-only (k, d, d) block
-    stack and the k traces. A state built from a dict stacks its blocks
-    once, in the dict's order, with the dict's keys as its labels;
-    step() returns rows over the spec's node tuple. ``blocks`` maps each
-    node to a read-only view of its row, in a new dict on each access.
+    A state built from a dict stacks its blocks once, read-only, in the
+    dict's order, with the dict's keys as its labels; step() returns
+    rows over the spec's node tuple. ``blocks`` maps each node to a
+    read-only view of its row, in a new dict on each access.
     """
 
     __slots__ = ("_nodes", "_pos", "_rho", "_tr")
@@ -424,18 +388,13 @@ class WalkerState:
         return self
 
     @classmethod
-    def _from_rows(cls, *rows) -> "WalkerState":
-        """A state of rows (nodes, ascending positions, block stack, traces)."""
-        return cls.__new__(cls)._set(*rows)
-
-    @classmethod
     def _pruned(cls, nodes: tuple, pos: np.ndarray, rho: np.ndarray) -> "WalkerState":
         """The rows (nodes, positions, blocks) of trace above PRUNE_TRACE."""
         tr = rho.trace(axis1=1, axis2=2).real
         if tr.size and not tr.min() > PRUNE_TRACE:  # NaN too
             keep = tr > PRUNE_TRACE
             pos, rho, tr = pos[keep], rho[keep], tr[keep]
-        return cls._from_rows(nodes, pos, rho, tr)
+        return cls.__new__(cls)._set(nodes, pos, rho, tr)
 
     def _labels(self):
         return map(self._nodes.__getitem__, self._pos.tolist())
@@ -575,22 +534,19 @@ def _steps(index: np.ndarray) -> np.ndarray | slice:
 def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
     """(reached targets, fans, chunks, level0) of a step from occupied positions pos.
 
-    A used edge is a stack row whose source position (``_src``) is in
-    pos; the reached targets are the ascending node positions of the
-    used edges' targets (``_tgt``), and an edge's output row is its
-    target's index among them. fans: the occupied sources' fan rows, or
-    None past one chunk. Per chunk of the used edges, in stack order: K
-    if it forms K rho per edge, its K^dag stack if stacked, the K rho gather
-    index, back (None, or each edge's row in the padded product ``_groups``
-    lays out, in group order, of at most twice as many rows as edges)
-    and, per level slice, (lo, hi) in the chunk, output rows and, if tall, its
-    K^dag. K and K^dag are read from the store ``_ops`` by operator
-    number. Consecutive output and fan rows are slices (``_span``), and
-    so are K and a per-edge gather index whose every step is 1
-    (``_steps``): views of ``_ops`` and of rho. level0: the used
-    level-0 edges, the first in stack order, one per target whose rank-0
-    source is occupied; fewer than the reached targets when some
-    target's first used edge lies above level 0."""
+    A used edge is a stack row whose source position is in pos; the
+    reached targets are the ascending positions of the used edges'
+    targets, and an edge's output row is its target's index among them.
+    fans: the occupied sources' fan rows, read-only, or None past one
+    chunk. Per chunk of the used edges, in stack order: K if it forms
+    K rho per edge, its K^dag stack if stacked, the K rho gather index,
+    back (None, or each edge's row in the padded product ``_groups``
+    lays out) and, per level slice, (lo, hi) in the chunk, output rows
+    and, if tall, its K^dag. Consecutive output rows are slices
+    (``_span``), and so are K and a per-edge gather index whose every
+    step is 1 (``_steps``). level0: the used level-0 edges, the first in
+    stack order; fewer than the reached targets when some target's
+    first used edge lies above level 0."""
     ops, d = spec._ops, spec.dim
     per_chunk = max(1, _CHUNK_BYTES // (16 * d ** 2))
     # each edge's source as a row of rho (-1: source unoccupied)
@@ -610,8 +566,8 @@ def _plan(spec: WalkSpec, pos: np.ndarray) -> tuple:
         # the occupied sources' fan rows fit one chunk, so the used edges
         # do too: each source's [K_1; ...; K_D] rho, and each edge's K
         # rho at its source's row times D plus its slot
-        span = _span(pos)  # take(): faster than fancy indexing
-        fans = fan[span] if isinstance(span, slice) else fan.take(pos, 0)
+        fans = fan.take(pos, 0)  # take(): faster than fancy indexing
+        fans.setflags(write=False)
         src = src * (fan.shape[1] // d) + spec._slot[used]
     bounds = np.searchsorted(used, spec._levels).tolist()
     chunks = []
@@ -687,10 +643,9 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
     first term written in place, the rest added, so each block has the
     bits of its terms added in that order, signed zeros included. A
     target whose first term comes after level 0 starts from a -0.0
-    seed, an exact additive identity. Only
-    edges whose source is occupied are evaluated, in the products the
-    step's plan lays out (``_full_plan`` when every node is occupied).
-    Blocks whose trace is not above PRUNE_TRACE are dropped.
+    seed, an exact additive identity. Only edges whose source is
+    occupied are evaluated. Blocks whose trace is not above PRUNE_TRACE
+    are dropped.
     """
     pos, rho = _rows(spec, state)
     targets, fans, chunks, level0 = (spec._full_plan if pos.size == spec.node_count
@@ -769,14 +724,11 @@ def find_steady_state(spec: WalkSpec, initial: WalkerState,
     predecessor (state_trace_distance) is <= tol, with the number of
     steps applied; after max_iter steps without that, the last iterate.
 
-    Each iteration first bounds the trace distance from below with the
-    stored per-node traces (_trace_bound: half the summed trace
-    differences, less a rounding slack). While that bound exceeds tol by
-    more than the relative margin _BOUND_MARGIN the iterate cannot have
-    converged, and the per-node differences and their eigenvalues are
-    skipped. Otherwise, and on the last allowed iteration, the exact
-    distance is computed, so ``residual`` is always state_trace_distance
-    of the last two states.
+    An iteration whose trace bound (_trace_bound) exceeds tol by more
+    than the relative margin _BOUND_MARGIN cannot have converged and
+    skips the exact distance; otherwise, and on the last allowed
+    iteration, it is computed, so ``residual`` is always
+    state_trace_distance of the last two states.
     """
     tol = _real(tol, "tol", 0, open_interval=True)
     max_iter = _count(max_iter, "max_iter", 1)

@@ -153,11 +153,6 @@ def _vector(v, name: str, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def as_operator(a: np.ndarray) -> np.ndarray:
-    """Coerce to a square complex128 matrix with finite entries."""
-    return _matrix(a, "a")
-
-
 def _ket(psi, name: str, dim: int | None = None, tol: float = 1e-12) -> np.ndarray:
     """psi as a finite complex vector with |psi|^2 within tol of 1, of
     dimension dim when given."""
@@ -235,7 +230,7 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     than tol in any entry.
     """
     tol = _real(tol, "tol", 0, open_interval=True)
-    a = as_operator(a)
+    a = _matrix(a, "a")
     dev = float(np.max(np.abs(a - a.conj().T)))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
@@ -245,7 +240,7 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
 def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff a is Hermitian within tol and min eigenvalue >= -tol."""
     tol = _real(tol, "tol", 0, open_interval=True)
-    a = as_operator(a)
+    a = _matrix(a, "a")
     if float(np.max(np.abs(a - a.conj().T))) > tol:
         return False
     return bool(np.linalg.eigvalsh(a)[0] >= -tol)

@@ -825,11 +825,12 @@ def test_main_rejected_walk_names_worst_node(tmp_path, capsys, doc):
 
 def test_cli_never_builds_a_specs_transitions(monkeypatch, capsys):
     # run, steady and validate read the compiled arrays only: the
-    # transitions dict, built on first access, stays unbuilt
+    # transitions dict, built on first access, stays unbuilt; validate
+    # takes no step, so it builds no fan and no full plan either
     import shlex
 
     from oqwalk import cli
-    from test_digests import COMMANDS
+    from test_digests import DIGESTS
 
     specs = []
 
@@ -839,8 +840,10 @@ def test_cli_never_builds_a_specs_transitions(monkeypatch, capsys):
         return plan
 
     monkeypatch.setattr(cli, "build_plan", recording)
-    for command in COMMANDS:
+    for command, (status, _) in DIGESTS.items():
         specs.clear()
-        assert main(shlex.split(command)) in (0, 2), command
+        assert main(shlex.split(command)) == status, command
         assert len(specs) == 1 and "transitions" not in vars(specs[0]), command
+        if command.startswith("validate"):
+            assert not {"_fan", "_full_plan"} & set(vars(specs[0])), command
     capsys.readouterr()

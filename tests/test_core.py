@@ -239,11 +239,11 @@ _NAN = np.array([[1, 0], [0, np.nan]])
 _INF = np.array([[np.inf, 0], [0, 1]])
 
 
-def _as_operator_error(op) -> str:
-    from oqwalk.linalg import as_operator
+def _matrix_error(op) -> str:
+    from oqwalk.linalg import _matrix
 
     with pytest.raises(ValueError) as caught:
-        as_operator(op)
+        _matrix(op, "a")
     return str(caught.value)
 
 
@@ -256,8 +256,8 @@ def _as_operator_error(op) -> str:
     # a non-square operator
     ((1, 2), {(1, 2): _EYE, (2, 1): np.ones((2, 3))},
      "operator on edge (2 -> 1) must be a square matrix, got shape (2, 3)"),
-    # a ragged operator: as_operator's own message; an empty one
-    ((1, 2), {(1, 2): _EYE, (2, 1): [[1, 0], [0]]}, _as_operator_error([[1, 0], [0]])),
+    # a ragged operator: numpy's own message; an empty one
+    ((1, 2), {(1, 2): _EYE, (2, 1): [[1, 0], [0]]}, _matrix_error([[1, 0], [0]])),
     ((1, 2), {(1, 2): _EYE, (2, 1): np.empty((0, 0))},
      "operator on edge (2 -> 1) must be a square matrix, got shape (0, 0)"),
     # an int past the float range
@@ -1341,6 +1341,19 @@ def test_fanned_one_operator_plan_holds_no_k_stack():
         assert all(shared is not None for *_, shared in slices)
 
 
+def test_plan_fan_rows_are_the_occupied_sources_rows_read_only():
+    # full and partial plans, consecutive sources or not, hold a
+    # read-only copy of the occupied sources' rows of _fan
+    for label, spec, _ in fan_cases():
+        v = spec.node_count
+        for pos in np.arange(v), np.arange(1, v), np.arange(0, v, 2):
+            _, fans, _, _ = spec._full_plan if pos.size == v else core._plan(spec, pos)
+            expected = spec._fan[pos]
+            assert fans.shape == expected.shape, label
+            assert fans.tobytes() == expected.tobytes(), label
+            assert not fans.flags.writeable, label
+
+
 def per_edge_plan(monkeypatch, spec, pos) -> tuple:
     """_plan(spec, pos) with every chunk left ungrouped."""
     with monkeypatch.context() as patch:
@@ -2000,8 +2013,8 @@ def test_state_trace_distance_matches_dense_and_per_node_sum():
 
 def rows_state(nodes: tuple, pos, rho) -> WalkerState:
     rho = np.array(rho, dtype=complex)
-    return WalkerState._from_rows(nodes, np.asarray(pos, dtype=np.intp), rho,
-                                  np.trace(rho, axis1=1, axis2=2).real)
+    return WalkerState.__new__(WalkerState)._set(
+        nodes, np.asarray(pos, dtype=np.intp), rho, np.trace(rho, axis1=1, axis2=2).real)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 32])

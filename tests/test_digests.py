@@ -72,6 +72,16 @@ steady --scenario dqc --set omega=0.5 --set T=20 --set unitaries='["Z", "T", "Z"
 steady --scenario dqc --set omega=0.8 --set T=40
 run --scenario dqc --set omega=0.6 --set T=8 --set unitaries='[[[0,0,1],[1,0,0],[0,1,0]], [[0.6,0.8,0],[-0.8,0.6,0],[0,0,1]], [[0,0,1],[1,0,0],[0,1,0]], [[1,0,0],[0,[0,1],0],[0,0,[0.6,0.8]]], [[0.6,0.8,0],[-0.8,0.6,0],[0,0,1]], [[0,0,1],[1,0,0],[0,1,0]], [[0,0,1],[1,0,0],[0,1,0]], [[1,0,0],[0,[0,1],0],[0,0,[0.6,0.8]]]]' --set psi0='[0.6, 0, 0.8]' --steps 30
 run --scenario transport --set N=50 --set sqrt_p=0.8 --steps 60
+# the benchmark's seed-1 and seed-11 gate lists: seed 11's full plan cuts
+# long groups into pieces
+steady --scenario dqc --set omega=0.5 --set T=20 --set unitaries='["I", "X", "Z", "Z", "Z", "H", "S", "H", "T", "Z", "T", "T", "Y", "T", "Z", "I", "H", "T", "H", "Z"]'
+steady --scenario dqc --set omega=0.5 --set T=20 --set unitaries='["T", "Z", "X", "Z", "Z", "T", "T", "X", "Z", "X", "I", "I", "Z", "X", "T", "Y", "X", "Z", "I", "H"]'
+# large specs: an 80002-edge line walk validated and run (its partial
+# steps mark reached targets in a 40001-node mask), and a 20000-node
+# transport report rejected by a tol below its residuals
+validate --scenario line --set theta_cos=0.8 --set window=20000
+run --scenario line --set theta_cos=0.8 --set window=20000 --steps 300 --record-every 100
+validate --scenario transport --set N=20000 --set sqrt_p=0.6 --set tol=2e-16
 """.splitlines() if line and not line.startswith("#")]
 
 # command -> (exit status, SHA-256 of stdout), recorded with numpy 2.4.6
@@ -156,6 +166,16 @@ DIGESTS = {
         (0, '096bec846961b3e5f9ae006c399e008df206507311c8a1cc22e747e219716578'),
     'run --scenario transport --set N=50 --set sqrt_p=0.8 --steps 60':
         (0, '2c69589326f346f7baf11b16a87f7797a8b1a77256bb953c0d6dc038e2c65a6e'),
+    'steady --scenario dqc --set omega=0.5 --set T=20 --set unitaries=\'["I", "X", "Z", "Z", "Z", "H", "S", "H", "T", "Z", "T", "T", "Y", "T", "Z", "I", "H", "T", "H", "Z"]\'':
+        (0, '09a39607c4eea0d7aeed840e242df6daee23220d6504521936b28dfdb1c69e5f'),
+    'steady --scenario dqc --set omega=0.5 --set T=20 --set unitaries=\'["T", "Z", "X", "Z", "Z", "T", "T", "X", "Z", "X", "I", "I", "Z", "X", "T", "Y", "X", "Z", "I", "H"]\'':
+        (0, 'f68791ad83f2b778ea0227522608593938801d4d2823494ada7f61f0b6101d78'),
+    'validate --scenario line --set theta_cos=0.8 --set window=20000':
+        (0, 'fcedfb09482d278a83e82140d92a80ed8a19f3ef1f8d39abd3f577af3591c836'),
+    'run --scenario line --set theta_cos=0.8 --set window=20000 --steps 300 --record-every 100':
+        (0, 'f0c2741b994b21453e8bfd152315002cdd645badc36362d4722ab35a4d960c30'),
+    'validate --scenario transport --set N=20000 --set sqrt_p=0.6 --set tol=2e-16':
+        (1, '70d032326690349c6311eb225772254cf040d591f268c2e7980818c65c09b1f3'),
 }
 
 

@@ -30,7 +30,6 @@ from oqwalk.linalg import (
     adjoint,
     apply_kraus,
     as_ket,
-    as_operator,
     basis_ket,
     half_trace_norms,
     hermitian_eigenvalues,
@@ -410,7 +409,6 @@ ARRAYS = {
     "extract_blocks.full": ("full matrix", "matrix", 4, lambda v: extract_blocks(_SPEC, v)),
     "full_map_step.full": ("full matrix", "matrix", 4, lambda v: full_map_step(_SPEC, v)),
     "pure_state.psi": ("psi", "vector", None, lambda v: pure_state(1, v)),
-    "as_operator.a": ("a", "matrix", None, as_operator),
     "kron.a": ("a", "matrix", None, lambda v: kron(v, PAULI_X)),
     "kron.b": ("b", "matrix", None, lambda v: kron(PAULI_X, v)),
     "adjoint.a": ("a", "matrix", None, adjoint),
