@@ -109,19 +109,23 @@ NAMED_GATES = {
 }
 
 NAMED_KETS = {
-    "0": KET_ZERO.copy(),
-    "1": KET_ONE.copy(),
-    "+": KET_PLUS.copy(),
-    "-": KET_MINUS.copy(),
+    "0": KET_ZERO,
+    "1": KET_ONE,
+    "+": KET_PLUS,
+    "-": KET_MINUS,
     "00": basis_ket(4, 0),
     "01": basis_ket(4, 1),
     "10": basis_ket(4, 2),
     "11": basis_ket(4, 3),
-    "psi+": BELL_PSI_PLUS.copy(),
-    "psi-": BELL_PSI_MINUS.copy(),
-    "phi+": BELL_PHI_PLUS.copy(),
-    "phi-": BELL_PHI_MINUS.copy(),
+    "psi+": BELL_PSI_PLUS,
+    "psi-": BELL_PSI_MINUS,
+    "phi+": BELL_PHI_PLUS,
+    "phi-": BELL_PHI_MINUS,
 }
+# read-only like the linalg constants above, which both tables share
+for _k in ("00", "01", "10", "11"):
+    NAMED_KETS[_k].setflags(write=False)
+del _k
 
 
 @dataclass

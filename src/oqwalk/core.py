@@ -21,26 +21,28 @@ insertion order: it checks each edge's nodes, checks and converts each
 distinct operator object at its first edge, and lists each edge's source
 and target positions and object number. The line, transport, gate and
 dqc builders check their own inputs and hand such a table to
-``WalkSpec._table`` as index arrays. The compile converts nothing again;
-it checks the operator store once, for shape and finiteness, and keeps
-one edge table, the stack, each row one edge as (source, target, number)
-positions: ``_src`` and ``_tgt`` hold its node positions, the read-only
-``_group`` its operator's number, ``_run`` its row's run of one number
-along the stack, ``_slot`` its index among its source's out-edges and
-``_order`` its insertion index. Stack order is (rank, target position),
-an edge's rank its index among its target's incoming edges by source
-position, so level j (``_levels`` bounds it), one run of the stack,
-holds each target's j-th incoming edge. The operators are numbered by
-their bytes in first use and stored once each: ``_ops`` is the read-only
-(G, d, d) store of the G bytewise-distinct operators, a number is its
-row, and ``_ops[_group]`` is the per-edge stack, which nothing keeps.
-``transitions``, built from these arrays on first access (validating,
-stepping and iterating never read it), maps each edge to its operator's
-row view, one view object shared by all the edges of a number.
-``validate_walk`` forms K^dag K once per row of the store and adds each
-level of source slots (``_slot``) through a slice where its sources are
-consecutive, else by index; its report formats each distinct residual
-once.
+``WalkSpec._table`` as index arrays. Both front ends give finite (d, d)
+operators in first use, on distinct edges, so the compile converts and
+checks nothing; ``oqw run``, ``steady`` and ``validate`` check the
+completeness relation of the spec they build with ``validate_walk``. The
+compile keeps one edge table, the stack, each row one edge as (source,
+target, number) positions: ``_src`` and ``_tgt`` hold its node
+positions, the read-only ``_group`` its operator's number, ``_run`` its
+row's run of one number along the stack, ``_slot`` its index among its
+source's out-edges and ``_order`` its insertion index. Stack order is
+(rank, target position), an edge's rank its index among its target's
+incoming edges by source position, so level j (``_levels`` bounds it),
+one run of the stack, holds each target's j-th incoming edge. The
+operators are numbered by their bytes in first use and stored once each:
+``_ops`` is the read-only (G, d, d) store of the G bytewise-distinct
+operators, a number is its row, and ``_ops[_group]`` is the per-edge
+stack, which nothing keeps. ``transitions``, built from these arrays on
+first access (validating, stepping and iterating never read it), maps
+each edge to its operator's row view, one view object shared by all the
+edges of a number. ``validate_walk`` forms K^dag K once per row of the
+store and adds each level of source slots (``_slot``) through a slice
+where its sources are consecutive, else by index; its report formats
+each distinct residual once.
 
 A WalkerState has one form, compact rows: a node tuple, the ascending
 positions of the occupied nodes in it, one (k, d, d) block stack and
@@ -191,10 +193,11 @@ class WalkSpec:
                number) -> "WalkSpec":
         """The spec whose edge k, in insertion order, runs from node
         position source[k] to target[k] and carries operators[number[k]].
-        The operators are complex (d, d) arrays the caller has checked;
-        their store must be finite and of that shape (else ValueError).
-        The edges are distinct and the operators listed in first use, each
-        used (else ValueError); byte-equal operators share a number."""
+
+        The caller guarantees, and the compile does not check, that the
+        operators are finite complex (d, d) arrays, listed in first use
+        and each used, and that the edges are distinct. Byte-equal
+        operators share a number."""
         spec = cls.__new__(cls)
         spec._set_nodes(nodes, dim)
         spec._compile(operators, source, target, number)
@@ -213,29 +216,21 @@ class WalkSpec:
         return index
 
     def _compile(self, operators, source, target, number) -> None:
-        """Compile an operator table (see ``_table``) into the edge arrays."""
+        """Compile an operator table into the edge arrays: a pure array
+        transform that trusts ``_table``'s preconditions."""
         d = self.dim
         # numbers by bytes, so that -0.0 and 0.0 are different operators
         by_bytes = {}
         numbers = [by_bytes.setdefault(m.tobytes(), len(by_bytes)) for m in operators]
         ops = np.array([*dict(zip(numbers, operators)).values()] or np.empty((0, d, d)), complex)
-        if ops.shape[1:] != (d, d) or not np.isfinite(ops).all():
-            raise ValueError(f"operators must be finite {d} x {d} matrices")
         src, tgt, obj = (np.asarray(a, dtype=np.intp) for a in (source, target, number))
         # the stack's order makes step() add each target's terms in
         # ascending source order, bitwise reproducibly
         by_target = np.lexsort((src, tgt))
-        ts, ss = tgt[by_target], src[by_target]
+        ts = tgt[by_target]
         rank = np.arange(ts.size) - np.searchsorted(ts, ts)
-        if ((rank[1:] > 0) & (ss[1:] == ss[:-1])).any():  # a source twice on one target
-            raise ValueError("an edge repeats")
         order = by_target[np.lexsort((ts, rank))]
-        per_edge = np.array(numbers, dtype=np.intp)[obj]  # in insertion order
-        # first use: the numbers so far rise by at most 1 at each edge, to G - 1
-        top = np.maximum.accumulate(np.concatenate(([-1], per_edge)))
-        if (np.diff(top) > 1).any() or top[-1] != len(ops) - 1:
-            raise ValueError("operators must be listed in first use, each used")
-        group = per_edge[order]
+        group = np.array(numbers, dtype=np.intp)[obj[order]]
         for array in ops, group:
             array.setflags(write=False)
         # each row's run of equal operators along the stack
@@ -773,11 +768,11 @@ def extract_blocks(spec: WalkSpec, full: np.ndarray) -> tuple[WalkerState, float
     """
     v, d = spec.node_count, spec.dim
     full = _matrix(full, "full matrix", d * v)
-    view = full.reshape(d, v, d, v)
-    rho = np.stack([view[:, i, :, i] for i in range(v)])
+    view, pos = full.reshape(d, v, d, v), np.arange(v)
+    rho = view[:, pos, :, pos]  # to_full_density's scatter, read back
     off = np.abs(view).max(axis=(0, 2))
     np.fill_diagonal(off, 0.0)
-    return WalkerState._pruned(spec.nodes, np.arange(v), rho), float(off.max())
+    return WalkerState._pruned(spec.nodes, pos, rho), float(off.max())
 
 
 def full_map_step(spec: WalkSpec, full: np.ndarray) -> np.ndarray:

@@ -112,6 +112,14 @@ def test_plan_gate_matrix_input():
     assert plan.spec.dim == 2
 
 
+def test_named_gates_and_kets_are_read_only():
+    # a plan gets the table's own array for a name: no run may write into it
+    from oqwalk.cli import NAMED_GATES, NAMED_KETS
+
+    for name, array in [*NAMED_GATES.items(), *NAMED_KETS.items()]:
+        assert not array.flags.writeable, name
+
+
 # ------------------------------------------------------------------ emit
 
 
@@ -419,14 +427,18 @@ def test_main_stdin_config(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("value", [None, "1e-4", "abc", "0"])
 def test_main_reads_no_environment_tolerance(capsys, monkeypatch, value):
-    # tol comes only from the configuration: OQW_TOL changes nothing
+    # tol comes only from the configuration: OQW_TOL changes no byte of
+    # the pinned output
+    from test_digests import DIGESTS, _digest
+
     if value is not None:
         monkeypatch.setenv("OQW_TOL", value)
     assert parse_config({"scenario": "line", "theta_cos": 0.8}).tol == 1e-10
-    assert main(["steady", "--scenario", "dqc", "--set", "omega=0.5",
-                 "--set", "T=6"]) == 0
+    command = "steady --scenario dqc --set omega=0.5 --set T=6"
+    assert main(command.split()) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and json.loads(captured.out)["iterations"] == 210
+    assert (0, _digest(captured.out)) == DIGESTS[command]
 
 
 BASE_DOCS = {
@@ -583,14 +595,21 @@ BIG =str(sys.maxsize * 10 ** 12)  # past the index range: fails before allocatin
                     "--set", f"window={BIG}"],
                    ["--scenario", "dqc", "--set", "omega=0.5", "--set", f"T={BIG}"])],
     ("run", ["--scenario", "line", "--set", "theta_cos=0.8", "--steps", BIG], None),
+    ("validate", ["--scenario", "transport", "--set", "sqrt_p=0.5", "--set", "N=1"], "N"),
+    ("validate", ["--scenario", "dqc", "--set", "omega=0.5", "--set", "T=0"], "T"),
+    ("validate", ["--scenario", "dqc", "--set", "omega=0.5", "--set", "T=2.5"], "T"),
+    ("run", ["--scenario", "transport", "--set", "N=3", "--set", "p=0.5",
+             "--set", "psi1=[1,0,0]"], "psi1"),
+    ("run", ["--scenario", "line", "--set", "theta_cos=0.8", "--steps", "abc"], "argument"),
 ])
 def test_main_rejects_out_of_range_values(capsys, command, argv, key):
-    # exit 1 with one error: line, never a traceback or a coerced value
+    # exit 1 with one error: line, never a traceback or a coerced value;
+    # a named key comes first in it
     assert main([command, *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert key is None or key in captured.err
+    assert key is None or captured.err.startswith(f"error: {key} ")
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "steady"])

@@ -201,18 +201,13 @@ def test_table_built_specs_equal_dict_built_specs_of_their_edges():
             assert_compiled_like_reference(one, spec.nodes, spec.dim, edges, label)
 
 
-def test_table_rejects_repeated_edges_and_operators_out_of_first_use():
+def test_table_keeps_insertion_order_and_shares_byte_equal_operators():
+    # the compile trusts its table (distinct edges, operators in first
+    # use), as both front ends guarantee, and checks none of it
     a, b = np.eye(2), PAULI_X
     table = WalkSpec._table((1, 2), 2, (a, b), (0, 1), (1, 0), (0, 1))
     assert list(table.transitions) == [(1, 2), (2, 1)]
     assert np.array_equal(table.transitions[(2, 1)], b)
-    for operators, source, target, number in (
-            ((a, b), (0, 0, 1), (1, 1, 0), (0, 1, 1)),  # the edge 1 -> 2 twice
-            ((a, b), (0, 1), (1, 0), (1, 0)),  # b used before a
-            ((a, b), (0, 1), (1, 0), (0, 0)),  # b unused
-            ((a,), (), (), ())):  # no edges, one operator
-        with pytest.raises(ValueError):
-            WalkSpec._table((1, 2), 2, operators, source, target, number)
     # byte-equal operators listed apart share a number
     twin = WalkSpec._table((1, 2), 2, (a, b, a.copy()), (0, 1, 1), (1, 0, 1), (0, 1, 2))
     assert len(twin._ops) == 2 and twin.transitions[(2, 2)] is twin.transitions[(1, 2)]
@@ -315,17 +310,6 @@ def test_spec_checks_each_operator_once_where_it_enters(monkeypatch):
         calls.clear()
         build()
         assert all(name.startswith("block at node ") for name in calls), (label, calls)
-
-
-@pytest.mark.parametrize("op", [np.array([[1, 0], [0, np.nan]], dtype=complex),
-                                np.array([[np.inf, 0], [0, 1]], dtype=complex),
-                                np.eye(3, dtype=complex)])
-def test_table_checks_its_operator_store(op):
-    # a table's operators come checked; the compile checks their (G, d, d)
-    # store once for its shape and finiteness
-    with pytest.raises(ValueError) as caught:
-        WalkSpec._table((1, 2), 2, (op,), (0, 1), (1, 0), (0, 0))
-    assert str(caught.value) == "operators must be finite 2 x 2 matrices"
 
 
 def test_validate_accepts_line_walk_exactly():

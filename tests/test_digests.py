@@ -27,6 +27,7 @@ COMMANDS = [line for line in """
 # line
 run --scenario line --set theta_cos=0.8 --set window=8 --steps 6
 run --scenario line --set theta_cos=0.8 --set window=8 --steps 6 --record-every 4 --format json
+run --scenario line --set theta_cos=0.8 --steps 20 --record-every 7
 steady --scenario line --set theta_cos=0.8 --set window=4 --set max_iter=50
 validate --scenario line --set theta_cos=0.8 --set window=8
 # gate
@@ -43,6 +44,7 @@ validate --scenario gate --set gate=CNOT --set p=0.3
 run --scenario state_prep --set alpha=0.4 --set beta=1.9 --set q=0.3 --steps 6
 run --scenario state_prep --set alpha=0.4 --set beta=1.9 --set q=0.3 --steps 6 --format json
 steady --scenario state_prep --set alpha=1.1 --set beta=5.0 --set q=0.7
+steady --scenario state_prep
 validate --scenario state_prep --set alpha=0.4 --set beta=1.9 --set q=0.3
 # bell
 run --scenario bell --set start_node='"UL"' --steps 3
@@ -58,6 +60,7 @@ validate --scenario bell
 run --scenario transport --set N=6 --set sqrt_p=0.8 --steps 8
 run --scenario transport --set N=6 --set p=0.36 --set psi1='"0"' --set psi2='"1"' --steps 8 --format json
 steady --scenario transport --set N=20 --set p=0.5
+steady --scenario transport --set N=50 --set sqrt_p=0.8
 validate --scenario transport --set N=12 --set sqrt_p=0.6
 # dqc
 run --scenario dqc --set omega=0.5 --set T=3 --set unitaries='["H", "X", "S"]' --set psi0='"+"' --steps 5
@@ -90,6 +93,8 @@ DIGESTS = {
         (0, '4cd6478fbbdeae8037ea75320524dc916b8e11d1efe152db2df57ebbdeab043c'),
     'run --scenario line --set theta_cos=0.8 --set window=8 --steps 6 --record-every 4 --format json':
         (0, 'e5f3a545d9c01883834c520ff9c539d947fb6ee99392907d245c4158ee8ed6af'),
+    'run --scenario line --set theta_cos=0.8 --steps 20 --record-every 7':
+        (0, 'f9733a7514b319f7da8e48c8cf5ad673d404c5a8e1527fb850e95fb59c7a628f'),
     'steady --scenario line --set theta_cos=0.8 --set window=4 --set max_iter=50':
         (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'validate --scenario line --set theta_cos=0.8 --set window=8':
@@ -118,6 +123,8 @@ DIGESTS = {
         (0, '559b69ee96fcbe18b552ac38ca9144fc8dc7769521a67412b0c784e5dca927d7'),
     'steady --scenario state_prep --set alpha=1.1 --set beta=5.0 --set q=0.7':
         (0, 'f45c81d7ba4729c7e798f31db62a65009fa6b611177ff57fe2dddbb18e1f137b'),
+    'steady --scenario state_prep':
+        (0, '17f10953ae5267d51a7661dab2117b0e05fb44396c46ddefae484b6215573767'),
     'validate --scenario state_prep --set alpha=0.4 --set beta=1.9 --set q=0.3':
         (0, '83d9aa75929354512183e04d45bed07ffaf2680de853b2d3bcdeeb0484af28e5'),
     'run --scenario bell --set start_node=\'"UL"\' --steps 3':
@@ -144,6 +151,8 @@ DIGESTS = {
         (0, 'd658ed531ab031fc0aaa95c24e0b7433db9f7fe8b77862e1f4019d8636a678c7'),
     'steady --scenario transport --set N=20 --set p=0.5':
         (0, '9982f97cc6626c252535c65fc2f46d64a471643782adfc6b5dd905dd5bbdf6ce'),
+    'steady --scenario transport --set N=50 --set sqrt_p=0.8':
+        (0, '59c7fc68baf560e2f2a5871077594c59b1515aab2852d108c4a1aed8e8a11f84'),
     'validate --scenario transport --set N=12 --set sqrt_p=0.6':
         (0, 'ead96d224a06786cf00cc50e05d2c281533cbc2ab2fdd5f90df75d79f55a0433'),
     'run --scenario dqc --set omega=0.5 --set T=3 --set unitaries=\'["H", "X", "S"]\' --set psi0=\'"+"\' --steps 5':
