@@ -352,23 +352,26 @@ def _transport(values: dict, cfg: RunConfig) -> ScenarioPlan:
 
 def _dqc(values: dict, cfg: RunConfig) -> ScenarioPlan:
     omega, t_final, psi0 = values["omega"], values["T"], values["psi0"]
-    gates = values["unitaries"]
-    if gates is None:
-        try:
+    try:
+        gates = values["unitaries"]
+        if gates is None:
             gates = [NAMED_GATES["H"]] * t_final
-        except (OverflowError, MemoryError):  # past the index range, or too long
-            raise ConfigError(f"T = {t_final} is too large to build") from None
-    elif len(gates) != t_final:
-        raise ConfigError("unitaries must be a list of T entries")
-    spec, initial = build_dqc_chain(gates, omega, psi0)
-    # expected output: the whole gate sequence applied to psi0
-    vec = psi0 if psi0 is not None else basis_ket(spec.dim, 0)
-    for g in gates:
-        vec = g @ vec
-    return ScenarioPlan(spec, initial, lambda state: _readout(
-        state, t_final,
-        predicted_readout=analysis.dqc_predicted_readout(omega, t_final),
-        **_fidelity(state, t_final, "output_fidelity", vec)))
+        elif len(gates) != t_final:
+            raise ConfigError("unitaries must be a list of T entries")
+        spec, initial = build_dqc_chain(gates, omega, psi0)
+    except (OverflowError, MemoryError):  # past the index range, or too long
+        raise ConfigError(f"T = {t_final} is too large to build") from None
+
+    def report(state: WalkerState) -> dict:
+        # expected output: the whole gate sequence applied to psi0, formed
+        # only here, since validate and run never print it
+        vec = psi0 if psi0 is not None else basis_ket(spec.dim, 0)
+        for g in gates:
+            vec = g @ vec
+        return _readout(state, t_final,
+                        predicted_readout=analysis.dqc_predicted_readout(omega, t_final),
+                        **_fidelity(state, t_final, "output_fidelity", vec))
+    return ScenarioPlan(spec, initial, report)
 
 
 _REAL = _checked(_real)

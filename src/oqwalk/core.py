@@ -58,13 +58,13 @@ targets, the occupied sources' fan rows (a copy) where they fit one
 chunk, and per chunk of the used edges its operators, its K rho gather
 index and each level slice's output rows. Every node occupied is one
 such set, whose plan the spec compiles once (``_full_plan``). The
-executor forms the K rho K^dag products with matmuls and sums them
-level by level into rows over the spec's node tuple: level 0 writes its
-targets' first terms in place, and later levels add theirs. Only a plan
-in which some reached target's rank-0 source is unoccupied (its used
-level-0 edges fewer than its reached targets) fills the output with
--0.0 first, an exact additive identity (-0.0 + x has the bits of x);
-the full plan never does. A step whose occupied sources' fan rows
+executor (``_execute``) forms the K rho K^dag products with matmuls and
+sums them level by level into rows over the spec's node tuple: level 0
+writes its targets' first terms in place, and later levels add theirs.
+Only a plan in which some reached target's rank-0 source is unoccupied
+(its used level-0 edges fewer than its reached targets) fills the output
+with -0.0 first, an exact additive identity (-0.0 + x has the bits of
+x); the full plan never does. A step whose occupied sources' fan rows
 (k * D * d^2 entries) fit one chunk forms K rho as one [K_1; ...; K_D]
 rho per occupied source, one chunk-sized product; larger steps form it
 one matrix per edge, reading K as a view of the store where its
@@ -79,8 +79,15 @@ with n = 1 per edge where grouping would not halve the products. These
 see the same shared operand as the per-matrix products, only more rows
 of the other one, and BLAS gives them the same bits (tests/test_core.py
 checks the premises by name). The other grouping, K [rho_1 ... rho_n],
-changes bits and is not used. ``iter_run`` yields a run's snapshots as
-it makes them, holding one state; ``run`` lists them.
+changes bits and is not used. ``step`` is the executor on its plan,
+then ``WalkerState._pruned``. ``_advance`` is the linear step: the
+executor on the full plan, from a (V, d, d) array over the spec's node
+tuple to another, with zero rows at unreached nodes and no prune.
+``superoperator`` is its dense (V d^2) x (V d^2) matrix on row-major
+vectorized arrays, each edge (j -> i) adding kron(K, conj K) at block
+(i, j), and it refuses a walk whose matrix passes ``_DENSE_BYTES``.
+``iter_run`` yields a run's snapshots as it makes them, holding one
+state; ``run`` lists them.
 
 ``find_steady_state`` is power iteration of ``step``. Half the summed
 differences of the stored per-node traces, less a rounding slack, bound
@@ -123,6 +130,13 @@ PRUNE_TRACE = 1e-15
 # a node of far larger out-degree than the rest does not cost O(V * D)
 # stored operators.
 _CHUNK_BYTES = 1 << 17
+
+# Bytes of the largest dense superoperator built, (V d^2)^2 complex
+# entries: 128 MiB, a matrix of order 2896. Its per-edge kron(K, conj K)
+# stack is no larger (E <= V^2 distinct edges), so a build stays within
+# twice this. A memory bound, not a knob; larger walks stay on the
+# block form.
+_DENSE_BYTES = 1 << 27
 
 # Iteration cap of find_steady_state (and of ``oqw steady``).
 DEFAULT_MAX_ITER = 10 ** 6
@@ -643,9 +657,15 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
     are dropped.
     """
     pos, rho = _rows(spec, state)
-    targets, fans, chunks, level0 = (spec._full_plan if pos.size == spec.node_count
-                                     else _plan(spec, pos))
-    d = spec.dim
+    plan = spec._full_plan if pos.size == spec.node_count else _plan(spec, pos)
+    return WalkerState._pruned(spec.nodes, plan[0], _execute(plan, rho))
+
+
+def _execute(plan: tuple, rho: np.ndarray) -> np.ndarray:
+    """The unpruned (reached targets, d, d) blocks that a plan makes of
+    its occupied sources' (k, d, d) stack rho."""
+    targets, fans, chunks, level0 = plan
+    d = rho.shape[-1]
     shape = (targets.size, d, d)
     # level 0 writes each of its targets' first term in place; a target
     # it misses adds its first term onto the -0.0 seed
@@ -670,7 +690,30 @@ def step(spec: WalkSpec, state: WalkerState) -> WalkerState:
                 level0 -= hi - lo
             else:
                 acc[rows] += term
-    return WalkerState._pruned(spec.nodes, targets, acc)
+    return acc
+
+
+def _advance(spec: WalkSpec, x: np.ndarray) -> np.ndarray:
+    """The linear step of a (V, d, d) block array over spec.nodes."""
+    plan = spec._full_plan
+    out = np.zeros((spec.node_count, spec.dim, spec.dim), dtype=complex)
+    out[plan[0]] = _execute(plan, x)
+    return out
+
+
+def superoperator(spec: WalkSpec) -> np.ndarray:
+    """The dense (V d^2) x (V d^2) matrix of ``_advance``; MemoryError
+    when it would pass _DENSE_BYTES."""
+    v, d = spec.node_count, spec.dim
+    n = v * d * d
+    if 16 * n * n > _DENSE_BYTES:
+        raise MemoryError(f"the superoperator of {v} nodes at dim {d} needs "
+                          f"{16 * n * n} bytes, above the cap of {_DENSE_BYTES}")
+    ops = spec._ops
+    krons = np.einsum("gac,gbe->gabce", ops, ops.conj()).reshape(-1, d * d, d * d)
+    dense = np.zeros((v, d * d, v, d * d), dtype=complex)
+    np.add.at(dense, (spec._tgt, slice(None), spec._src), krons[spec._group])
+    return dense.reshape(n, n)
 
 
 def iter_run(spec: WalkSpec, initial: WalkerState, n_steps: int,

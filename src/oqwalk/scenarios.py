@@ -56,20 +56,18 @@ SCENARIO_NAMES = ("line", "gate", "state_prep", "bell", "transport", "dqc")
 _INPUT_TOL = 2e-13
 
 
-def _chain(mats: list, forward: float, nodes) -> WalkSpec:
-    """Register chain: hop k -> k+1 applies sqrt(forward) * mats[k], the
-    hop back undoes it with sqrt(1 - forward) * mats[k]^dag, and scaled
-    identities keep the leftover weight at both ends."""
+def _chain(gates: list, number, forward: float, nodes) -> WalkSpec:
+    """Register chain over distinct gates: hop k -> k+1 applies
+    sqrt(forward) * gates[number[k]], the hop back undoes it with
+    sqrt(1 - forward) times its adjoint, and scaled identities keep the
+    leftover weight at both ends. Each distinct gate, listed in first
+    use, is scaled once."""
     back = 1.0 - forward
-    eye = np.eye(mats[0].shape[0], dtype=complex)
-    t, k = len(mats), np.arange(len(mats))
-    # each distinct gate object once, in first use, so it is scaled once,
-    # and each register's gate number
-    gates = {id(u): u for u in mats}
-    number = {key: n for n, key in enumerate(gates)}
-    gate, g = np.array([number[id(u)] for u in mats], dtype=np.intp), len(gates)
-    operators = [*(math.sqrt(forward) * u for u in gates.values()),
-                 *(math.sqrt(back) * u.conj().T for u in gates.values()),
+    eye = np.eye(gates[0].shape[0], dtype=complex)
+    gate, g = np.asarray(number, dtype=np.intp), len(gates)
+    t, k = gate.size, np.arange(gate.size)
+    operators = [*(math.sqrt(forward) * u for u in gates),
+                 *(math.sqrt(back) * u.conj().T for u in gates),
                  math.sqrt(back) * eye, math.sqrt(forward) * eye]
     # the forward hops, the hops back, then the stays at both ends
     return WalkSpec._table(nodes, eye.shape[0], operators, np.concatenate((k, k + 1, [0, t])),
@@ -129,7 +127,7 @@ def build_gate_walk(gate: np.ndarray, p: float) -> WalkSpec:
     u = _matrix(gate, "gate")
     if not _unitarity_errors(u) <= _INPUT_TOL:
         raise ValueError("gate must be unitary")
-    return _chain([u], _real(p, "p", 0, 1), (1, 2))
+    return _chain([u], [0], _real(p, "p", 0, 1), (1, 2))
 
 
 def state_prep_targets(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -265,17 +263,26 @@ def build_dqc_chain(
     gate sequence applied to psi0.
 
     Returns the spec and the initial state |psi0><psi0| at register 0
-    (psi0 defaults to the first basis vector).
+    (psi0 defaults to the first basis vector). Each distinct gate object
+    is checked once, at its first register, and the unitarity test runs
+    once over the distinct gates, so set-up grows with the distinct
+    gates, not with T; an error names the first bad register.
     """
-    mats, d = [], None  # d: the first unitary's dimension
+    # one pass in register order; each new object is kept with its first
+    # register, so that its id stays its own. d: the first gate's dimension
+    seen, kept, gates, number, d = {}, [], [], [], None
     for k, u in enumerate(unitaries):
-        mats.append(_matrix(u, f"unitaries[{k}]", d))
-        d = mats[0].shape[0]
-    if not mats:
+        n = seen.get(id(u))
+        if n is None:
+            gates.append(_matrix(u, f"unitaries[{k}]", d))
+            d = gates[0].shape[0]
+            n = seen[id(u)] = len(kept)
+            kept.append((k, u))
+        number.append(n)
+    if not gates:
         raise ValueError("unitaries must hold at least one gate (T >= 1)")
-    if not (ok := _unitarity_errors(np.array(mats)) <= _INPUT_TOL).all():
-        raise ValueError(f"unitaries[{ok.argmin()}] must be unitary")  # the first bad one
+    if not (ok := _unitarity_errors(np.array(gates)) <= _INPUT_TOL).all():
+        raise ValueError(f"unitaries[{kept[ok.argmin()][0]}] must be unitary")  # the first bad one
     omega = _real(omega, "omega", 0, 1, open_interval=True)
     psi0 = basis_ket(d, 0) if psi0 is None else _ket(psi0, "psi0", d)
-    return _chain(mats, omega, range(len(mats) + 1)), pure_state(0, psi0)
-
+    return _chain(gates, number, omega, range(len(number) + 1)), pure_state(0, psi0)

@@ -866,3 +866,41 @@ def test_cli_never_builds_a_specs_transitions(monkeypatch, capsys):
         if command.startswith("validate"):
             assert not {"_fan", "_full_plan"} & set(vars(specs[0])), command
     capsys.readouterr()
+
+
+def test_dqc_plan_forms_its_gate_product_in_the_report(monkeypatch):
+    # validate and run never print the expected output ket, so the plan
+    # forms it only when the steady report asks
+    from oqwalk import cli
+    from oqwalk.core import find_steady_state
+    from oqwalk.linalg import HADAMARD, basis_ket
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return basis_ket(*args)
+
+    monkeypatch.setattr(cli, "basis_ket", counting)
+    plan = build_plan(parse_config({"scenario": "dqc", "omega": 0.7, "T": 3}))
+    assert calls == []
+    state = find_steady_state(plan.spec, plan.initial).state
+    report = plan.steady_report(state)
+    assert calls == [(2, 0)]
+    expected = HADAMARD @ (HADAMARD @ (HADAMARD @ basis_ket(2, 0)))
+    assert report["output_fidelity"] == cli.analysis.node_fidelity(state, 3, expected)
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "steady"])
+def test_dqc_build_too_large_is_one_error_line(monkeypatch, capsys, command):
+    # a default chain whose gate list fits but whose arrays do not
+    from oqwalk import cli
+
+    def too_large(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_dqc_chain", too_large)
+    assert main([command, "--scenario", "dqc", "--set", "omega=0.5", "--set", "T=7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: T = 7 is too large to build\n"

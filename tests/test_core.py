@@ -808,6 +808,87 @@ def test_step_matches_dense_map_on_random_graphs():
                     assert np.max(np.abs(a - b)) <= 1e-12
 
 
+# ------------------------------------------------------- linear step
+
+
+def hermitian_blocks(rng, n_nodes: int, dim: int) -> np.ndarray:
+    """A random (n_nodes, dim, dim) array of Hermitian blocks whose first
+    block has trace -1, so a pruning step would drop it."""
+    a = rng.normal(size=(n_nodes, dim, dim)) + 1j * rng.normal(size=(n_nodes, dim, dim))
+    x = (a + a.conj().transpose(0, 2, 1)) / 2
+    x[0] -= (np.trace(x[0]).real + 1) / dim * np.eye(dim)
+    return x
+
+
+def dense_advance(spec: WalkSpec, x: np.ndarray) -> np.ndarray:
+    """full_map_step of the block-diagonal embedding of x, its diagonal
+    blocks read back unpruned."""
+    v, d = spec.node_count, spec.dim
+    pos, full = np.arange(v), np.zeros((d * v, d * v), dtype=complex)
+    full.reshape(d, v, d, v)[:, pos, :, pos] = x
+    return full_map_step(spec, full).reshape(d, v, d, v)[:, pos, :, pos]
+
+
+def test_advance_is_step_without_the_prune():
+    # from a state on every node whose image loses no block, both read
+    # the full plan, so they agree bit for bit
+    rng = np.random.default_rng(24)
+    for label, spec, _ in scenario_cases():
+        state = WalkerState(random_block_state(spec.nodes, spec.dim, rng))
+        x = np.array([state.blocks[node] for node in spec.nodes])
+        expected = step(spec, state)
+        assert list(expected.blocks) == list(spec.nodes), label  # nothing pruned
+        got = core._advance(spec, x)
+        assert got.tobytes() == np.array(list(expected.blocks.values())).tobytes(), label
+
+
+def test_advance_is_linear_on_hermitian_blocks():
+    # negative-trace blocks are kept, unreached nodes get zero rows, and
+    # the map is the dense oracle's on the block diagonal
+    rng = np.random.default_rng(3024)
+    for dim in (1, 2, 3):
+        for _ in range(3):
+            spec = random_graph_spec(rng, 8, dim)
+            x, y = hermitian_blocks(rng, 8, dim), hermitian_blocks(rng, 8, dim)
+            a, b = rng.normal(size=2)
+            ax, ay = core._advance(spec, x), core._advance(spec, y)
+            assert np.abs(core._advance(spec, a * x + b * y) - (a * ax + b * ay)).max() <= 1e-13
+            assert np.abs(ax - dense_advance(spec, x)).max() <= 1e-13
+            reached = np.zeros(8, dtype=bool)
+            reached[spec._tgt] = True
+            assert not ax[~reached].any()
+
+
+def test_superoperator_is_the_matrix_of_advance():
+    rng = np.random.default_rng(33)
+    for dim in (1, 2, 3):
+        for _ in range(3):
+            spec = random_graph_spec(rng, 8, dim)
+            dense = core.superoperator(spec)
+            assert dense.shape == (8 * dim ** 2, 8 * dim ** 2)
+            x = hermitian_blocks(rng, 8, dim)
+            image = (dense @ x.ravel()).reshape(x.shape)
+            assert np.abs(image - core._advance(spec, x)).max() <= 1e-13
+            assert np.abs(image - dense_advance(spec, x)).max() <= 1e-13
+    for label, spec, _ in scenario_cases():
+        x = hermitian_blocks(rng, spec.node_count, spec.dim)
+        image = (core.superoperator(spec) @ x.ravel()).reshape(x.shape)
+        assert np.abs(image - core._advance(spec, x)).max() <= 1e-13, label
+    edgeless = core.superoperator(WalkSpec((1, 2), 2, {}))
+    assert edgeless.shape == (8, 8) and not edgeless.any()
+
+
+def test_superoperator_refuses_past_its_dense_cap(monkeypatch):
+    # the cap bounds the matrix's bytes: a spec at it is built, one past
+    # it is refused before any array is allocated
+    spec = build_gate_walk(PAULI_X, 0.5)  # V d^2 = 8: 8 * 8 * 16 bytes
+    monkeypatch.setattr(core, "_DENSE_BYTES", 1024)
+    assert core.superoperator(spec).shape == (8, 8)
+    monkeypatch.setattr(core, "_DENSE_BYTES", 1023)
+    with pytest.raises(MemoryError, match="above the cap of 1023"):
+        core.superoperator(spec)
+
+
 def closed_random_graph(rng, n_nodes: int, dim: int) -> WalkSpec:
     """Random walk graph on 0..n_nodes-1 that loses no trace: every node
     sends a complete Kraus family of 1 to 4 operators to distinct random

@@ -80,11 +80,13 @@ run --scenario transport --set N=50 --set sqrt_p=0.8 --steps 60
 steady --scenario dqc --set omega=0.5 --set T=20 --set unitaries='["I", "X", "Z", "Z", "Z", "H", "S", "H", "T", "Z", "T", "T", "Y", "T", "Z", "I", "H", "T", "H", "Z"]'
 steady --scenario dqc --set omega=0.5 --set T=20 --set unitaries='["T", "Z", "X", "Z", "Z", "T", "T", "X", "Z", "X", "I", "I", "Z", "X", "T", "Y", "X", "Z", "I", "H"]'
 # large specs: an 80002-edge line walk validated and run (its partial
-# steps mark reached targets in a 40001-node mask), and a 20000-node
-# transport report rejected by a tol below its residuals
+# steps mark reached targets in a 40001-node mask), a 20000-node
+# transport report rejected by a tol below its residuals, and a
+# 20001-register chain of one shared gate object
 validate --scenario line --set theta_cos=0.8 --set window=20000
 run --scenario line --set theta_cos=0.8 --set window=20000 --steps 300 --record-every 100
 validate --scenario transport --set N=20000 --set sqrt_p=0.6 --set tol=2e-16
+validate --scenario dqc --set omega=0.5 --set T=20000
 """.splitlines() if line and not line.startswith("#")]
 
 # command -> (exit status, SHA-256 of stdout), recorded with numpy 2.4.6
@@ -185,6 +187,8 @@ DIGESTS = {
         (0, 'f0c2741b994b21453e8bfd152315002cdd645badc36362d4722ab35a4d960c30'),
     'validate --scenario transport --set N=20000 --set sqrt_p=0.6 --set tol=2e-16':
         (1, '70d032326690349c6311eb225772254cf040d591f268c2e7980818c65c09b1f3'),
+    'validate --scenario dqc --set omega=0.5 --set T=20000':
+        (0, 'e6cc2feea2e499bca925ffef18b92481e6af39db9ba348ab1eb200d7e3c7fae6'),
 }
 
 

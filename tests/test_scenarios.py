@@ -142,15 +142,47 @@ def test_transport_decides_orthonormality_away_from_the_limit():
 
 
 def test_dqc_names_its_first_bad_gate():
-    bad = np.diag([1, 2])
-    for gates, k in (([HADAMARD, bad, PAULI_X, 2 * PAULI_X], 1),
-                     ([bad, HADAMARD, bad], 0),
-                     ([HADAMARD] * 5 + [bad] * 2, 5)):
+    # a repeated bad object fails at its first register, whichever rule
+    bad, big, nan = np.diag([1, 2]), np.eye(3), np.full((2, 2), np.nan)
+    for gates, message in (
+            ([HADAMARD, bad, PAULI_X, 2 * PAULI_X], "unitaries[1] must be unitary"),
+            ([bad, HADAMARD, bad], "unitaries[0] must be unitary"),
+            ([HADAMARD] * 5 + [bad] * 2, "unitaries[5] must be unitary"),
+            ([HADAMARD, big, PAULI_X, big], "unitaries[1] has dimension 3, expected 2"),
+            ([PAULI_X, PAULI_X, nan, HADAMARD, nan], "unitaries[2] is not finite")):
         with pytest.raises(ValueError) as caught:
             build_dqc_chain(gates, 0.5)
-        assert str(caught.value) == f"unitaries[{k}] must be unitary"
+        assert str(caught.value) == message
     with pytest.raises(ValueError, match=r"^unitaries must hold at least one gate"):
         build_dqc_chain([], 0.5)
+
+
+def test_dqc_checks_each_distinct_gate_once(monkeypatch):
+    # each gate object is converted and checked at its first register only
+    from oqwalk import scenarios
+
+    calls, matrix = [], scenarios._matrix
+
+    def counting(*args):
+        calls.append(args[1])
+        return matrix(*args)
+
+    monkeypatch.setattr(scenarios, "_matrix", counting)
+    build_dqc_chain([HADAMARD, PAULI_X] * 3, 0.7)
+    assert calls == ["unitaries[0]", "unitaries[1]"]
+
+
+def test_dqc_compiles_alike_from_shared_and_copied_gates():
+    # numbering by object keeps the compiled bytes of numbering by bytes;
+    # a generator's nested lists, each converted to a new array, stay
+    # alive while the chain is built, so a freed list's id is never taken
+    # for a later one's
+    gates = [HADAMARD, PAULI_X, HADAMARD, HADAMARD, PAULI_X]
+    expected, _ = build_dqc_chain(gates, 0.6)
+    for given in ([g.copy() for g in gates], (g.tolist() for g in gates)):
+        spec, _ = build_dqc_chain(given, 0.6)
+        for name in ("_ops", "_group", "_src", "_tgt", "_order"):
+            assert getattr(spec, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 @pytest.mark.parametrize("build, error", [
