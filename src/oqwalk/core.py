@@ -61,6 +61,8 @@ such set, whose plan the spec compiles once (``_full_plan``). The
 executor (``_execute``) forms the K rho K^dag products with matmuls and
 sums them level by level into rows over the spec's node tuple: level 0
 writes its targets' first terms in place, and later levels add theirs.
+Where level 0 writes every reached target within one slice of one
+chunk, that slice's fresh product is the output itself, not a copy.
 Only a plan in which some reached target's rank-0 source is unoccupied
 (its used level-0 edges fewer than its reached targets) fills the output
 with -0.0 first, an exact additive identity (-0.0 + x has the bits of
@@ -93,7 +95,16 @@ state; ``run`` lists them.
 differences of the stored per-node traces, less a rounding slack, bound
 the trace distance of the last two states from below, so the per-node
 differences and their eigenvalues are computed only once that bound no
-longer rules convergence out.
+longer rules convergence out. Once an iterate is the full plan's rows
+(every node occupied, at the plan's targets), ``_full_stretch`` runs the
+iterations as the executor on the block stack, takes each result's
+traces once and carries their total. It forms a WalkerState only for an
+exact residual and for the result, hands a stack the prune would cut to
+``WalkerState._pruned`` as it is, and leaves the last allowed iteration
+to ``step``, so iterations, residual bits and blocks are the plain
+loop's. The prune rule (``_kept``) and the bound's formula
+(``_trace_bound``, from the trace gap and the two totals) are each
+defined once, and both paths use them.
 
 The dense full-space map (``full_map_step``) implements the same
 dynamics on the complete V*d x V*d density matrix and is kept as a
@@ -102,6 +113,7 @@ brute-force cross-check of the block evolution.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
@@ -125,7 +137,11 @@ PRUNE_TRACE = 1e-15
 # edges, which doubles each of the three, so 6x bounds it. A plan adds at
 # most one conjugate copy of its operators, a per-edge chunk's K where it
 # is no view of the store (a copy of at most twice its edges), and the
-# occupied sources' fan rows, copied only where they fit one chunk.
+# occupied sources' fan rows, copied only where they fit one chunk. A
+# step whose output is one slice's product (level 0's, see _execute) may
+# return a view of its chunk's stacked product, so its state keeps that
+# product alive, one block per edge of the chunk and at most this many
+# bytes, not only its own rows.
 # ``_fan`` is compiled only when its zero padding also fits one chunk, so
 # a node of far larger out-degree than the rest does not cost O(V * D)
 # stored operators.
@@ -311,6 +327,10 @@ class WalkSpec:
         return plan
 
 
+# the repr of a zero residual, by its sign
+_ZERO = {1.0: "0.0", -1.0: "-0.0"}
+
+
 @dataclass
 class ValidationReport:
     """Per-node completeness residuals for a WalkSpec.
@@ -329,11 +349,12 @@ class ValidationReport:
 
     def __str__(self) -> str:
         # one row template per distinct residual (each NaN object its own),
-        # a zero keyed by its repr since 0.0 and -0.0 print differently,
-        # then one %-format fills in every label, so a % in a label needs
-        # no escaping
+        # a zero keyed by its repr, found from its sign, since 0.0 and -0.0
+        # print differently (a bare sign would clash with a residual of
+        # 1.0), then one %-format fills in every label, so a % in a label
+        # needs no escaping
         tol, values = self.tol, self.residuals.values()
-        keys = [r or repr(r) for r in values]
+        keys = [r or _ZERO[math.copysign(1.0, r)] for r in values]
         distinct = dict(zip(keys, values))
         rows = {key: "  node %%r: residual %.3e [%s]\n" % (r, "ok" if r <= tol else "FAIL")
                 for key, r in distinct.items()}
@@ -400,8 +421,8 @@ class WalkerState:
     def _pruned(cls, nodes: tuple, pos: np.ndarray, rho: np.ndarray) -> "WalkerState":
         """The rows (nodes, positions, blocks) of trace above PRUNE_TRACE."""
         tr = rho.trace(axis1=1, axis2=2).real
-        if tr.size and not tr.min() > PRUNE_TRACE:  # NaN too
-            keep = tr > PRUNE_TRACE
+        keep = _kept(tr)
+        if keep is not None:
             pos, rho, tr = pos[keep], rho[keep], tr[keep]
         return cls.__new__(cls)._set(nodes, pos, rho, tr)
 
@@ -439,11 +460,25 @@ class WalkerState:
         return pos, [occ[nodes[k]] for k in pos]
 
     def total_trace(self) -> float:
-        # builtin sum(): it feeds only _trace_bound's slack, twice per steady iteration
-        return float(sum(self._tr.tolist()))
+        return _total(self._tr)
 
     def __repr__(self) -> str:
         return f"WalkerState({self.blocks!r})"
+
+
+def _kept(tr: np.ndarray) -> np.ndarray | None:
+    """The prune: the mask of the blocks of trace above PRUNE_TRACE, given
+    their traces tr, or None when it keeps every block."""
+    if tr.size and not tr.min() > PRUNE_TRACE:  # NaN too
+        return tr > PRUNE_TRACE
+    return None
+
+
+def _total(tr: np.ndarray) -> float:
+    """The summed traces tr. Builtin sum(): on small stacks it beats
+    numpy's, and it feeds only _trace_bound's slack, once per iteration of
+    find_steady_state on full occupancy and twice on others."""
+    return float(sum(tr.tolist()))
 
 
 def pure_state(node: Node, psi: np.ndarray) -> WalkerState:
@@ -480,15 +515,15 @@ def _difference(a: WalkerState, b: WalkerState, x: np.ndarray,
     return diff
 
 
-def _trace_bound(a: WalkerState, b: WalkerState, dim: int) -> float:
+def _trace_bound(gap: np.ndarray, total_a: float, total_b: float, dim: int) -> float:
     """A lower bound on state_trace_distance(a, b) from the stored traces.
 
-    Half the summed |tr a_i - tr b_i| over the nodes either state
-    occupies, less the rounding slack _TRACE_SLACK * dim * eps *
-    (sum tr a + sum tr b); holds for positive blocks of dimension dim.
+    gap holds tr a_i - tr b_i over the nodes either state occupies
+    (_difference of the traces), total_a and total_b the summed traces.
+    Half the summed |gap|, less the rounding slack _TRACE_SLACK * dim *
+    eps * (sum tr a + sum tr b); holds for positive blocks of dimension dim.
     """
-    gap = _difference(a, b, a._tr, b._tr)
-    slack = _TRACE_SLACK * dim * _EPS * (a.total_trace() + b.total_trace())
+    slack = _TRACE_SLACK * dim * _EPS * (total_a + total_b)
     return 0.5 * float(np.abs(gap).sum()) - slack
 
 
@@ -667,10 +702,16 @@ def _execute(plan: tuple, rho: np.ndarray) -> np.ndarray:
     targets, fans, chunks, level0 = plan
     d = rho.shape[-1]
     shape = (targets.size, d, d)
-    # level 0 writes each of its targets' first term in place; a target
-    # it misses adds its first term onto the -0.0 seed
-    acc = np.empty(shape, complex) if level0 == targets.size else np.full(
-        shape, complex(-0.0, -0.0))
+    # level 0 writes each of its targets' first term in place; where one
+    # slice of it writes every reached target, that slice's fresh product
+    # is the output (None until then). A target it misses adds its first
+    # term onto the -0.0 seed
+    if level0 < targets.size:
+        acc = np.full(shape, complex(-0.0, -0.0))
+    elif chunks and chunks[0][-1][0][1] == level0:  # the first slice's (lo, hi)
+        acc = None
+    else:
+        acc = np.empty(shape, complex)
     for k, k_dag, gather, back, slices in chunks:
         # take(): the copy fancy indexing makes, about twice as fast on small blocks
         if fans is not None:
@@ -686,7 +727,10 @@ def _execute(plan: tuple, rho: np.ndarray) -> np.ndarray:
             term = stacked[lo:hi] if shared is None else (
                 half[lo:hi].reshape(-1, d) @ shared).reshape(-1, d, d)
             if level0 > 0:  # the first level0 used edges are level 0's
-                acc[rows] = term
+                if acc is None:
+                    acc = term
+                else:
+                    acc[rows] = term
                 level0 -= hi - lo
             else:
                 acc[rows] += term
@@ -766,21 +810,61 @@ def find_steady_state(spec: WalkSpec, initial: WalkerState,
     than the relative margin _BOUND_MARGIN cannot have converged and
     skips the exact distance; otherwise, and on the last allowed
     iteration, it is computed, so ``residual`` is always
-    state_trace_distance of the last two states.
+    state_trace_distance of the last two states. While every node stays
+    occupied the iterations run on the block stack (_full_stretch).
     """
     tol = _real(tol, "tol", 0, open_interval=True)
     max_iter = _count(max_iter, "max_iter", 1)
     skip_above = tol * (1 + _BOUND_MARGIN)
-    state = initial
-    residual = float("inf")
-    for n in range(1, max_iter + 1):
-        nxt = step(spec, state)
-        if n == max_iter or _trace_bound(nxt, state, spec.dim) <= skip_above:
+    state, residual, n = initial, float("inf"), 0
+    while n < max_iter:
+        n += 1
+        nxt = None
+        # the full plan's rows; a partial state never builds that plan
+        if (n < max_iter and state._nodes is spec.nodes
+                and state._pos.size == spec.node_count and state._pos is spec._full_plan[0]):
+            n, state, nxt = _full_stretch(spec, state, n, max_iter, skip_above)
+        if nxt is None:
+            nxt = step(spec, state)
+        if n == max_iter or _trace_bound(_difference(nxt, state, nxt._tr, state._tr),
+                                         nxt.total_trace(), state.total_trace(),
+                                         spec.dim) <= skip_above:
             residual = state_trace_distance(nxt, state)
             if residual <= tol:
                 return SteadyStateResult(nxt, n, True, residual)
         state = nxt
     return SteadyStateResult(state, max_iter, False, residual)
+
+
+def _full_stretch(spec: WalkSpec, state: WalkerState, n: int, max_iter: int,
+                  skip_above: float) -> tuple:
+    """Iterations n, n + 1, ... of find_steady_state from a state on the
+    full plan's rows, as the executor on its block stack, with the traces
+    and their total carried: ``step``'s bits, no WalkerState per step.
+
+    Returns (n, state, nxt) at the first iteration n whose trace bound
+    does not rule convergence out (nxt its iterate) or whose stack the
+    prune would cut (nxt pruned), else (max_iter, state, None), which
+    leaves the last allowed iteration to the caller.
+    """
+    plan = spec._full_plan
+
+    def rows(rho, tr):  # the state of a stack over the full plan's targets
+        return WalkerState.__new__(WalkerState)._set(spec.nodes, plan[0], rho, tr)
+
+    rho, tr, total = state._rho, state._tr, state.total_trace()
+    while n < max_iter:
+        x = _execute(plan, rho)
+        x_tr = x.trace(axis1=1, axis2=2).real
+        if _kept(x_tr) is not None:
+            return n, rows(rho, tr), WalkerState._pruned(spec.nodes, plan[0], x)
+        x_total = _total(x_tr)
+        # _difference of equal positions: the traces subtract directly
+        if _trace_bound(x_tr - tr, x_total, total, spec.dim) <= skip_above:
+            return n, rows(rho, tr), rows(x, x_tr)
+        rho, tr, total = x, x_tr, x_total
+        n += 1
+    return n, rows(rho, tr), None
 
 
 # ----------------------------------------------------------------------

@@ -120,6 +120,27 @@ def enumerate_hop_paths(rho0: np.ndarray, right: np.ndarray,
     return {pos: m for pos, m in out.items()}
 
 
+def momentum_blocks(right: np.ndarray, left: np.ndarray, rho0: np.ndarray,
+                    window: int, n: int) -> np.ndarray:
+    """Blocks after n steps of the walk on the ring of sites -window..window
+    (M = 2 window + 1) that hops one site right by ``right`` and one left
+    by ``left``, from rho0 at site 0: an (M, d, d) array in site order.
+
+    The Fourier modes phi_n(k) = sum_i w^(k i) rho_n(i), w = exp(-2 pi i / M),
+    obey phi_{n+1}(k) = w^k B phi_n(k) B^dag + w^(-k) C phi_n(k) C^dag
+    exactly, wrap-around included; np.fft.ifft over k returns every
+    block. Keeps the blocks that the engine's prune drops.
+    """
+    m = 2 * window + 1
+    k = np.arange(m)[:, None, None]
+    w = np.exp(-2j * np.pi * k / m)
+    phi = np.exp(-2j * np.pi * k * window / m) * rho0  # site 0 is index window
+    right_dag, left_dag = right.conj().T, left.conj().T
+    for _ in range(n):
+        phi = w * (right @ phi @ right_dag) + w.conj() * (left @ phi @ left_dag)
+    return np.fft.ifft(phi, axis=0)
+
+
 def biased_coin_distribution(n_steps: int, p_right: float) -> dict[int, float]:
     """Binomial distribution of net displacement after n biased coin flips."""
     out = {}

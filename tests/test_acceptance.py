@@ -4,8 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines. The criteria cover completeness validation, block-versus-dense
 oracle equivalence, the line-walk soliton and drift, dissipative gates,
 state preparation, Bell sorting, excitation transport, biased
-computation chains, and global trace/positivity invariants along every
-trajectory the other criteria produced.
+computation chains, global trace/positivity invariants along every
+trajectory the other criteria produced, and line walks on rings against
+their momentum-space oracle.
 """
 
 import numpy as np
@@ -53,14 +54,17 @@ from oqwalk.scenarios import (
     build_line_walk,
     build_state_prep,
     build_transport_chain,
+    line_hop_operators,
     state_prep_targets,
 )
 
 from oracles import (
     biased_coin_distribution,
+    momentum_blocks,
     random_block_state,
     random_density,
     random_ket,
+    random_kraus_family,
     random_unitary,
 )
 
@@ -510,3 +514,50 @@ def test_criterion_9_global_invariants():
     print(f"    checked {snapshots} snapshots / {blocks} blocks "
           f"from {len(TRACKED)} trajectories")
     _report(9, "trace and positivity invariants", failures)
+
+
+# ---------------------------------------------------------------------
+# Criterion 11: a line walk on a ring of M = 2 window + 1 sites, built
+# from its edge dict, matches the momentum-space oracle block by block
+# to 1e-13, for hops that do not commute: Attal et al.'s example
+# (J. Stat. Phys. 147 (2012)), the theta walk at cos(theta) = 4/5 and
+# QR-isometry pairs at d = 2 and 3. At window 200 the walker never
+# reaches the seam in 150 steps; at window 60 it wraps in 400 steps and
+# fills every site, so steps on the full plan run too.
+# ---------------------------------------------------------------------
+
+
+def test_criterion_11_line_walks_match_momentum_oracle():
+    failures = []
+    rng = np.random.default_rng(23)
+    attal = (np.array([[1, 1], [0, 1]]) / np.sqrt(3), np.array([[1, 0], [-1, 1]]) / np.sqrt(3))
+    pairs = [("attal", attal), ("theta", line_hop_operators(THETA)),
+             ("qr d=2", random_kraus_family(2, 2, rng)),
+             ("qr d=3", random_kraus_family(3, 2, rng))]
+    for label, (right, left) in pairs:
+        d = right.shape[0]
+        rho0 = random_density(d, rng)
+        for window, n_steps in ((200, 150), (60, 400)):
+            m = 2 * window + 1
+            sites = tuple(range(-window, window + 1))
+            hops = {}
+            for s in sites:
+                hops[s, (s + window + 1) % m - window] = right
+                hops[s, (s + window - 1) % m - window] = left
+            spec = WalkSpec(sites, d, hops)
+            state, filled = WalkerState({0: rho0}), 0
+            for _ in range(n_steps):
+                state = step(spec, state)
+                filled += len(state.blocks) == m
+            expected = momentum_blocks(right, left, rho0, window, n_steps)
+            got = np.zeros_like(expected)
+            blocks = state.blocks
+            for i, site in enumerate(sites):
+                got[i] = blocks.get(site, 0)
+            worst = float(np.abs(got - expected).max())
+            if worst > 1e-13:
+                failures.append(f"{label} window={window}: block error {worst:.3e}")
+            if (filled > 0) != (window < n_steps):
+                failures.append(f"{label} window={window}: {filled} steps fill every site")
+
+    _report(11, "line walks match their momentum-space oracle", failures)

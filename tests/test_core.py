@@ -359,6 +359,22 @@ def test_validation_report_text_with_percent_labels_and_failures():
     assert str(ValidationReport({}, 1e-12)) == "completeness tolerance: 1e-12\naccepted"
 
 
+def test_validation_report_keys_a_zero_apart_from_one():
+    # a zero residual is keyed by its sign's repr, which no residual of
+    # 1.0 (a node without out-edges) or NaN can share: each row prints
+    # as its own value
+    from oqwalk.core import ValidationReport
+
+    report = ValidationReport({"a": 0.0, "b": -0.0, "c": 1.0, "d": float("nan")}, 0.5)
+    assert str(report) == ("completeness tolerance: 0.5\n"
+                           "  node 'a': residual 0.000e+00 [ok]\n"
+                           "  node 'b': residual -0.000e+00 [ok]\n"
+                           "  node 'c': residual 1.000e+00 [FAIL]\n"
+                           "  node 'd': residual nan [FAIL]\n"
+                           "rejected")
+    assert str(report) == per_node_text(report)
+
+
 def per_node_text(report) -> str:
     """A ValidationReport's text by the per-node formula: a row template
     per node, a % in its label escaped, and one %-format of every residual."""
@@ -1859,6 +1875,12 @@ def test_find_steady_state_line_never_converges():
     assert_same_blocks(result.state.blocks, last.blocks)
 
 
+def state_bound(a: WalkerState, b: WalkerState, dim: int) -> float:
+    """core._trace_bound of two states, as find_steady_state forms it."""
+    return core._trace_bound(core._difference(a, b, a._tr, b._tr),
+                             a.total_trace(), b.total_trace(), dim)
+
+
 def plain_steady_loop(spec, state, tol, max_iter):
     """find_steady_state's contract with the exact distance every iteration:
     (state, iterations, converged, residual history)."""
@@ -1874,7 +1896,7 @@ def plain_steady_loop(spec, state, tol, max_iter):
 
 def steady_cases():
     """(label, spec, initial state) for the steady-state scenarios."""
-    from oqwalk.linalg import CNOT
+    from oqwalk.linalg import CNOT, HADAMARD
     from oqwalk.scenarios import (
         build_bell_grid,
         build_dqc_chain,
@@ -1897,6 +1919,8 @@ def steady_cases():
         ("transport N=50", *build_transport_chain(50, 0.8 ** 2)),
         ("dqc omega=0.05 T=12", *build_dqc_chain(
             [random_unitary(2, rng) for _ in range(12)], 0.05)),
+        # every register filled at step 20, register 0 pruned at step 57
+        ("dqc omega=0.9 T=20", *build_dqc_chain([HADAMARD] * 20, 0.9)),
     ]
 
 
@@ -1922,13 +1946,14 @@ def test_find_steady_state_matches_plain_loop_on_every_builder(monkeypatch):
     # directly and fills the union of positions otherwise; occupied sets
     # that grow, shrink or fill run both
     paths = Counter()
-    bound = core._trace_bound
+    difference = core._difference
 
-    def recording(a, b, dim):
-        paths[np.array_equal(a._pos, b._pos)] += 1
-        return bound(a, b, dim)
+    def recording(a, b, x, y):
+        if x.ndim == 1:  # the traces, for the trace bound
+            paths[np.array_equal(a._pos, b._pos)] += 1
+        return difference(a, b, x, y)
 
-    monkeypatch.setattr(core, "_trace_bound", recording)
+    monkeypatch.setattr(core, "_difference", recording)
     empty = WalkSpec(nodes=(1, 2, 3), dim=2, transitions={})
     every = WalkerState({n: np.eye(2) / 6 for n in empty.nodes})
     assert step(empty, every).blocks == {} == reference_step(empty, every.blocks, PRUNE_TRACE)
@@ -1959,7 +1984,7 @@ def test_find_steady_state_stops_where_bound_meets_tol(omega, t_final):
     while not residuals or residuals[-1] > 1e-10:
         nxt = step(spec, state)
         residuals.append(state_trace_distance(nxt, state))
-        ratios.append(core._trace_bound(nxt, state, spec.dim) / residuals[-1])
+        ratios.append(state_bound(nxt, state, spec.dim) / residuals[-1])
         state = nxt
     k = int(np.argmax(ratios))
     assert abs(ratios[k] - 1) < 1e-12
@@ -1987,6 +2012,77 @@ def test_find_steady_state_computes_exact_residual_once(monkeypatch):
     result = find_steady_state(spec, initial)
     assert result.converged and result.iterations > 1000
     assert calls == [21]
+
+
+@pytest.mark.parametrize("max_iter", [21, 22, 57, 58])
+def test_find_steady_state_matches_plain_loop_where_full_occupancy_starts_and_ends(max_iter):
+    # the H chain at omega = 0.9 fills every register at step 20 and
+    # prunes register 0 at step 57 (it converges at step 75). Capped at
+    # the first full step, at the first step on the full plan's rows
+    # (the last allowed, left to step), at the pruning step (the last
+    # allowed, after a stretch) and one after it (the stretch hands the
+    # pruned stack on): the plain loop's stop, residual bits and blocks
+    from oqwalk.linalg import HADAMARD
+    from oqwalk.scenarios import build_dqc_chain
+
+    spec, initial = build_dqc_chain([HADAMARD] * 20, 0.9)
+    state, iterations, converged, residuals = plain_steady_loop(
+        spec, initial, 1e-10, max_iter)
+    assert (iterations, converged) == (max_iter, False)
+    assert len(state.blocks) == {21: 21, 22: 21, 57: 20, 58: 19}[max_iter]
+    result = find_steady_state(spec, initial, tol=1e-10, max_iter=max_iter)
+    assert (result.iterations, result.converged) == (iterations, converged)
+    assert result.residual == residuals[-1]
+    assert_same_blocks(result.state.blocks, state.blocks)
+
+
+def test_find_steady_state_steps_the_full_plans_stack_without_states(monkeypatch):
+    # the benchmark's seed-0 chain fills every register at step 20: from
+    # the first iterate on the full plan's rows the loop calls the
+    # executor on the stack, and forms a state only for the exact
+    # residual and the result
+    from oqwalk.scenarios import build_dqc_chain
+
+    spec, initial = build_dqc_chain(benchmark_gates(0), 0.5)
+    calls = Counter()
+    for owner, name in ((core, "step"), (core, "_execute"), (WalkerState, "_set")):
+        def counting(*args, _call=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(owner, name, counting)
+    result = find_steady_state(spec, initial)
+    assert (result.iterations, result.converged) == (1842, True)
+    assert calls["_execute"] == 1842
+    assert calls["step"] <= 21
+    assert calls["_set"] <= calls["step"] + 2
+
+
+def test_adopted_level_zero_product_keeps_the_reference_bits():
+    # where level 0 writes every reached target in one slice of one
+    # chunk, that slice's product is the executor's output, not copied:
+    # stacked (the dqc chain's grouped K^dag product) and tall (a
+    # directed ring of one unitary), from a state on every node
+    from oqwalk.scenarios import build_dqc_chain
+
+    rng = np.random.default_rng(41)
+    u = random_unitary(2, rng)
+    ring = WalkSpec(tuple(range(7)), 2, {(k, (k + 1) % 7): u for k in range(7)})
+    cases = [("stacked", build_dqc_chain(benchmark_gates(0), 0.5)[0]), ("tall", ring)]
+    for label, spec in cases:
+        plan = spec._full_plan
+        targets, _, chunks, level0 = plan
+        (_, k_dag, _, _, ((lo, hi, rows, shared), *_)), *_ = chunks
+        assert (lo, hi, level0) == (0, targets.size, spec.node_count), label
+        tall = label == "tall"  # a slice with its own K^dag, no stacked product
+        assert (shared is not None) == tall and (k_dag is None) == tall, label
+        state = WalkerState(random_block_state(spec.nodes, spec.dim, rng))
+        for _ in range(6):
+            expected = reference_step(spec, state.blocks, PRUNE_TRACE)
+            out = core._execute(plan, core._rows(spec, state)[1])
+            assert out.base is not None, label  # a view of the product
+            state = step(spec, state)
+            assert_same_blocks(state.blocks, expected)
+            assert out.tobytes() == state._rho.tobytes(), label
 
 
 def test_find_steady_state_compiles_one_plan_per_occupancy(monkeypatch):
@@ -2122,7 +2218,7 @@ def test_trace_bound_never_exceeds_trace_distance(dim):
         a = rows_state(nodes, pos, a)
         for x, y in ((a, b), (b, a)):
             exact = state_trace_distance(x, y)
-            bound = core._trace_bound(x, y, dim)
+            bound = state_bound(x, y, dim)
             assert bound <= exact
             slack = core._TRACE_SLACK * dim * core._EPS * (
                 x.total_trace() + y.total_trace())
@@ -2139,20 +2235,20 @@ def test_trace_bound_never_exceeds_trace_distance(dim):
             copy = rows_state(tuple(list(nodes)), b._pos, b._rho)
             assert copy._nodes is not a._nodes
             assert state_trace_distance(a, copy) == state_trace_distance(a, b)
-            assert core._trace_bound(a, copy, dim) == core._trace_bound(a, b, dim)
+            assert state_bound(a, copy, dim) == state_bound(a, b, dim)
         if kind in (2, 3, 4):  # one positions array, or a copy: both subtract directly
             assert a._pos is b._pos
             apart = rows_state(nodes, b._pos.copy(), b._rho)
-            assert core._trace_bound(a, apart, dim) == core._trace_bound(a, b, dim)
-            assert core._trace_bound(apart, a, dim) == core._trace_bound(b, a, dim)
+            assert state_bound(a, apart, dim) == state_bound(a, b, dim)
+            assert state_bound(apart, a, dim) == state_bound(b, a, dim)
         # as many rows at other positions: the traces line up by node
         moved = rows_state(nodes, np.sort((a._pos + 1) % 10), a._rho)
         tm, ta = moved.traces(), a.traces()
         gap = sum(abs(ta.get(n, 0.0) - tm.get(n, 0.0)) for n in nodes)
         slack = core._TRACE_SLACK * dim * core._EPS * (a.total_trace() + moved.total_trace())
-        assert core._trace_bound(a, moved, dim) == pytest.approx(0.5 * gap - slack, rel=1e-12)
+        assert state_bound(a, moved, dim) == pytest.approx(0.5 * gap - slack, rel=1e-12)
     # equal states: the bound is the negative slack
-    assert core._trace_bound(a, a, dim) < 0 == state_trace_distance(a, a)
+    assert state_bound(a, a, dim) < 0 == state_trace_distance(a, a)
 
 
 def test_walker_state_blocks_are_a_new_dict_on_each_access():

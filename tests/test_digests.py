@@ -87,6 +87,11 @@ validate --scenario line --set theta_cos=0.8 --set window=20000
 run --scenario line --set theta_cos=0.8 --set window=20000 --steps 300 --record-every 100
 validate --scenario transport --set N=20000 --set sqrt_p=0.6 --set tol=2e-16
 validate --scenario dqc --set omega=0.5 --set T=20000
+# power iteration on full occupancy: 6809 iterations nearly all on every
+# register, and a run whose full occupancy a prune cuts (register 0 at
+# step 57 of 75)
+steady --scenario dqc --set omega=0.5 --set T=40
+steady --scenario dqc --set omega=0.9 --set T=20
 """.splitlines() if line and not line.startswith("#")]
 
 # command -> (exit status, SHA-256 of stdout), recorded with numpy 2.4.6
@@ -189,6 +194,10 @@ DIGESTS = {
         (1, '70d032326690349c6311eb225772254cf040d591f268c2e7980818c65c09b1f3'),
     'validate --scenario dqc --set omega=0.5 --set T=20000':
         (0, 'e6cc2feea2e499bca925ffef18b92481e6af39db9ba348ab1eb200d7e3c7fae6'),
+    'steady --scenario dqc --set omega=0.5 --set T=40':
+        (0, '476426b7e25c4fe552a453325119088deb748f6bbf249bbb8632e84529bed43e'),
+    'steady --scenario dqc --set omega=0.9 --set T=20':
+        (0, '3793cb1395d5ea20dbebd568dc719bb177494d91b954fcbbdd8a23b27ade3e37'),
 }
 
 
