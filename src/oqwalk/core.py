@@ -61,8 +61,6 @@ such set, whose plan the spec compiles once (``_full_plan``). The
 executor (``_execute``) forms the K rho K^dag products with matmuls and
 sums them level by level into rows over the spec's node tuple: level 0
 writes its targets' first terms in place, and later levels add theirs.
-Where level 0 writes every reached target within one slice of one
-chunk, that slice's fresh product is the output itself, not a copy.
 Only a plan in which some reached target's rank-0 source is unoccupied
 (its used level-0 edges fewer than its reached targets) fills the output
 with -0.0 first, an exact additive identity (-0.0 + x has the bits of
@@ -95,16 +93,9 @@ state; ``run`` lists them.
 differences of the stored per-node traces, less a rounding slack, bound
 the trace distance of the last two states from below, so the per-node
 differences and their eigenvalues are computed only once that bound no
-longer rules convergence out. Once an iterate is the full plan's rows
-(every node occupied, at the plan's targets), ``_full_stretch`` runs the
-iterations as the executor on the block stack, takes each result's
-traces once and carries their total. It forms a WalkerState only for an
-exact residual and for the result, hands a stack the prune would cut to
-``WalkerState._pruned`` as it is, and leaves the last allowed iteration
-to ``step``, so iterations, residual bits and blocks are the plain
-loop's. The prune rule (``_kept``) and the bound's formula
-(``_trace_bound``, from the trace gap and the two totals) are each
-defined once, and both paths use them.
+longer rules convergence out. Each iteration is one ``step`` call, and
+each iterate's total trace, which the bound's slack reads, is summed
+once and carried to the next iteration.
 
 The dense full-space map (``full_map_step``) implements the same
 dynamics on the complete V*d x V*d density matrix and is kept as a
@@ -137,11 +128,7 @@ PRUNE_TRACE = 1e-15
 # edges, which doubles each of the three, so 6x bounds it. A plan adds at
 # most one conjugate copy of its operators, a per-edge chunk's K where it
 # is no view of the store (a copy of at most twice its edges), and the
-# occupied sources' fan rows, copied only where they fit one chunk. A
-# step whose output is one slice's product (level 0's, see _execute) may
-# return a view of its chunk's stacked product, so its state keeps that
-# product alive, one block per edge of the chunk and at most this many
-# bytes, not only its own rows.
+# occupied sources' fan rows, copied only where they fit one chunk.
 # ``_fan`` is compiled only when its zero padding also fits one chunk, so
 # a node of far larger out-degree than the rest does not cost O(V * D)
 # stored operators.
@@ -420,9 +407,11 @@ class WalkerState:
     @classmethod
     def _pruned(cls, nodes: tuple, pos: np.ndarray, rho: np.ndarray) -> "WalkerState":
         """The rows (nodes, positions, blocks) of trace above PRUNE_TRACE."""
-        tr = rho.trace(axis1=1, axis2=2).real
-        keep = _kept(tr)
-        if keep is not None:
+        # the reductions that trace() and min() make, called without their
+        # wrappers: a step pays these once each, on a few blocks
+        tr = np.add.reduce(rho.diagonal(0, 1, 2), -1).real
+        if tr.size and not np.minimum.reduce(tr) > PRUNE_TRACE:  # NaN too
+            keep = tr > PRUNE_TRACE
             pos, rho, tr = pos[keep], rho[keep], tr[keep]
         return cls.__new__(cls)._set(nodes, pos, rho, tr)
 
@@ -434,7 +423,8 @@ class WalkerState:
         if self._pos.size and self._rho.shape[1] != dim:
             raise ValueError(
                 f"blocks have dimension {self._rho.shape[1]}, expected {dim}")
-        return self._rho.reshape(self._pos.size, dim, dim)
+        # a stack with no blocks may be (0, 0, 0)
+        return self._rho if self._pos.size else self._rho.reshape(0, dim, dim)
 
     @property
     def blocks(self) -> dict:
@@ -460,25 +450,11 @@ class WalkerState:
         return pos, [occ[nodes[k]] for k in pos]
 
     def total_trace(self) -> float:
-        return _total(self._tr)
+        # builtin sum(): it feeds only _trace_bound's slack, once per steady iteration
+        return float(sum(self._tr.tolist()))
 
     def __repr__(self) -> str:
         return f"WalkerState({self.blocks!r})"
-
-
-def _kept(tr: np.ndarray) -> np.ndarray | None:
-    """The prune: the mask of the blocks of trace above PRUNE_TRACE, given
-    their traces tr, or None when it keeps every block."""
-    if tr.size and not tr.min() > PRUNE_TRACE:  # NaN too
-        return tr > PRUNE_TRACE
-    return None
-
-
-def _total(tr: np.ndarray) -> float:
-    """The summed traces tr. Builtin sum(): on small stacks it beats
-    numpy's, and it feeds only _trace_bound's slack, once per iteration of
-    find_steady_state on full occupancy and twice on others."""
-    return float(sum(tr.tolist()))
 
 
 def pure_state(node: Node, psi: np.ndarray) -> WalkerState:
@@ -524,7 +500,7 @@ def _trace_bound(gap: np.ndarray, total_a: float, total_b: float, dim: int) -> f
     eps * (sum tr a + sum tr b); holds for positive blocks of dimension dim.
     """
     slack = _TRACE_SLACK * dim * _EPS * (total_a + total_b)
-    return 0.5 * float(np.abs(gap).sum()) - slack
+    return 0.5 * float(np.add.reduce(np.abs(gap))) - slack  # sum() without its wrapper
 
 
 def state_trace_distance(a: WalkerState, b: WalkerState) -> float:
@@ -702,16 +678,10 @@ def _execute(plan: tuple, rho: np.ndarray) -> np.ndarray:
     targets, fans, chunks, level0 = plan
     d = rho.shape[-1]
     shape = (targets.size, d, d)
-    # level 0 writes each of its targets' first term in place; where one
-    # slice of it writes every reached target, that slice's fresh product
-    # is the output (None until then). A target it misses adds its first
-    # term onto the -0.0 seed
-    if level0 < targets.size:
-        acc = np.full(shape, complex(-0.0, -0.0))
-    elif chunks and chunks[0][-1][0][1] == level0:  # the first slice's (lo, hi)
-        acc = None
-    else:
-        acc = np.empty(shape, complex)
+    # level 0 writes each of its targets' first term in place; a target
+    # it misses adds its first term onto the -0.0 seed
+    acc = np.empty(shape, complex) if level0 == targets.size else np.full(
+        shape, complex(-0.0, -0.0))
     for k, k_dag, gather, back, slices in chunks:
         # take(): the copy fancy indexing makes, about twice as fast on small blocks
         if fans is not None:
@@ -727,10 +697,7 @@ def _execute(plan: tuple, rho: np.ndarray) -> np.ndarray:
             term = stacked[lo:hi] if shared is None else (
                 half[lo:hi].reshape(-1, d) @ shared).reshape(-1, d, d)
             if level0 > 0:  # the first level0 used edges are level 0's
-                if acc is None:
-                    acc = term
-                else:
-                    acc[rows] = term
+                acc[rows] = term
                 level0 -= hi - lo
             else:
                 acc[rows] += term
@@ -810,61 +777,22 @@ def find_steady_state(spec: WalkSpec, initial: WalkerState,
     than the relative margin _BOUND_MARGIN cannot have converged and
     skips the exact distance; otherwise, and on the last allowed
     iteration, it is computed, so ``residual`` is always
-    state_trace_distance of the last two states. While every node stays
-    occupied the iterations run on the block stack (_full_stretch).
+    state_trace_distance of the last two states.
     """
     tol = _real(tol, "tol", 0, open_interval=True)
     max_iter = _count(max_iter, "max_iter", 1)
     skip_above = tol * (1 + _BOUND_MARGIN)
-    state, residual, n = initial, float("inf"), 0
-    while n < max_iter:
-        n += 1
-        nxt = None
-        # the full plan's rows; a partial state never builds that plan
-        if (n < max_iter and state._nodes is spec.nodes
-                and state._pos.size == spec.node_count and state._pos is spec._full_plan[0]):
-            n, state, nxt = _full_stretch(spec, state, n, max_iter, skip_above)
-        if nxt is None:
-            nxt = step(spec, state)
+    state, total, residual = initial, initial.total_trace(), float("inf")
+    for n in range(1, max_iter + 1):
+        nxt = step(spec, state)
+        nxt_total = nxt.total_trace()
         if n == max_iter or _trace_bound(_difference(nxt, state, nxt._tr, state._tr),
-                                         nxt.total_trace(), state.total_trace(),
-                                         spec.dim) <= skip_above:
+                                         nxt_total, total, spec.dim) <= skip_above:
             residual = state_trace_distance(nxt, state)
             if residual <= tol:
                 return SteadyStateResult(nxt, n, True, residual)
-        state = nxt
+        state, total = nxt, nxt_total
     return SteadyStateResult(state, max_iter, False, residual)
-
-
-def _full_stretch(spec: WalkSpec, state: WalkerState, n: int, max_iter: int,
-                  skip_above: float) -> tuple:
-    """Iterations n, n + 1, ... of find_steady_state from a state on the
-    full plan's rows, as the executor on its block stack, with the traces
-    and their total carried: ``step``'s bits, no WalkerState per step.
-
-    Returns (n, state, nxt) at the first iteration n whose trace bound
-    does not rule convergence out (nxt its iterate) or whose stack the
-    prune would cut (nxt pruned), else (max_iter, state, None), which
-    leaves the last allowed iteration to the caller.
-    """
-    plan = spec._full_plan
-
-    def rows(rho, tr):  # the state of a stack over the full plan's targets
-        return WalkerState.__new__(WalkerState)._set(spec.nodes, plan[0], rho, tr)
-
-    rho, tr, total = state._rho, state._tr, state.total_trace()
-    while n < max_iter:
-        x = _execute(plan, rho)
-        x_tr = x.trace(axis1=1, axis2=2).real
-        if _kept(x_tr) is not None:
-            return n, rows(rho, tr), WalkerState._pruned(spec.nodes, plan[0], x)
-        x_total = _total(x_tr)
-        # _difference of equal positions: the traces subtract directly
-        if _trace_bound(x_tr - tr, x_total, total, spec.dim) <= skip_above:
-            return n, rows(rho, tr), rows(x, x_tr)
-        rho, tr, total = x, x_tr, x_total
-        n += 1
-    return n, rows(rho, tr), None
 
 
 # ----------------------------------------------------------------------

@@ -2018,10 +2018,10 @@ def test_find_steady_state_computes_exact_residual_once(monkeypatch):
 def test_find_steady_state_matches_plain_loop_where_full_occupancy_starts_and_ends(max_iter):
     # the H chain at omega = 0.9 fills every register at step 20 and
     # prunes register 0 at step 57 (it converges at step 75). Capped at
-    # the first full step, at the first step on the full plan's rows
-    # (the last allowed, left to step), at the pruning step (the last
-    # allowed, after a stretch) and one after it (the stretch hands the
-    # pruned stack on): the plain loop's stop, residual bits and blocks
+    # the first full step, at the first step on the full plan's rows, at
+    # the pruning step and one after it, where the carried total trace
+    # must follow the pruned state: the plain loop's stop, residual bits
+    # and blocks
     from oqwalk.linalg import HADAMARD
     from oqwalk.scenarios import build_dqc_chain
 
@@ -2036,53 +2036,22 @@ def test_find_steady_state_matches_plain_loop_where_full_occupancy_starts_and_en
     assert_same_blocks(result.state.blocks, state.blocks)
 
 
-def test_find_steady_state_steps_the_full_plans_stack_without_states(monkeypatch):
-    # the benchmark's seed-0 chain fills every register at step 20: from
-    # the first iterate on the full plan's rows the loop calls the
-    # executor on the stack, and forms a state only for the exact
-    # residual and the result
+def test_find_steady_state_steps_once_and_sums_each_total_once(monkeypatch):
+    # each iteration is one step call, which a traced run counts as the
+    # iteration, and each iterate's total trace is summed once and carried
+    # to the next iteration's bound: the benchmark's seed-0 chain
     from oqwalk.scenarios import build_dqc_chain
 
     spec, initial = build_dqc_chain(benchmark_gates(0), 0.5)
     calls = Counter()
-    for owner, name in ((core, "step"), (core, "_execute"), (WalkerState, "_set")):
+    for owner, name in ((core, "step"), (core, "_execute"), (WalkerState, "total_trace")):
         def counting(*args, _call=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _call(*args)
         monkeypatch.setattr(owner, name, counting)
     result = find_steady_state(spec, initial)
     assert (result.iterations, result.converged) == (1842, True)
-    assert calls["_execute"] == 1842
-    assert calls["step"] <= 21
-    assert calls["_set"] <= calls["step"] + 2
-
-
-def test_adopted_level_zero_product_keeps_the_reference_bits():
-    # where level 0 writes every reached target in one slice of one
-    # chunk, that slice's product is the executor's output, not copied:
-    # stacked (the dqc chain's grouped K^dag product) and tall (a
-    # directed ring of one unitary), from a state on every node
-    from oqwalk.scenarios import build_dqc_chain
-
-    rng = np.random.default_rng(41)
-    u = random_unitary(2, rng)
-    ring = WalkSpec(tuple(range(7)), 2, {(k, (k + 1) % 7): u for k in range(7)})
-    cases = [("stacked", build_dqc_chain(benchmark_gates(0), 0.5)[0]), ("tall", ring)]
-    for label, spec in cases:
-        plan = spec._full_plan
-        targets, _, chunks, level0 = plan
-        (_, k_dag, _, _, ((lo, hi, rows, shared), *_)), *_ = chunks
-        assert (lo, hi, level0) == (0, targets.size, spec.node_count), label
-        tall = label == "tall"  # a slice with its own K^dag, no stacked product
-        assert (shared is not None) == tall and (k_dag is None) == tall, label
-        state = WalkerState(random_block_state(spec.nodes, spec.dim, rng))
-        for _ in range(6):
-            expected = reference_step(spec, state.blocks, PRUNE_TRACE)
-            out = core._execute(plan, core._rows(spec, state)[1])
-            assert out.base is not None, label  # a view of the product
-            state = step(spec, state)
-            assert_same_blocks(state.blocks, expected)
-            assert out.tobytes() == state._rho.tobytes(), label
+    assert calls == {"step": 1842, "_execute": 1842, "total_trace": 1843}
 
 
 def test_find_steady_state_compiles_one_plan_per_occupancy(monkeypatch):
